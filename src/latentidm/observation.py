@@ -5,10 +5,14 @@ known column-stochastic emission matrix.  The observed sequence's likelihood
 factorizes per index, a dynamic program collapses the sum over hidden
 assignments into weights on frequency vectors, and the posterior predictive
 for the next hidden outcome becomes a convex combination of conjugate-update
-fractions.  Sweeping the prior mean t over the open simplex then yields
-lower/upper predictive bounds, and a purely combinatorial scan of the
-observed emission entries diagnoses whether those bounds can move off 0/1
-at all.
+fractions.
+
+Whether a predictive bound can move off 0/1 at all is decided exactly, from
+the zero pattern of the observed emission entries: a bound with no witness
+in `vacuity_diagnosis` is its analytic limit, 0 or 1.  Only the sides that
+the zero pattern leaves open are searched, by sweeping the prior mean t
+over the open simplex.  An observation whose row is zero under every hidden
+outcome is impossible and is rejected when the dataset is built.
 
 The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
@@ -26,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import DegenerateRatioError, SizeCapError
 from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, log_marginal_probability
 from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoint
 
@@ -96,6 +100,10 @@ class ManifestDataset:
                 raise ValueError(f"observation {i}: emission has k={emission.k}, expected {self.k}")
             if not 0 <= row < emission.manifest_count:
                 raise ValueError(f"observation {i}: row {row} out of range")
+            if not np.any(emission.entries[row, :] != 0.0):
+                raise ValueError(
+                    f"observation {i}: row {row} has probability zero under every hidden outcome"
+                )
 
     @property
     def n(self) -> int:
@@ -233,6 +241,17 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(counts): w for counts, w in states.items()}
 
 
+def _positive_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
+    """frequency_weights, refusing a support that underflowed to nothing."""
+    weights = frequency_weights(data)
+    if not weights:
+        raise DegenerateRatioError(
+            "every frequency weight underflowed to zero; the observed emission "
+            "entries are too small for the frequency-weight pass"
+        )
+    return weights
+
+
 def _log_weighted_marginals(
     weights: Mapping[FrequencyVector, float], prior: DirichletParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +276,7 @@ def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams, j: 
         raise ValueError(f"prior has k={prior.k}, dataset has k={data.k}")
     if not 0 <= j < data.k:
         raise ValueError(f"outcome index {j} out of range for k={data.k}")
-    weights = frequency_weights(data)
-    assert weights, "every observation row has zero probability under all hidden outcomes"
+    weights = _positive_weights(data)
     counts, scores = _log_weighted_marginals(weights, prior)
     shifted = np.exp(scores - scores.max())
     fractions = (counts[:, j] + prior.s * prior.t[j]) / (data.n + prior.s)
@@ -305,30 +323,62 @@ def _predictive_values(
     return out
 
 
+def _refined_extremum(
+    values: np.ndarray, points: np.ndarray, evaluate, minimize: bool, passes: int
+) -> tuple[float, np.ndarray]:
+    """Best swept value and its t, improved by `passes` local re-sweeps.
+
+    Each pass evaluates a copy of the lattice shrunk onto the incumbent.
+    """
+    pick = np.argmin if minimize else np.argmax
+    i = int(pick(values))
+    best, t_best = float(values[i]), points[i]
+    for shrink in _REFINEMENT_SHRINKS[:passes]:
+        local = (1.0 - shrink) * t_best[None, :] + shrink * points
+        local_values = evaluate(local)
+        i = int(pick(local_values))
+        if (local_values[i] < best) if minimize else (local_values[i] > best):
+            best, t_best = float(local_values[i]), local[i]
+    return best, t_best
+
+
 def predictive_bounds(
     data: ManifestDataset, s: float, j: int, search: SearchSpec | None = None
 ) -> PredictiveBounds:
     """Lower/upper posterior predictive for the next hidden outcome over all t.
 
-    Sweeps the clamped t-grid, refines locally around each incumbent, and
-    evaluates the two boundary limits analytically: as t_j -> 1 the
-    all-x_j frequency vector dominates, so the supremum is exactly 1
-    whenever that vector has positive observation weight; as t_j -> 0 the
-    combination collapses onto the a_j = 0 vectors, so the infimum is
-    exactly 0 whenever one of those has positive weight.  Whichever of grid
-    optimum and analytic limit is more extreme is reported, with boundary
-    limits recorded as such.
+    Each side is first settled, where it can be, from the exact zero pattern
+    of the observed emission entries (`vacuity_diagnosis`).  With no upper
+    witness the all-x_j assignment has positive probability, it dominates as
+    t_j -> 1, and the upper bound is exactly 1.  With no lower witness some
+    assignment avoiding x_j has positive probability, the combination
+    collapses onto such assignments as t_j -> 0, and the lower bound is
+    exactly 0.  These limits are recorded as `BoundaryLimit`s.
+
+    Only the sides left open are searched: one sweep of the clamped t-grid,
+    then that side's local refinement passes around its incumbent.  When
+    both sides are settled no weights are computed and no grid is built, so
+    the n cap of the frequency-weight pass applies only to open sides.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
     if not 0 <= j < data.k:
         raise ValueError(f"outcome index {j} out of range for k={data.k}")
+    if data.k > DP_MAX_K:
+        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
     search = search or SearchSpec()
-    weights = frequency_weights(data)
-    assert weights, "every observation row has zero probability under all hidden outcomes"
+    flags = vacuity_diagnosis(data)[j]
+    lower, argmin_t = 0.0, BoundaryLimit(j, 0.0)
+    upper, argmax_t = 1.0, BoundaryLimit(j, 1.0)
+    if not (flags.lower_strictly_above_zero or flags.upper_strictly_below_one):
+        return PredictiveBounds(lower=lower, upper=upper, argmin_t=argmin_t, argmax_t=argmax_t)
+
+    weights = _positive_weights(data)
     counts = np.array([fv.counts for fv in weights], dtype=float)
     log_w = np.array([math.log(w) for w in weights.values()])
-    n = data.n
+
+    def evaluate(t_points: np.ndarray) -> np.ndarray:
+        return _predictive_values(counts, log_w, s, data.n, j, t_points)
 
     grid = SimplexGrid(
         k=data.k,
@@ -336,32 +386,14 @@ def predictive_bounds(
         boundary_policy=CLAMP_TO_EPSILON,
         eps_clamp=search.clamp,
     )
-    values = _predictive_values(counts, log_w, s, n, j, grid.points)
-    lo_idx, hi_idx = int(values.argmin()), int(values.argmax())
-    lower, t_lower = float(values[lo_idx]), grid.points[lo_idx]
-    upper, t_upper = float(values[hi_idx]), grid.points[hi_idx]
-
-    for shrink in _REFINEMENT_SHRINKS[: search.refinement_passes]:
-        for minimize in (True, False):
-            center = t_lower if minimize else t_upper
-            local = (1.0 - shrink) * center[None, :] + shrink * grid.points
-            local_values = _predictive_values(counts, log_w, s, n, j, local)
-            if minimize:
-                i = int(local_values.argmin())
-                if local_values[i] < lower:
-                    lower, t_lower = float(local_values[i]), local[i]
-            else:
-                i = int(local_values.argmax())
-                if local_values[i] > upper:
-                    upper, t_upper = float(local_values[i]), local[i]
-
-    argmin_t: SimplexPoint | BoundaryLimit = SimplexPoint(t_lower)
-    argmax_t: SimplexPoint | BoundaryLimit = SimplexPoint(t_upper)
-    if any(fv[j] == 0 for fv in weights):
-        lower, argmin_t = 0.0, BoundaryLimit(j, 0.0)
-    all_j = tuple(n if h == j else 0 for h in range(data.k))
-    if FrequencyVector(all_j) in weights:
-        upper, argmax_t = 1.0, BoundaryLimit(j, 1.0)
+    values = evaluate(grid.points)
+    passes = search.refinement_passes
+    if flags.lower_strictly_above_zero:
+        lower, t_lower = _refined_extremum(values, grid.points, evaluate, True, passes)
+        argmin_t = SimplexPoint(t_lower)
+    if flags.upper_strictly_below_one:
+        upper, t_upper = _refined_extremum(values, grid.points, evaluate, False, passes)
+        argmax_t = SimplexPoint(t_upper)
     return PredictiveBounds(lower=lower, upper=upper, argmin_t=argmin_t, argmax_t=argmax_t)
 
 

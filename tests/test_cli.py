@@ -186,6 +186,28 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_SIZE_CAP
 
+    def test_k_cap_is_exit_2_when_limits_settle(self, tmp_path, capsys):
+        # all-positive k=5: every limit is settled, yet k is past the cap
+        doc = dict(
+            PREDICT_DOC, k=5, model={"emission": [[0.2] * 5] * 5}, observations=[0, 1]
+        )
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path)]) == EXIT_SIZE_CAP
+        assert "k <= 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["predict", "diagnose"])
+    def test_impossible_observation_is_exit_1(self, tmp_path, capsys, kind):
+        # row 1 is emitted under no hidden outcome, so observing it is impossible
+        doc = dict(
+            PREDICT_DOC,
+            kind=kind,
+            model={"emission": [[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]]},
+            observations=[0, 1],
+        )
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path)]) == EXIT_INVALID
+        assert "field 'observations': observation 1" in capsys.readouterr().err
+
     def test_degenerate_ratio_is_exit_3(self, tmp_path, capsys):
         doc = {
             "name": "degenerate",

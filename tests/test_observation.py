@@ -4,6 +4,7 @@ import pytest
 from latentidm import (
     BinaryChannel,
     BoundaryLimit,
+    DegenerateRatioError,
     DirichletParams,
     EmissionMatrix,
     FrequencyVector,
@@ -21,6 +22,7 @@ from latentidm import (
     standard_idm_predictive_bounds,
     vacuity_diagnosis,
 )
+from latentidm import observation
 from oracles import brute_frequency_weights, random_interior_params
 
 CHANNEL = BinaryChannel(0.1, 0.1)
@@ -39,6 +41,26 @@ def random_dataset(rng, k, n, all_positive=True):
     for _ in range(n):
         emission = random_emission(rng, int(rng.integers(2, 4)), k, all_positive)
         obs.append((emission, int(rng.integers(0, emission.manifest_count))))
+    return ManifestDataset(tuple(obs), k=k)
+
+
+def tiny_entry_dataset(rng, k, n):
+    """Entries that are zero, moderate or as small as 1e-300, in random places.
+
+    Every row keeps one moderate entry, so the weights never underflow as a
+    whole, while products of the tiny entries do.
+    """
+    obs = []
+    for _ in range(n):
+        rows = int(rng.integers(2, 4))
+        choice = rng.integers(0, 3, size=(rows, k))
+        raw = np.where(choice == 0, 0.0, 10.0 ** rng.uniform(-300.0, -100.0, size=(rows, k)))
+        raw = np.where(choice == 2, rng.uniform(0.05, 1.0, size=(rows, k)), raw)
+        raw[np.arange(rows), rng.integers(0, k, size=rows)] = rng.uniform(0.05, 1.0, size=rows)
+        for j in np.flatnonzero(raw.sum(axis=0) == 0.0):
+            raw[rng.integers(0, rows), j] = rng.uniform(0.05, 1.0)
+        emission = EmissionMatrix(raw / raw.sum(axis=0, keepdims=True))
+        obs.append((emission, int(rng.integers(0, rows))))
     return ManifestDataset(tuple(obs), k=k)
 
 
@@ -83,6 +105,13 @@ class TestManifestDataset:
     def test_empty_dataset(self):
         data = ManifestDataset((), k=2)
         assert data.n == 0
+
+    def test_rejects_impossible_observation(self):
+        # row 1 is emitted under no hidden outcome: it may exist, not be observed
+        emission = EmissionMatrix([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]])
+        ManifestDataset.from_rows(emission, [0, 2])
+        with pytest.raises(ValueError, match="observation 1: row 1"):
+            ManifestDataset.from_rows(emission, [0, 1])
 
 
 class TestManifestGivenLatent:
@@ -289,6 +318,74 @@ class TestPredictiveBounds:
         with pytest.raises(SizeCapError):
             predictive_bounds(data, 2.0, 0)
 
+    def test_k_cap_holds_when_both_limits_settle(self):
+        emission = EmissionMatrix(np.full((5, 5), 0.2))
+        data = ManifestDataset.from_rows(emission, [0, 1])
+        assert vacuity_diagnosis(data).fully_vacuous
+        with pytest.raises(SizeCapError, match="k <= 4"):
+            predictive_bounds(data, 2.0, 0)
+
+    def test_underflowed_weights_keep_vacuous_limits(self):
+        # the all-x_j weight or every a_j = 0 weight underflows to 0.0, yet no
+        # observed entry is zero, so both outcomes stay exactly (0, 1)
+        cases = ((BinaryChannel(1e-17, 1e-17), [1] * 20), (BinaryChannel(1e-200, 1e-200), [0, 0]))
+        for channel, rows in cases:
+            data = ManifestDataset.from_rows(channel.emission(), rows)
+            for j in range(2):
+                b = predictive_bounds(data, 2.0, j)
+                assert (b.lower, b.upper) == (0.0, 1.0)
+                assert b.argmin_t == BoundaryLimit(j, 0.0)
+                assert b.argmax_t == BoundaryLimit(j, 1.0)
+
+    def test_fully_underflowed_weights_are_degenerate(self):
+        # row 0 certifies outcome 0, but 1e-200 squared underflows: no weight left
+        emission = EmissionMatrix([[1e-200, 0.0], [1.0, 1.0]])
+        data = ManifestDataset.from_rows(emission, [0, 0])
+        with pytest.raises(DegenerateRatioError):
+            predictive_bounds(data, 2.0, 0)
+        with pytest.raises(DegenerateRatioError):
+            posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])), 0)
+
+
+class TestSearchSkipping:
+    """The zero pattern settles limits; only open sides pay for weights and sweeps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"frequency_weights": 0, "_predictive_values": 0}
+        for name in counts:
+            original = getattr(observation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(observation, name, counted)
+        return counts
+
+    def test_all_positive_dataset_does_no_search(self, calls):
+        # n = 30 is past the weight pass's cap, which only open sides reach
+        data = ManifestDataset.from_rows(CHANNEL.emission(), [0, 1, 1] * 10)
+        for j in range(2):
+            b = predictive_bounds(data, 2.0, j)
+            assert (b.lower, b.upper) == (0.0, 1.0)
+        assert calls == {"frequency_weights": 0, "_predictive_values": 0}
+
+    def test_one_open_side_refines_only_that_side(self, calls):
+        data = ManifestDataset.from_rows(IDENTITY2, [0, 0, 0])
+        search = SearchSpec(resolution=50, refinement_passes=2)
+        b = predictive_bounds(data, 2.0, 0, search)
+        assert isinstance(b.argmin_t, SimplexPoint)
+        assert b.argmax_t == BoundaryLimit(0, 1.0)
+        assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2}
+
+    def test_two_open_sides_refine_both(self, calls):
+        data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
+        search = SearchSpec(resolution=50, refinement_passes=2)
+        b = predictive_bounds(data, 2.0, 0, search)
+        assert isinstance(b.argmin_t, SimplexPoint) and isinstance(b.argmax_t, SimplexPoint)
+        assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2 * 2}
+
 
 class TestVacuityDiagnosis:
     def test_channel_fully_vacuous(self):
@@ -333,3 +430,21 @@ class TestVacuityDiagnosis:
                 b = predictive_bounds(data, 2.0, j)
                 assert (b.upper < 1.0 - 1e-6) == diagnosis[j].upper_strictly_below_one
                 assert (b.lower > 1e-6) == diagnosis[j].lower_strictly_above_zero
+
+    def test_limit_sources_match_flags_for_tiny_entries(self):
+        # exact agreement for entries down to 1e-300: a side is a BoundaryLimit
+        # (exactly 0 or 1) iff the diagnosis has no witness for it
+        rng = np.random.default_rng(43)
+        search = SearchSpec(resolution=12, refinement_passes=0)
+        for trial in range(60):
+            k = 2 + trial % 2
+            data = tiny_entry_dataset(rng, k, int(rng.integers(1, 7)))
+            diagnosis = vacuity_diagnosis(data)
+            for j in range(k):
+                b = predictive_bounds(data, 2.0, j, search)
+                lower_open = diagnosis[j].lower_strictly_above_zero
+                upper_open = diagnosis[j].upper_strictly_below_one
+                assert isinstance(b.argmin_t, BoundaryLimit) == (not lower_open)
+                assert isinstance(b.argmax_t, BoundaryLimit) == (not upper_open)
+                assert (b.lower > 0.0) == lower_open
+                assert (b.upper < 1.0) == upper_open

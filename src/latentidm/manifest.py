@@ -32,8 +32,8 @@ from .simplex import (
     _dirichlet_log_density_matrix,
 )
 
-_DEFAULT_THETA_RESOLUTION = 2000
-_DEFAULT_T_RESOLUTION = 400
+DEFAULT_THETA_RESOLUTION = 2000
+DEFAULT_T_RESOLUTION = 400
 _T_CLAMP = 1e-6
 
 
@@ -66,35 +66,11 @@ class BinaryChannel:
 
 
 @dataclass(frozen=True)
-class ManifestChances:
-    """The chance of observing outcome 1, constrained to the channel's range."""
-
-    xi1: float
-    channel: BinaryChannel
-
-    def __post_init__(self) -> None:
-        lo, hi = self.channel.xi_range
-        if not lo <= self.xi1 <= hi:
-            raise ValueError(f"xi1={self.xi1} outside the attainable range [{lo}, {hi}]")
-
-    @property
-    def xi2(self) -> float:
-        return 1.0 - self.xi1
-
-
-@dataclass(frozen=True)
 class NaiveReconstruction:
     """Unclamped channel inversion, flagged when it leaves [0, 1]."""
 
     value: float
     out_of_range: bool
-
-
-def latent_to_manifest_chance(channel: BinaryChannel, theta1: float) -> float:
-    """xi_1 = (1 - eps2) * theta_1 + eps1 * (1 - theta_1); image is [eps1, 1-eps2]."""
-    if not 0.0 <= theta1 <= 1.0:
-        raise ValueError(f"theta1 must lie in [0, 1], got {theta1}")
-    return (1.0 - channel.eps2) * theta1 + channel.eps1 * (1.0 - theta1)
 
 
 def scaled_beta_posterior_mean(
@@ -103,7 +79,7 @@ def scaled_beta_posterior_mean(
     total: int,
     s: float,
     t1: float,
-    resolution: int = _DEFAULT_THETA_RESOLUTION,
+    resolution: int = DEFAULT_THETA_RESOLUTION,
 ) -> float:
     """Posterior expectation of xi_1 under one member of the rescaled family.
 
@@ -128,6 +104,7 @@ def scaled_beta_posterior_mean(
 
 
 def latent_to_manifest_chance_vector(channel: BinaryChannel, theta1: np.ndarray) -> np.ndarray:
+    """xi_1 = (1 - eps2) * theta_1 + eps1 * (1 - theta_1); image is [eps1, 1-eps2]."""
     return (1.0 - channel.eps2) * theta1 + channel.eps1 * (1.0 - theta1)
 
 
@@ -136,8 +113,8 @@ def scaled_beta_posterior_bounds(
     positives: int,
     total: int,
     s: float,
-    t_resolution: int = _DEFAULT_T_RESOLUTION,
-    theta_resolution: int = _DEFAULT_THETA_RESOLUTION,
+    t_resolution: int = DEFAULT_T_RESOLUTION,
+    theta_resolution: int = DEFAULT_THETA_RESOLUTION,
 ) -> PredictiveBounds:
     """Lower/upper posterior expectation of xi_1 over the rescaled prior family.
 

@@ -36,7 +36,6 @@ from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoin
 
 DP_MAX_N = 20
 DP_MAX_K = 4
-ENUMERATION_MAX_N = 10
 
 _COLUMN_SUM_TOL = 1e-12
 _DEFAULT_T_RESOLUTION = {2: 2000, 3: 220, 4: 60}
@@ -78,9 +77,6 @@ class EmissionMatrix:
     @staticmethod
     def identity(k: int) -> "EmissionMatrix":
         return EmissionMatrix(np.eye(k))
-
-    def all_entries_positive(self) -> bool:
-        return bool(np.all(self.entries > 0.0))
 
 
 @dataclass(frozen=True)
@@ -172,24 +168,9 @@ class SearchSpec:
     def resolution_for(self, k: int) -> int:
         if self.resolution is not None:
             return self.resolution
-        try:
-            return _DEFAULT_T_RESOLUTION[k]
-        except KeyError:
-            raise ValueError(f"no default search resolution for k={k}") from None
-
-
-def manifest_given_latent(data: ManifestDataset, assignment: Sequence[int]) -> float:
-    """Probability of the observed sequence given a full hidden assignment."""
-    if len(assignment) != data.n:
-        raise ValueError(f"assignment length {len(assignment)} != dataset size {data.n}")
-    prob = 1.0
-    for (emission, row), j in zip(data.observations, assignment):
-        if not 0 <= j < data.k:
-            raise ValueError(f"hidden outcome {j} out of range for k={data.k}")
-        prob *= emission.entries[row, j]
-        if prob == 0.0:
-            return 0.0
-    return prob
+        if k not in _DEFAULT_T_RESOLUTION:
+            raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={k}")
+        return _DEFAULT_T_RESOLUTION[k]
 
 
 def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:

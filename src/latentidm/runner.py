@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
-from .errors import ScenarioError
-from .idm import BoundaryLimit
+from .errors import ScenarioError, SizeCapError
+from .idm import BoundaryLimit, PredictiveBounds
 from .manifest import (
+    DEFAULT_T_RESOLUTION,
+    DEFAULT_THETA_RESOLUTION,
     BinaryChannel,
     direct_manifest_idm,
     naive_reconstruction,
@@ -36,8 +40,9 @@ from .observation import (
     predictive_bounds,
     vacuity_diagnosis,
 )
-from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoint
+from .simplex import CLAMP_TO_EPSILON, DEFAULT_EPS_CLAMP, DirichletParams, SimplexGrid, SimplexPoint
 from .vacuity import (
+    _DENSITY_GRID_FACTOR,
     BoundedFunction,
     ConcentratingSequence,
     LikelihoodFunction,
@@ -53,16 +58,6 @@ from .vacuity import (
     verify_theorem1,
 )
 
-KINDS = (
-    "predict",
-    "diagnose",
-    "verify-theorem1",
-    "theorem-a1a2",
-    "scaled-beta",
-    "naive-reconstruction",
-    "direct-manifest",
-)
-
 SCENARIO_DIR_ENV = "LATENTIDM_SCENARIO_DIR"
 
 _CHANNEL_PRESET = re.compile(r"^binary-channel\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\)$")
@@ -72,11 +67,18 @@ _DEFAULT_TREND_GRID_RESOLUTION = 2000
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario document."""
+    """A parsed scenario document, ready to run.
+
+    `run` computes the results payload from the objects that parsing built
+    and checked; `provenance` describes those objects.  `raw` is the
+    document itself, kept only to be echoed in the report.
+    """
 
     name: str
     kind: str
     raw: dict = field(repr=False)
+    run: Callable[[], dict] = field(repr=False, compare=False)
+    provenance: dict = field(repr=False, compare=False)
 
     @staticmethod
     def from_dict(doc: Any) -> "Scenario":
@@ -86,226 +88,178 @@ class Scenario:
         if not isinstance(name, str) or not name:
             raise ScenarioError("field 'name': required non-empty string")
         kind = doc.get("kind")
-        if kind not in KINDS:
-            raise ScenarioError(f"field 'kind': must be one of {', '.join(KINDS)}; got {kind!r}")
-        _VALIDATORS[kind](doc)
-        return Scenario(name=name, kind=kind, raw=doc)
+        if not isinstance(kind, str) or kind not in _PARSERS:
+            raise ScenarioError(f"field 'kind': must be one of {', '.join(_PARSERS)}; got {kind!r}")
+        run, provenance = _PARSERS[kind](doc)
+        return Scenario(name=name, kind=kind, raw=doc, run=run, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
 # Field helpers.  Every failure names the offending field.
 
 
-def _require(doc: dict, key: str, kind=None):
+@contextmanager
+def _field(name: str):
+    """Name `name` in any ValueError or TypeError raised while building it.
+
+    ScenarioError already names its field, and SizeCapError keeps its own
+    exit code, so both pass through unchanged.
+    """
+    try:
+        yield
+    except (ScenarioError, SizeCapError):
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"field '{name}': {exc}") from exc
+
+
+def _require(doc: dict, key: str):
     if key not in doc:
         raise ScenarioError(f"field '{key}': required for this scenario kind")
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"field '{key}': wrong type, expected {kind}")
+    return doc[key]
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"field '{name}': must be an object")
     return value
 
 
-def _positive_number(doc: dict, key: str, default=None) -> float:
-    if key not in doc and default is not None:
-        return default
-    value = _require(doc, key)
-    if not isinstance(value, (int, float)) or not value > 0:
-        raise ScenarioError(f"field '{key}': must be a positive number")
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"field '{name}': must be a list")
+    return value
+
+
+def _integer(value, name: str, minimum: int = 0) -> int:
+    # JSON true/false arrive as bool, a subclass of int: never a count here.
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"field '{name}': must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _integers(value, name: str, minimum: int = 0) -> list[int]:
+    return [_integer(v, name, minimum) for v in _list(value, name)]
+
+
+def _positive(value, name: str) -> float:
+    """Every real-valued scenario field is a positive, finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ScenarioError(f"field '{name}': must be a positive number, got {value!r}")
     return float(value)
 
 
-def _int_list(doc: dict, key: str) -> list[int]:
-    value = _require(doc, key, list)
-    if not all(isinstance(v, int) and v >= 0 for v in value):
-        raise ScenarioError(f"field '{key}': must be a list of nonnegative integers")
-    return value
-
-
-def _parse_emission(spec, k: int) -> EmissionMatrix:
-    if isinstance(spec, str):
-        if spec == "identity":
-            return EmissionMatrix.identity(k)
-        match = _CHANNEL_PRESET.match(spec)
+def _emission(spec, k: int, name: str) -> EmissionMatrix:
+    if spec == "identity":
+        return EmissionMatrix.identity(k)
+    match = _CHANNEL_PRESET.match(spec) if isinstance(spec, str) else None
+    with _field(name):
         if match:
             return BinaryChannel(float(match.group(1)), float(match.group(2))).emission()
-        raise ScenarioError(
-            f"field 'model.emission': unknown preset {spec!r} "
-            "(use 'identity', 'binary-channel(eps1,eps2)', or an inline matrix)"
-        )
-    if isinstance(spec, list):
-        try:
+        if isinstance(spec, list):
             return EmissionMatrix(spec)
-        except ValueError as exc:
-            raise ScenarioError(f"field 'model.emission': {exc}") from exc
-    raise ScenarioError("field 'model.emission': must be a preset string or a matrix")
+    raise ScenarioError(
+        f"field '{name}': use the preset 'identity' or 'binary-channel(eps1,eps2)', "
+        f"or an inline matrix; got {spec!r}"
+    )
 
 
-def _build_dataset(doc: dict) -> ManifestDataset:
-    model = _require(doc, "model", dict)
-    k = doc.get("k", 2)
-    if not isinstance(k, int) or k < 2:
-        raise ScenarioError("field 'k': must be an integer >= 2")
-    observations = _int_list(doc, "observations")
+def _dataset(doc: dict) -> ManifestDataset:
+    model = _object(_require(doc, "model"), "model")
+    k = _integer(doc.get("k", 2), "k", minimum=2)
+    observations = _integers(_require(doc, "observations"), "observations")
     if "emissions" in model:
-        specs = model["emissions"]
-        if not isinstance(specs, list) or len(specs) != len(observations):
+        specs = _list(model["emissions"], "model.emissions")
+        if len(specs) != len(observations):
             raise ScenarioError("field 'model.emissions': one matrix per observation required")
-        emissions = [_parse_emission(spec, k) for spec in specs]
+        emissions = [_emission(spec, k, "model.emissions") for spec in specs]
     elif "emission" in model:
-        emissions = [_parse_emission(model["emission"], k)] * len(observations)
+        emissions = [_emission(model["emission"], k, "model.emission")] * len(observations)
     else:
         raise ScenarioError("field 'model': needs 'emission' or 'emissions'")
-    try:
-        return ManifestDataset(
-            tuple((em, row) for em, row in zip(emissions, observations)),
-            k=k,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"field 'observations': {exc}") from exc
+    with _field("observations"):
+        return ManifestDataset(tuple(zip(emissions, observations)), k=k)
 
 
-def _build_search(doc: dict) -> SearchSpec:
-    spec = doc.get("search", {})
-    if not isinstance(spec, dict):
-        raise ScenarioError("field 'search': must be an object")
-    try:
-        return SearchSpec(
-            resolution=spec.get("resolution"),
-            clamp=spec.get("clamp", 1e-6),
-            refinement_passes=spec.get("refinement_passes", 1),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"field 'search': {exc}") from exc
+def _exponents(spec: dict, k: int, name: str) -> list[int]:
+    exponents = _integers(spec.get("exponents", []), name)
+    if len(exponents) != k:
+        raise ScenarioError(f"field '{name}': needs one exponent per coordinate, k={k}")
+    return exponents
 
 
-def _build_function(spec, k: int) -> BoundedFunction:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError("field 'function': must be an object with a 'kind'")
-    if spec["kind"] == "coordinate":
-        return coordinate_function(int(spec.get("index", 0)), k)
-    if spec["kind"] == "monomial":
-        return monomial_function(spec.get("exponents", []))
-    raise ScenarioError(f"field 'function.kind': unknown kind {spec['kind']!r}")
+def _function(spec: dict, k: int) -> BoundedFunction:
+    kind = spec.get("kind")
+    if kind == "coordinate":
+        index = _integer(spec.get("index", 0), "function.index")
+        with _field("function.index"):
+            return coordinate_function(index, k)
+    if kind == "monomial":
+        exponents = _exponents(spec, k, "function.exponents")
+        with _field("function.exponents"):
+            return monomial_function(exponents)
+    raise ScenarioError(f"field 'function.kind': unknown kind {kind!r}")
 
 
-def _build_likelihood(spec, k: int) -> LikelihoodFunction:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError("field 'likelihood': must be an object with a 'kind'")
-    kind = spec["kind"]
+def _likelihood(spec, k: int, name: str) -> LikelihoodFunction:
+    kind = _object(spec, name).get("kind")
     if kind == "constant":
         return constant_likelihood()
     if kind == "coordinate":
-        return coordinate_likelihood(int(spec.get("index", 0)))
+        index = _integer(spec.get("index", 0), f"{name}.index")
+        if index >= k:
+            raise ScenarioError(f"field '{name}.index': index {index} out of range for k={k}")
+        return coordinate_likelihood(index)
     if kind == "monomial":
-        return monomial_likelihood(spec.get("exponents", []))
+        return monomial_likelihood(_exponents(spec, k, f"{name}.exponents"))
     if kind == "channel":
-        channel = BinaryChannel(float(spec.get("eps1", 0.1)), float(spec.get("eps2", 0.1)))
-        rows = spec.get("observations", [])
-        data = ManifestDataset.from_rows(channel.emission(), rows)
+        if k != 2:
+            raise ScenarioError(f"field '{name}': a channel likelihood needs a k=2 target")
+        eps1 = _positive(spec.get("eps1", 0.1), f"{name}.eps1")
+        eps2 = _positive(spec.get("eps2", 0.1), f"{name}.eps2")
+        rows = _integers(spec.get("observations", []), f"{name}.observations")
+        with _field(name):
+            emission = BinaryChannel(eps1, eps2).emission()
+        with _field(f"{name}.observations"):
+            data = ManifestDataset.from_rows(emission, rows)
         return dataset_likelihood(data)
-    raise ScenarioError(f"field 'likelihood.kind': unknown kind {kind!r}")
+    raise ScenarioError(f"field '{name}.kind': unknown kind {kind!r}")
 
 
-def _build_sequence(doc: dict, target: SimplexPoint) -> ConcentratingSequence:
-    spec = doc.get("sequence", {"family": "canonical"})
-    if not isinstance(spec, dict):
-        raise ScenarioError("field 'sequence': must be an object")
+def _sequence(spec: dict, target: SimplexPoint) -> ConcentratingSequence:
     family = spec.get("family", "canonical")
     if family == "canonical":
         return canonical_concentrating_sequence(target)
     if family == "fixed-strength":
-        return fixed_strength_concentrating_sequence(target, float(spec.get("s", 2.0)))
+        s = _positive(spec.get("s", 2.0), "sequence.s")
+        return fixed_strength_concentrating_sequence(target, s)
     raise ScenarioError(f"field 'sequence.family': unknown family {family!r}")
 
 
-def _build_target(doc: dict) -> SimplexPoint:
-    target = _require(doc, "target", list)
-    try:
-        return SimplexPoint(target)
-    except ValueError as exc:
-        raise ScenarioError(f"field 'target': {exc}") from exc
+def _channel(doc: dict) -> BinaryChannel:
+    spec = _object(_require(doc, "channel"), "channel")
+    eps1 = _positive(spec.get("eps1"), "channel.eps1")
+    eps2 = _positive(spec.get("eps2"), "channel.eps2")
+    with _field("channel"):
+        return BinaryChannel(eps1, eps2)
 
 
-def _build_channel(doc: dict) -> BinaryChannel:
-    spec = _require(doc, "channel", dict)
-    try:
-        return BinaryChannel(float(spec.get("eps1")), float(spec.get("eps2")))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"field 'channel': {exc}") from exc
-
-
-def _build_counts(doc: dict) -> tuple[int, int]:
-    spec = _require(doc, "dataset", dict)
-    positives, total = spec.get("positives"), spec.get("total")
-    if not isinstance(positives, int) or not isinstance(total, int) or not 0 <= positives <= total:
+def _counts(doc: dict) -> tuple[int, int]:
+    spec = _object(_require(doc, "dataset"), "dataset")
+    positives = _integer(spec.get("positives"), "dataset.positives")
+    total = _integer(spec.get("total"), "dataset.total")
+    if positives > total:
         raise ScenarioError("field 'dataset': needs integers 0 <= positives <= total")
     return positives, total
 
 
-# ---------------------------------------------------------------------------
-# Per-kind validation (structure only; numeric work happens in run_scenario).
-
-
-def _validate_predict(doc: dict) -> None:
-    _build_dataset(doc)
-    hyper = _require(doc, "hyper", dict)
-    if not isinstance(hyper.get("s"), (int, float)) or not hyper["s"] > 0:
-        raise ScenarioError("field 'hyper.s': must be a positive number")
-    _build_search(doc)
-
-
-def _validate_diagnose(doc: dict) -> None:
-    _build_dataset(doc)
-
-
-def _validate_trend(doc: dict) -> None:
-    target = _build_target(doc)
-    _build_function(_require(doc, "function", dict), target.k)
-    _build_likelihood(_require(doc, "likelihood", dict), target.k)
-    if "contrast_likelihood" in doc:
-        _build_likelihood(doc["contrast_likelihood"], target.k)
-    _build_sequence(doc, target)
-    schedule = doc.get("schedule", list(_DEFAULT_SCHEDULE))
-    if not isinstance(schedule, list) or not all(isinstance(n, int) and n > 1 for n in schedule):
-        raise ScenarioError("field 'schedule': must be a list of integers > 1")
-    deltas = doc.get("deltas", [0.1, 0.01])
-    if not isinstance(deltas, list) or not all(
-        isinstance(d, (int, float)) and d > 0 for d in deltas
-    ):
-        raise ScenarioError("field 'deltas': must be a list of positive numbers")
-
-
-def _validate_scaled_beta(doc: dict) -> None:
-    _build_channel(doc)
-    _build_counts(doc)
-    _positive_number(doc.get("hyper", {}), "s", default=2.0)
-    fixed = doc.get("fixed_t1")
-    if fixed is not None and not (isinstance(fixed, (int, float)) and 0 < fixed < 1):
-        raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
-
-
-def _validate_naive(doc: dict) -> None:
-    _build_channel(doc)
-    _build_counts(doc)
-
-
-def _validate_direct(doc: dict) -> None:
-    _build_counts(doc)
-
-
-_VALIDATORS = {
-    "predict": _validate_predict,
-    "diagnose": _validate_diagnose,
-    "verify-theorem1": _validate_trend,
-    "theorem-a1a2": _validate_trend,
-    "scaled-beta": _validate_scaled_beta,
-    "naive-reconstruction": _validate_naive,
-    "direct-manifest": _validate_direct,
-}
+def _manifest_strength(doc: dict) -> float:
+    return _positive(_object(doc.get("hyper", {}), "hyper").get("s", 2.0), "hyper.s")
 
 
 # ---------------------------------------------------------------------------
-# Execution.
+# One parser per kind: each checks its fields while building what its run
+# uses, and returns that run with its provenance.
 
 
 def _describe_extremizer(value) -> dict:
@@ -314,6 +268,16 @@ def _describe_extremizer(value) -> dict:
     if isinstance(value, SimplexPoint):
         return {"point": list(value.coords)}
     return {"unknown": None}
+
+
+def _bounds_payload(bounds: PredictiveBounds, **extra) -> dict:
+    return {
+        "lower": bounds.lower,
+        "upper": bounds.upper,
+        "argmin_t": _describe_extremizer(bounds.argmin_t),
+        "argmax_t": _describe_extremizer(bounds.argmax_t),
+        **extra,
+    }
 
 
 def _trend_payload(report: TrendReport) -> dict:
@@ -336,177 +300,193 @@ def _trend_payload(report: TrendReport) -> dict:
     }
 
 
-def _run_predict(doc: dict) -> dict:
-    data = _build_dataset(doc)
-    s = float(doc["hyper"]["s"])
-    search = _build_search(doc)
-    outcomes = doc.get("outcomes", list(range(data.k)))
-    results: dict[str, Any] = {"level": "latent", "bounds": []}
-    for j in outcomes:
-        bounds = predictive_bounds(data, s, int(j), search)
-        results["bounds"].append(
-            {
-                "outcome": int(j),
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-                "argmin_t": _describe_extremizer(bounds.argmin_t),
-                "argmax_t": _describe_extremizer(bounds.argmax_t),
-            }
-        )
-    t_spec = doc["hyper"].get("t")
-    if t_spec is not None:
-        prior = DirichletParams(s=s, t=SimplexPoint(t_spec))
-        results["at_t"] = {
-            "t": list(prior.t.coords),
-            "values": [
-                posterior_predictive_at_t(data, prior, int(j)) for j in outcomes
+def _parse_predict(doc: dict):
+    data = _dataset(doc)
+    hyper = _object(_require(doc, "hyper"), "hyper")
+    s = _positive(hyper.get("s"), "hyper.s")
+    spec = _object(doc.get("search", {}), "search")
+    resolution = spec.get("resolution")
+    if resolution is not None:
+        resolution = _integer(resolution, "search.resolution")
+    clamp = _positive(spec.get("clamp", 1e-6), "search.clamp")
+    passes = _integer(spec.get("refinement_passes", 1), "search.refinement_passes")
+    with _field("search"):
+        search = SearchSpec(resolution=resolution, clamp=clamp, refinement_passes=passes)
+    outcomes = _integers(doc.get("outcomes", list(range(data.k))), "outcomes")
+    if any(j >= data.k for j in outcomes):
+        raise ScenarioError(f"field 'outcomes': every entry must be below k={data.k}")
+    prior = None
+    if hyper.get("t") is not None:
+        with _field("hyper.t"):
+            prior = DirichletParams(s=s, t=SimplexPoint(hyper["t"]))
+        if prior.k != data.k:
+            raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
+
+    def run() -> dict:
+        results: dict[str, Any] = {
+            "level": "latent",
+            "bounds": [
+                _bounds_payload(predictive_bounds(data, s, j, search), outcome=j)
+                for j in outcomes
             ],
         }
-    return results
-
-
-def _run_diagnose(doc: dict) -> dict:
-    data = _build_dataset(doc)
-    diagnosis = vacuity_diagnosis(data)
-    return {
-        "outcomes": [
-            {
-                "outcome": d.outcome,
-                "upper_strictly_below_one": d.upper_strictly_below_one,
-                "upper_witnesses": list(d.upper_witnesses),
-                "lower_strictly_above_zero": d.lower_strictly_above_zero,
-                "lower_witnesses": list(d.lower_witnesses),
+        if prior is not None:
+            results["at_t"] = {
+                "t": list(prior.t.coords),
+                "values": [posterior_predictive_at_t(data, prior, j) for j in outcomes],
             }
-            for d in diagnosis.per_outcome
-        ],
-        "fully_vacuous": diagnosis.fully_vacuous,
-    }
+        return results
 
-
-def _run_trend(doc: dict) -> dict:
-    target = _build_target(doc)
-    f = _build_function(doc["function"], target.k)
-    likelihood = _build_likelihood(doc["likelihood"], target.k)
-    sequence = _build_sequence(doc, target)
-    schedule = doc.get("schedule", list(_DEFAULT_SCHEDULE))
-    deltas = doc.get("deltas", [0.1, 0.01])
-    grid = SimplexGrid(
-        k=target.k,
-        resolution=doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION),
-        boundary_policy=CLAMP_TO_EPSILON,
-    )
-    main = verify_theorem1(f, likelihood, sequence, schedule, grid, deltas=deltas)
-    payload = {"main": _trend_payload(main), "contrast": None}
-    if "contrast_likelihood" in doc:
-        contrast = verify_theorem1(
-            f,
-            _build_likelihood(doc["contrast_likelihood"], target.k),
-            sequence,
-            schedule,
-            grid,
-            deltas=deltas,
-        )
-        payload["contrast"] = _trend_payload(contrast)
-    return payload
-
-
-def _run_scaled_beta(doc: dict) -> dict:
-    channel = _build_channel(doc)
-    positives, total = _build_counts(doc)
-    s = _positive_number(doc.get("hyper", {}), "s", default=2.0)
-    bounds = scaled_beta_posterior_bounds(channel, positives, total, s)
-    payload = {
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "interval": [channel.xi_range[0], channel.xi_range[1]],
-        "argmin_t": _describe_extremizer(bounds.argmin_t),
-        "argmax_t": _describe_extremizer(bounds.argmax_t),
-        "fixed_t": None,
-    }
-    if doc.get("fixed_t1") is not None:
-        t1 = float(doc["fixed_t1"])
-        payload["fixed_t"] = {
-            "t1": t1,
-            "posterior_mean": scaled_beta_posterior_mean(channel, positives, total, s, t1),
-        }
-    return payload
-
-
-def _run_naive(doc: dict) -> dict:
-    channel = _build_channel(doc)
-    positives, total = _build_counts(doc)
-    s = _positive_number(doc.get("hyper", {}), "s", default=2.0)
-    manifest = direct_manifest_idm(positives, total, s)
-    lower = naive_reconstruction(channel, manifest.lower)
-    upper = naive_reconstruction(channel, manifest.upper)
-    return {
-        "manifest": {"lower": manifest.lower, "upper": manifest.upper},
-        "reconstructed_lower": {"value": lower.value, "out_of_range": lower.out_of_range},
-        "reconstructed_upper": {"value": upper.value, "out_of_range": upper.out_of_range},
-    }
-
-
-def _run_direct(doc: dict) -> dict:
-    positives, total = _build_counts(doc)
-    s = _positive_number(doc.get("hyper", {}), "s", default=2.0)
-    bounds = direct_manifest_idm(positives, total, s)
-    return {
-        "level": "manifest",
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "argmin_t": _describe_extremizer(bounds.argmin_t),
-        "argmax_t": _describe_extremizer(bounds.argmax_t),
-    }
-
-
-_RUNNERS = {
-    "predict": _run_predict,
-    "diagnose": _run_diagnose,
-    "verify-theorem1": _run_trend,
-    "theorem-a1a2": _run_trend,
-    "scaled-beta": _run_scaled_beta,
-    "naive-reconstruction": _run_naive,
-    "direct-manifest": _run_direct,
-}
-
-
-def _provenance(scenario: Scenario) -> dict:
-    doc = scenario.raw
-    prov: dict[str, Any] = {"tool_version": __version__}
-    if scenario.kind == "predict":
-        search = _build_search(doc)
-        k = doc.get("k", 2)
-        prov["t_search"] = {
-            "resolution": search.resolution_for(k),
+    provenance = {
+        "t_search": {
+            "resolution": search.resolution_for(data.k),
             "clamp": search.clamp,
             "refinement_passes": search.refinement_passes,
         }
-    if scenario.kind in ("verify-theorem1", "theorem-a1a2"):
-        prov["grid"] = {
-            "base_resolution": doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION),
-            "resolution_rule": "max(base, 20*n) for k=2",
-            "boundary_policy": CLAMP_TO_EPSILON,
-            "eps_clamp": 1e-9,
+    }
+    return run, provenance
+
+
+def _parse_diagnose(doc: dict):
+    data = _dataset(doc)
+
+    def run() -> dict:
+        diagnosis = vacuity_diagnosis(data)
+        return {
+            "outcomes": [
+                {
+                    "outcome": d.outcome,
+                    "upper_strictly_below_one": d.upper_strictly_below_one,
+                    "upper_witnesses": list(d.upper_witnesses),
+                    "lower_strictly_above_zero": d.lower_strictly_above_zero,
+                    "lower_witnesses": list(d.lower_witnesses),
+                }
+                for d in diagnosis.per_outcome
+            ],
+            "fully_vacuous": diagnosis.fully_vacuous,
         }
-    if scenario.kind == "scaled-beta":
-        prov["grid"] = {
-            "theta_resolution": 2000,
-            "t_resolution": 400,
-            "boundary_policy": CLAMP_TO_EPSILON,
-            "eps_clamp": 1e-9,
+
+    return run, {}
+
+
+def _parse_trend(doc: dict):
+    with _field("target"):
+        target = SimplexPoint(_require(doc, "target"))
+    k = target.k
+    f = _function(_object(_require(doc, "function"), "function"), k)
+    likelihood = _likelihood(_require(doc, "likelihood"), k, "likelihood")
+    contrast = None
+    if "contrast_likelihood" in doc:
+        contrast = _likelihood(doc["contrast_likelihood"], k, "contrast_likelihood")
+    sequence = _sequence(_object(doc.get("sequence", {}), "sequence"), target)
+    # The concentrating path t(n) stays on the simplex only for n >= k - 1.
+    schedule = _integers(doc.get("schedule", list(_DEFAULT_SCHEDULE)), "schedule", max(2, k - 1))
+    if not schedule:
+        raise ScenarioError("field 'schedule': needs at least one index")
+    deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
+    resolution = _integer(
+        doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION), "grid_resolution", minimum=2
+    )
+    with _field("grid_resolution"):
+        grid = SimplexGrid(k=k, resolution=resolution, boundary_policy=CLAMP_TO_EPSILON)
+
+    def run() -> dict:
+        main = verify_theorem1(f, likelihood, sequence, schedule, grid, deltas=deltas)
+        payload = {"main": _trend_payload(main), "contrast": None}
+        if contrast is not None:
+            report = verify_theorem1(f, contrast, sequence, schedule, grid, deltas=deltas)
+            payload["contrast"] = _trend_payload(report)
+        return payload
+
+    provenance = {
+        "grid": {
+            "base_resolution": grid.resolution,
+            "resolution_rule": f"max(base, {_DENSITY_GRID_FACTOR}*n) for k=2",
+            "boundary_policy": grid.boundary_policy,
+            "eps_clamp": grid.eps_clamp,
         }
-    return prov
+    }
+    return run, provenance
+
+
+def _parse_scaled_beta(doc: dict):
+    channel = _channel(doc)
+    positives, total = _counts(doc)
+    s = _manifest_strength(doc)
+    t1 = doc.get("fixed_t1")
+    if t1 is not None and not _positive(t1, "fixed_t1") < 1.0:
+        raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
+    # The manifest functions build their theta grids with SimplexGrid's default clamp.
+    grid = {
+        "theta_resolution": DEFAULT_THETA_RESOLUTION,
+        "t_resolution": DEFAULT_T_RESOLUTION,
+        "boundary_policy": CLAMP_TO_EPSILON,
+        "eps_clamp": DEFAULT_EPS_CLAMP,
+    }
+
+    def run() -> dict:
+        bounds = scaled_beta_posterior_bounds(
+            channel, positives, total, s, grid["t_resolution"], grid["theta_resolution"]
+        )
+        fixed_t = None
+        if t1 is not None:
+            mean = scaled_beta_posterior_mean(
+                channel, positives, total, s, t1, grid["theta_resolution"]
+            )
+            fixed_t = {"t1": t1, "posterior_mean": mean}
+        return _bounds_payload(bounds, interval=list(channel.xi_range), fixed_t=fixed_t)
+
+    return run, {"grid": grid}
+
+
+def _parse_naive(doc: dict):
+    channel = _channel(doc)
+    positives, total = _counts(doc)
+    s = _manifest_strength(doc)
+
+    def run() -> dict:
+        manifest = direct_manifest_idm(positives, total, s)
+        lower = naive_reconstruction(channel, manifest.lower)
+        upper = naive_reconstruction(channel, manifest.upper)
+        return {
+            "manifest": {"lower": manifest.lower, "upper": manifest.upper},
+            "reconstructed_lower": {"value": lower.value, "out_of_range": lower.out_of_range},
+            "reconstructed_upper": {"value": upper.value, "out_of_range": upper.out_of_range},
+        }
+
+    return run, {}
+
+
+def _parse_direct(doc: dict):
+    positives, total = _counts(doc)
+    s = _manifest_strength(doc)
+
+    def run() -> dict:
+        return _bounds_payload(direct_manifest_idm(positives, total, s), level="manifest")
+
+    return run, {}
+
+
+_PARSERS = {
+    "predict": _parse_predict,
+    "diagnose": _parse_diagnose,
+    "verify-theorem1": _parse_trend,
+    "theorem-a1a2": _parse_trend,
+    "scaled-beta": _parse_scaled_beta,
+    "naive-reconstruction": _parse_naive,
+    "direct-manifest": _parse_direct,
+}
 
 
 def run_scenario(scenario: Scenario) -> dict:
-    """Execute a validated scenario; returns the full report dict."""
+    """Execute a parsed scenario; returns the full report dict."""
     started = time.perf_counter()
-    results = _RUNNERS[scenario.kind](scenario.raw)
+    results = scenario.run()
     elapsed = time.perf_counter() - started
     return {
         "scenario": scenario.raw,
         "results": results,
-        "provenance": _provenance(scenario),
+        "provenance": {"tool_version": __version__, **scenario.provenance},
         "timing": {"seconds": elapsed},
     }
 

@@ -29,6 +29,8 @@ from .special import log_gamma
 INCLUDE_BOUNDARY = "include-boundary"
 CLAMP_TO_EPSILON = "clamp-to-epsilon"
 
+DEFAULT_EPS_CLAMP = 1e-9
+
 _SUM_TOL = 1e-12
 _MAX_GRID_POINTS = 30_000_000
 
@@ -145,7 +147,7 @@ class SimplexGrid:
     k: int
     resolution: int
     boundary_policy: str = CLAMP_TO_EPSILON
-    eps_clamp: float = 1e-9
+    eps_clamp: float = DEFAULT_EPS_CLAMP
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,10 +177,6 @@ class SimplexGrid:
     def simplex_volume(self) -> float:
         """Total measure of the simplex under the projected-coordinate convention."""
         return 1.0 / math.factorial(self.k - 1)
-
-    @property
-    def cell_measure(self) -> float:
-        return self.simplex_volume / self.point_count
 
 
 SimplexFunction = Callable[[np.ndarray], Union[float, np.ndarray]]
@@ -242,12 +240,3 @@ def dirichlet_log_density(params: DirichletParams, theta) -> float:
         raise ValueError(f"theta must have {params.k} coordinates")
     return float(_dirichlet_log_density_matrix(params, coords[None, :])[0])
 
-
-def dirichlet_density_values(params: DirichletParams, grid: SimplexGrid) -> np.ndarray:
-    """Density values at every grid point (vectorized convenience)."""
-    return np.exp(_dirichlet_log_density_matrix(params, grid.points))
-
-
-def dirichlet_mean(params: DirichletParams) -> SimplexPoint:
-    """Mean of the Dirichlet: the hyperparameter t itself, returned exactly."""
-    return params.t

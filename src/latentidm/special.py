@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
     0.99999999999980993,
@@ -47,13 +45,3 @@ def log_gamma(x: float) -> float:
     t = z + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
 
-
-def log_gamma_vector(x) -> np.ndarray:
-    """Vectorized :func:`log_gamma` over an array of positive reals."""
-    arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape, dtype=float)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = log_gamma(float(v))
-    return out

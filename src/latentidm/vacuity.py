@@ -46,9 +46,8 @@ class BoundedFunction:
 
     declared_min/declared_max are the true infimum/supremum over the whole
     simplex; grid sweeps validate observed values against them (with 1e-9
-    slack).  Hints locate extremizers for concentration targets.  When
-    `vectorized` is true the evaluator accepts an (N, k) matrix and returns
-    N values; otherwise it is called per point with a length-k array.
+    slack).  Hints locate extremizers for concentration targets.  The
+    evaluator takes an (N, k) matrix of points and returns N values.
     """
 
     evaluator: Callable
@@ -57,10 +56,9 @@ class BoundedFunction:
     argmax_hint: SimplexPoint | None = None
     argmin_hint: SimplexPoint | None = None
     description: str = ""
-    vectorized: bool = False
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        out = _evaluate(self.evaluator, points, self.vectorized)
+        out = np.asarray(self.evaluator(points), dtype=float).reshape(points.shape[0])
         if out.size and (
             out.min() < self.declared_min - _RANGE_SLACK
             or out.max() > self.declared_max + _RANGE_SLACK
@@ -73,14 +71,16 @@ class BoundedFunction:
 
 @dataclass(frozen=True)
 class LikelihoodFunction:
-    """A nonnegative function of the chances, treated as a black box."""
+    """A nonnegative function of the chances, treated as a black box.
+
+    The evaluator takes an (N, k) matrix of points and returns N values.
+    """
 
     evaluator: Callable
     description: str = ""
-    vectorized: bool = False
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        out = _evaluate(self.evaluator, points, self.vectorized)
+        out = np.asarray(self.evaluator(points), dtype=float).reshape(points.shape[0])
         if out.size and out.min() < 0.0:
             raise ValueError("likelihood values must be nonnegative")
         return out
@@ -151,12 +151,6 @@ class LiminfReport:
     infimums: tuple[float, ...]
     c_estimate: float
     positive: bool
-
-
-def _evaluate(evaluator, points: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        return np.asarray(evaluator(points), dtype=float).reshape(points.shape[0])
-    return np.fromiter((evaluator(p) for p in points), dtype=float, count=points.shape[0])
 
 
 def _density(params: DirichletParams, grid: SimplexGrid) -> np.ndarray:
@@ -336,7 +330,6 @@ def coordinate_function(index: int, k: int) -> BoundedFunction:
         argmax_hint=SimplexPoint.vertex(k, index),
         argmin_hint=SimplexPoint.vertex(k, off),
         description=f"theta[{index}]",
-        vectorized=True,
     )
 
 
@@ -364,7 +357,6 @@ def monomial_function(exponents: Sequence[int]) -> BoundedFunction:
         argmax_hint=argmax,
         argmin_hint=None,
         description="theta^" + str(counts.counts),
-        vectorized=True,
     )
 
 
@@ -372,7 +364,6 @@ def constant_likelihood() -> LikelihoodFunction:
     return LikelihoodFunction(
         evaluator=lambda pts: np.ones(pts.shape[0]),
         description="constant 1",
-        vectorized=True,
     )
 
 
@@ -380,7 +371,6 @@ def coordinate_likelihood(index: int) -> LikelihoodFunction:
     return LikelihoodFunction(
         evaluator=lambda pts: pts[:, index],
         description=f"theta[{index}]",
-        vectorized=True,
     )
 
 
@@ -398,7 +388,6 @@ def monomial_likelihood(counts: Sequence[int]) -> LikelihoodFunction:
     return LikelihoodFunction(
         evaluator=evaluate,
         description="multinomial counts " + str(freq.counts),
-        vectorized=True,
     )
 
 
@@ -407,7 +396,6 @@ def dataset_likelihood(data: ManifestDataset) -> LikelihoodFunction:
     return LikelihoodFunction(
         evaluator=lambda pts: latent_likelihood(data, pts),
         description=f"manifest dataset, n={data.n}",
-        vectorized=True,
     )
 
 

@@ -24,13 +24,21 @@ def reference_log_dirichlet(params: DirichletParams, coords) -> float:
     return value
 
 
+def manifest_given_latent(data: ManifestDataset, assignment) -> float:
+    """Probability of the observed sequence given a full hidden assignment."""
+    if len(assignment) != data.n:
+        raise ValueError(f"assignment length {len(assignment)} != dataset size {data.n}")
+    prob = 1.0
+    for (emission, row), j in zip(data.observations, assignment):
+        prob *= emission.entries[row, j]
+    return prob
+
+
 def brute_frequency_weights(data: ManifestDataset) -> dict:
     """Sum of observation probabilities per frequency vector, by full enumeration."""
     weights: dict[tuple, float] = {}
     for assignment in itertools.product(range(data.k), repeat=data.n):
-        prob = 1.0
-        for (emission, row), j in zip(data.observations, assignment):
-            prob *= emission.entries[row, j]
+        prob = manifest_given_latent(data, assignment)
         counts = [0] * data.k
         for j in assignment:
             counts[j] += 1

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from latentidm import runner
 from latentidm.cli import EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
 from latentidm.runner import (
     Scenario,
@@ -38,6 +39,73 @@ PREDICT_DOC = {
     "hyper": {"s": 2.0},
     "search": {"resolution": 400},
 }
+
+TREND_DOC = {
+    "name": "local-trend",
+    "kind": "theorem-a1a2",
+    "target": [1.0, 0.0],
+    "function": {"kind": "coordinate", "index": 0},
+    "likelihood": {"kind": "constant"},
+    "schedule": [10],
+    "deltas": [0.1],
+    "grid_resolution": 200,
+}
+
+CHANNEL_LIKELIHOOD = {"kind": "channel", "eps1": 0.1, "eps2": 0.1, "observations": [0]}
+
+# (field the error must name, document): each of these used to end in a
+# traceback, run with a wrong shape, or name another field.
+BAD_DOCUMENTS = [
+    ("outcomes", dict(PREDICT_DOC, outcomes=[5])),
+    ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.5, 0.6]})),
+    ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [1.0, 0.0]})),
+    ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.2, 0.3, 0.5]})),
+    ("search.resolution", dict(PREDICT_DOC, search={"resolution": "fine"})),
+    ("search.resolution", dict(PREDICT_DOC, search={"resolution": 2.5})),
+    ("search.clamp", dict(PREDICT_DOC, search={"clamp": "tiny"})),
+    ("search.refinement_passes", dict(PREDICT_DOC, search={"refinement_passes": 1.5})),
+    ("model.emission", dict(PREDICT_DOC, model={"emission": "binary-channel(0.6,0.1)"})),
+    ("function.index", dict(TREND_DOC, function={"kind": "coordinate", "index": 2})),
+    ("function.index", dict(TREND_DOC, function={"kind": "coordinate", "index": "a"})),
+    ("function.exponents", dict(TREND_DOC, function={"kind": "monomial", "exponents": [1, -1]})),
+    ("function.exponents", dict(TREND_DOC, function={"kind": "monomial", "exponents": [0, 0]})),
+    ("function.exponents", dict(TREND_DOC, function={"kind": "monomial", "exponents": [1, 1, 1]})),
+    ("likelihood.index", dict(TREND_DOC, likelihood={"kind": "coordinate", "index": 2})),
+    ("likelihood.exponents", dict(TREND_DOC, likelihood={"kind": "monomial", "exponents": [1]})),
+    ("likelihood", dict(TREND_DOC, likelihood=dict(CHANNEL_LIKELIHOOD, eps1=0.7))),
+    (
+        "likelihood.observations",
+        dict(TREND_DOC, likelihood=dict(CHANNEL_LIKELIHOOD, observations=[5])),
+    ),
+    ("likelihood", dict(TREND_DOC, target=[1.0, 0.0, 0.0], likelihood=CHANNEL_LIKELIHOOD)),
+    ("contrast_likelihood", dict(TREND_DOC, contrast_likelihood="constant")),
+    ("sequence.s", dict(TREND_DOC, sequence={"family": "fixed-strength", "s": -1})),
+    ("sequence.s", dict(TREND_DOC, sequence={"family": "fixed-strength", "s": "two"})),
+    ("grid_resolution", dict(TREND_DOC, grid_resolution="fine")),
+    ("grid_resolution", dict(TREND_DOC, grid_resolution=0)),
+    ("grid_resolution", dict(TREND_DOC, grid_resolution=2.5)),
+    ("schedule", dict(TREND_DOC, schedule=[])),
+    ("schedule", dict(TREND_DOC, target=[1.0, 0.0, 0.0, 0.0], schedule=[2], grid_resolution=20)),
+    (
+        "hyper",
+        {
+            "name": "b",
+            "kind": "scaled-beta",
+            "channel": {"eps1": 0.1, "eps2": 0.1},
+            "dataset": {"positives": 2, "total": 3},
+            "hyper": 5,
+        },
+    ),
+    (
+        "hyper",
+        {
+            "name": "m",
+            "kind": "direct-manifest",
+            "dataset": {"positives": 2, "total": 3},
+            "hyper": "s",
+        },
+    ),
+]
 
 
 class TestScenarioValidation:
@@ -79,6 +147,18 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="preset"):
             Scenario.from_dict(doc)
 
+    def test_boolean_observations_rejected(self):
+        doc = dict(
+            PREDICT_DOC, model={"emission": "binary-channel(0.1,0.1)"}, observations=[True, True]
+        )
+        with pytest.raises(ScenarioError, match="field 'observations'"):
+            Scenario.from_dict(doc)
+
+    def test_boolean_strength_rejected(self):
+        doc = dict(PREDICT_DOC, hyper={"s": True})
+        with pytest.raises(ScenarioError, match="field 'hyper.s'"):
+            Scenario.from_dict(doc)
+
     def test_per_index_emissions(self):
         doc = dict(
             PREDICT_DOC,
@@ -86,6 +166,36 @@ class TestScenarioValidation:
         )
         report = run_scenario(Scenario.from_dict(doc))
         assert len(report["results"]["bounds"]) == 2
+
+
+class TestParseOnce:
+    def test_predict_builds_its_dataset_once(self, monkeypatch):
+        built = []
+        original = runner.ManifestDataset
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ManifestDataset", counting)
+        run_scenario(Scenario.from_dict(PREDICT_DOC))
+        assert len(built) == 1
+
+    def test_trend_builds_each_likelihood_once(self, monkeypatch):
+        built = []
+        for name in ("dataset_likelihood", "monomial_likelihood"):
+            original = getattr(runner, name)
+
+            def counting(*args, _original=original, _name=name):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(runner, name, counting)
+        doc = dict(
+            bundled_scenarios()["theorem-a1-concentration"], schedule=[10], grid_resolution=200
+        )
+        run_scenario(Scenario.from_dict(doc))
+        assert sorted(built) == ["dataset_likelihood", "monomial_likelihood"]
 
 
 class TestRunScenario:
@@ -207,6 +317,12 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_INVALID
         assert "field 'observations': observation 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,doc", BAD_DOCUMENTS)
+    def test_bad_document_is_exit_1_naming_field(self, tmp_path, capsys, field, doc):
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path]) == EXIT_INVALID
+        assert f"field '{field}':" in capsys.readouterr().err
 
     def test_degenerate_ratio_is_exit_3(self, tmp_path, capsys):
         doc = {

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from latentidm import (
     BinaryChannel,
     BoundaryLimit,
-    ManifestChances,
     direct_manifest_idm,
-    latent_to_manifest_chance,
     naive_reconstruction,
     scaled_beta_posterior_bounds,
     scaled_beta_posterior_mean,
     standard_idm_predictive_bounds,
     FrequencyVector,
 )
+from latentidm.manifest import latent_to_manifest_chance_vector
 from oracles import midpoint_integral
 
 CH = BinaryChannel(0.1, 0.1)
@@ -37,37 +36,26 @@ class TestBinaryChannel:
         assert BinaryChannel(0.2, 0.3).xi_range == (0.2, 0.7)
 
 
-class TestManifestChances:
-    def test_accepts_in_range(self):
-        assert ManifestChances(0.5, CH).xi2 == pytest.approx(0.5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ManifestChances(0.95, CH)
-        with pytest.raises(ValueError):
-            ManifestChances(0.05, CH)
-
-
 class TestLatentToManifest:
     def test_endpoints(self):
-        assert latent_to_manifest_chance(CH, 0.0) == pytest.approx(0.1)
-        assert latent_to_manifest_chance(CH, 1.0) == pytest.approx(0.9)
+        assert latent_to_manifest_chance_vector(CH, 0.0) == pytest.approx(0.1)
+        assert latent_to_manifest_chance_vector(CH, 1.0) == pytest.approx(0.9)
 
     def test_symmetric_midpoint(self):
-        assert latent_to_manifest_chance(CH, 0.5) == pytest.approx(0.5)
+        assert latent_to_manifest_chance_vector(CH, 0.5) == pytest.approx(0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(theta=st.floats(min_value=0.0, max_value=1.0))
     def test_monotone_and_in_range(self, theta):
-        value = latent_to_manifest_chance(CH, theta)
+        value = latent_to_manifest_chance_vector(CH, theta)
         assert 0.1 <= value <= 0.9
         if theta < 1.0:
-            assert latent_to_manifest_chance(CH, min(theta + 0.01, 1.0)) >= value
+            assert latent_to_manifest_chance_vector(CH, min(theta + 0.01, 1.0)) >= value
 
     @settings(max_examples=60, deadline=None)
     @given(theta=st.floats(min_value=0.0, max_value=1.0))
     def test_reconstruction_inverts_exactly(self, theta):
-        xi = latent_to_manifest_chance(CH, theta)
+        xi = latent_to_manifest_chance_vector(CH, theta)
         back = naive_reconstruction(CH, xi)
         assert back.value == pytest.approx(theta, abs=1e-12)
 

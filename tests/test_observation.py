@@ -16,14 +16,13 @@ from latentidm import (
     dirichlet_log_density,
     frequency_weights,
     latent_likelihood,
-    manifest_given_latent,
     posterior_predictive_at_t,
     predictive_bounds,
     standard_idm_predictive_bounds,
     vacuity_diagnosis,
 )
 from latentidm import observation
-from oracles import brute_frequency_weights, random_interior_params
+from oracles import brute_frequency_weights, manifest_given_latent, random_interior_params
 
 CHANNEL = BinaryChannel(0.1, 0.1)
 IDENTITY2 = EmissionMatrix.identity(2)
@@ -82,10 +81,6 @@ class TestEmissionMatrix:
     def test_rectangular_allowed(self):
         em = EmissionMatrix([[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]])
         assert em.manifest_count == 3
-
-    def test_all_entries_positive(self):
-        assert CHANNEL.emission().all_entries_positive()
-        assert not IDENTITY2.all_entries_positive()
 
 
 class TestManifestDataset:

@@ -12,7 +12,6 @@ from latentidm import (
     SimplexGrid,
     SimplexPoint,
     dirichlet_log_density,
-    dirichlet_mean,
     integrate_on_simplex,
 )
 from oracles import random_interior_params, reference_log_dirichlet
@@ -199,12 +198,6 @@ class TestIntegration:
 
 
 class TestDirichletMean:
-    def test_mean_is_t_exactly(self):
-        t = SimplexPoint([0.2, 0.3, 0.5])
-        assert dirichlet_mean(DirichletParams(7.0, t)) == t
-        t2 = SimplexPoint([0.5, 0.5])
-        assert dirichlet_mean(DirichletParams(2.0, t2)) == t2
-
     def test_mean_matches_integration_oracle(self):
         # 20 randomized draws, k=2, m=2000, tolerance 1e-3
         rng = np.random.default_rng(11)
@@ -219,4 +212,4 @@ class TestDirichletMean:
 
             dens = density(grid.points)
             mean0 = float((grid.points[:, 0] * dens).sum() / dens.sum())
-            assert mean0 == pytest.approx(dirichlet_mean(params)[0], abs=1e-3)
+            assert mean0 == pytest.approx(params.t[0], abs=1e-3)

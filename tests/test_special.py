@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from latentidm import log_gamma
-from latentidm.special import log_gamma_vector
 
 
 def test_matches_stdlib_on_working_range():
@@ -33,10 +32,3 @@ def test_rejects_nonpositive():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-2.5)
-
-
-def test_vector_wrapper():
-    xs = np.array([0.2, 1.0, 7.5])
-    out = log_gamma_vector(xs)
-    assert out.shape == xs.shape
-    assert out[1] == pytest.approx(0.0, abs=1e-13)

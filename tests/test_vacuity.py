@@ -17,7 +17,6 @@ from latentidm import (
     coordinate_likelihood,
     dataset_likelihood,
     delta_set_mass,
-    dirichlet_mean,
     fixed_strength_concentrating_sequence,
     liminf_positivity_check,
     monomial_function,
@@ -63,20 +62,14 @@ class TestFunctionTypes:
             evaluator=lambda pts: pts[:, 0] * 2.0,
             declared_min=0.0,
             declared_max=1.0,
-            vectorized=True,
         )
         with pytest.raises(ValueError):
             lying.values(GRID.points)
 
     def test_likelihood_rejects_negative_values(self):
-        bad = LikelihoodFunction(evaluator=lambda pts: pts[:, 0] - 0.5, vectorized=True)
+        bad = LikelihoodFunction(evaluator=lambda pts: pts[:, 0] - 0.5)
         with pytest.raises(ValueError):
             bad.values(GRID.points)
-
-    def test_scalar_evaluator_supported(self):
-        f = BoundedFunction(evaluator=lambda p: float(p[0]), declared_min=0.0, declared_max=1.0)
-        small = SimplexGrid(k=2, resolution=50)
-        assert f.values(small.points) == pytest.approx(small.points[:, 0])
 
 
 class TestConcentratingSequences:
@@ -89,7 +82,7 @@ class TestConcentratingSequences:
     def test_mean_converges_to_target(self):
         seq = canonical_concentrating_sequence(VERTEX_10)
         gaps = [
-            float(np.abs(dirichlet_mean(seq.generator(n)).coords - VERTEX_10.coords).max())
+            float(np.abs(seq.generator(n).t.coords - VERTEX_10.coords).max())
             for n in (10, 100, 1000)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -216,7 +209,7 @@ class TestPosteriorRatio:
 
     def test_degenerate_denominator_raises(self):
         params = DirichletParams(2.0, SimplexPoint([0.5, 0.5]))
-        zero = LikelihoodFunction(evaluator=lambda pts: np.zeros(pts.shape[0]), vectorized=True)
+        zero = LikelihoodFunction(evaluator=lambda pts: np.zeros(pts.shape[0]))
         with pytest.raises(DegenerateRatioError):
             posterior_ratio(params, zero, F_COORD, GRID)
 

@@ -4,9 +4,12 @@ Three ways to sidestep the latent level by predicting the observable outcome
 instead, each with its failure mode made demonstrable:
 
 1. A near-ignorance set of rescaled two-parameter densities on the manifest
-   chance xi_1, supported on its true range [eps1, 1-eps2].  The manifest
-   likelihood is positive on that whole range, so the posterior expectation
-   bounds stay pinned to the interval endpoints: vacuity-on-the-interval.
+   chance xi_1, supported on its true range [eps1, 1-eps2].  Each member is
+   the latent Dirichlet on theta pushed through the channel, so its posterior
+   mean of xi_1 is the latent model's predictive for the next manifest
+   outcome, computed exactly by the frequency-weight pass; and its bounds are
+   the interval endpoints, by the same no-learning argument as the latent
+   bounds: vacuity-on-the-interval.
 2. A naive reconstruction that applies the standard fully-observable model
    to xi_1 as if it ranged over [0, 1], then inverts the channel.  The
    inversion is returned unclamped on purpose: producing values outside
@@ -23,18 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, standard_idm_predictive_bounds
-from .observation import EmissionMatrix
-from .simplex import (
-    CLAMP_TO_EPSILON,
-    DirichletParams,
-    SimplexGrid,
-    SimplexPoint,
-    _dirichlet_log_density_matrix,
-)
+from .observation import EmissionMatrix, ManifestDataset, posterior_predictive_at_t
+from .simplex import DirichletParams, SimplexPoint
 
-DEFAULT_THETA_RESOLUTION = 2000
-DEFAULT_T_RESOLUTION = 400
-_T_CLAMP = 1e-6
+# Unused here; perfbench/spans.py wraps `manifest.SimplexGrid` by name.
+from .simplex import SimplexGrid  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,33 +70,28 @@ class NaiveReconstruction:
 
 
 def scaled_beta_posterior_mean(
-    channel: BinaryChannel,
-    positives: int,
-    total: int,
-    s: float,
-    t1: float,
-    resolution: int = DEFAULT_THETA_RESOLUTION,
+    channel: BinaryChannel, positives: int, total: int, s: float, t1: float
 ) -> float:
     """Posterior expectation of xi_1 under one member of the rescaled family.
 
-    Evaluated through the substitution theta_1 = (xi_1 - eps1)/(1 - eps1 - eps2),
-    which maps the rescaled density back to the standard two-parameter
-    density on the unit simplex; every expectation becomes a ratio of
-    1-simplex grid sums, and the density normalizer cancels.
+    The member with strength s and mean t1 is the Dirichlet(s, (t1, 1 - t1))
+    prior on the hidden chance theta_1, seen through the channel as
+    xi_1 = (1 - eps2) theta_1 + eps1 (1 - theta_1).  Its posterior mean of
+    xi_1 is therefore the predictive probability of a positive next
+    observation: sum_j lambda_{0j} P(next hidden = x_j | data), with the
+    hidden predictives taken exactly from the frequency-weight pass.  That
+    pass caps `total` at DP_MAX_N (SizeCapError beyond it).
     """
     _validate_counts(positives, total)
     if not 0.0 < t1 < 1.0:
         raise ValueError("t1 must lie strictly in (0, 1)")
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    grid = SimplexGrid(k=2, resolution=resolution, boundary_policy=CLAMP_TO_EPSILON)
-    params = DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))
-    log_density = _dirichlet_log_density_matrix(params, grid.points)
-    weights = np.exp(log_density - log_density.max())
-    xi = latent_to_manifest_chance_vector(channel, grid.points[:, 0])
-    likelihood = xi**positives * (1.0 - xi) ** (total - positives)
-    denominator = float((likelihood * weights).sum())
-    return float((xi * likelihood * weights).sum() / denominator)
+    emission = channel.emission()
+    data = ManifestDataset.from_rows(emission, [0] * positives + [1] * (total - positives))
+    prior = DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))
+    return sum(
+        float(emission.entries[0, j]) * posterior_predictive_at_t(data, prior, j)
+        for j in range(2)
+    )
 
 
 def latent_to_manifest_chance_vector(channel: BinaryChannel, theta1: np.ndarray) -> np.ndarray:
@@ -109,32 +100,19 @@ def latent_to_manifest_chance_vector(channel: BinaryChannel, theta1: np.ndarray)
 
 
 def scaled_beta_posterior_bounds(
-    channel: BinaryChannel,
-    positives: int,
-    total: int,
-    s: float,
-    t_resolution: int = DEFAULT_T_RESOLUTION,
-    theta_resolution: int = DEFAULT_THETA_RESOLUTION,
+    channel: BinaryChannel, positives: int, total: int, s: float
 ) -> PredictiveBounds:
     """Lower/upper posterior expectation of xi_1 over the rescaled prior family.
 
-    Sweeps t_1 over a clamped grid and adds the two boundary limits: as
-    t_1 -> 0 the prior concentrates where xi_1 = eps1 and the (everywhere
-    positive) manifest likelihood cannot resist, so the infimum is eps1;
-    symmetrically the supremum is 1 - eps2.  The interval endpoints are
-    always the answer; the grid sweep documents how the interior values are
-    squeezed between them.
+    Every member's prior on xi_1 lives on [eps1, 1-eps2], so each posterior
+    mean lies inside that interval.  As t_1 -> 0 the prior concentrates
+    where xi_1 = eps1, and the manifest likelihood, positive on the whole
+    interval, cannot resist, so the infimum is eps1; symmetrically, t_1 -> 1
+    gives the supremum 1 - eps2.  Neither is attained: both are limits, for
+    every dataset and every s.
     """
     _validate_counts(positives, total)
-    lo, hi = channel.xi_range
-    lower, upper = lo, hi
-    t_grid = np.linspace(_T_CLAMP, 1.0 - _T_CLAMP, t_resolution)
-    for t1 in t_grid:
-        value = scaled_beta_posterior_mean(
-            channel, positives, total, s, float(t1), resolution=theta_resolution
-        )
-        lower = min(lower, value)
-        upper = max(upper, value)
+    lower, upper = channel.xi_range
     return PredictiveBounds(
         lower=lower,
         upper=upper,

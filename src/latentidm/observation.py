@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateRatioError, SizeCapError
-from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, log_marginal_probability
+from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds
 from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoint
+
+# Unused here; perfbench/spans.py wraps `observation.log_marginal_probability` by name.
+from .idm import log_marginal_probability  # noqa: F401
 
 DP_MAX_N = 20
 DP_MAX_K = 4
@@ -222,26 +225,17 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(counts): w for counts, w in states.items()}
 
 
-def _positive_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
-    """frequency_weights, refusing a support that underflowed to nothing."""
+def _log_support(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency vectors and log W(a) of the support, refusing one that underflowed."""
     weights = frequency_weights(data)
     if not weights:
         raise DegenerateRatioError(
             "every frequency weight underflowed to zero; the observed emission "
             "entries are too small for the frequency-weight pass"
         )
-    return weights
-
-
-def _log_weighted_marginals(
-    weights: Mapping[FrequencyVector, float], prior: DirichletParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """log(W(a) * P(a)) and the predictive numerators a_j, per frequency vector."""
     counts = np.array([fv.counts for fv in weights], dtype=float)
-    scores = np.array(
-        [math.log(w) + log_marginal_probability(prior, fv) for fv, w in weights.items()]
-    )
-    return counts, scores
+    log_w = np.array([math.log(w) for w in weights.values()])
+    return counts, log_w
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams, j: int) -> float:
@@ -251,17 +245,16 @@ def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams, j: 
     proportional to W(a) * P(a) and the combined value is the conjugate
     fraction (a_j + s t_j) / (n + s).  W already aggregates ordered
     assignments, so the ordered-dataset marginal P(a) needs no multiplicity
-    factor.
+    factor.  This is the search's evaluator at the single point t.
     """
     if prior.k != data.k:
         raise ValueError(f"prior has k={prior.k}, dataset has k={data.k}")
     if not 0 <= j < data.k:
         raise ValueError(f"outcome index {j} out of range for k={data.k}")
-    weights = _positive_weights(data)
-    counts, scores = _log_weighted_marginals(weights, prior)
-    shifted = np.exp(scores - scores.max())
-    fractions = (counts[:, j] + prior.s * prior.t[j]) / (data.n + prior.s)
-    return float((shifted * fractions).sum() / shifted.sum())
+    counts, log_w = _log_support(data)
+    return float(
+        _predictive_values(counts, log_w, prior.s, data.n, j, prior.t.coords[None, :])[0]
+    )
 
 
 def _predictive_values(
@@ -354,9 +347,7 @@ def predictive_bounds(
     if not (flags.lower_strictly_above_zero or flags.upper_strictly_below_one):
         return PredictiveBounds(lower=lower, upper=upper, argmin_t=argmin_t, argmax_t=argmax_t)
 
-    weights = _positive_weights(data)
-    counts = np.array([fv.counts for fv in weights], dtype=float)
-    log_w = np.array([math.log(w) for w in weights.values()])
+    counts, log_w = _log_support(data)
 
     def evaluate(t_points: np.ndarray) -> np.ndarray:
         return _predictive_values(counts, log_w, s, data.n, j, t_points)

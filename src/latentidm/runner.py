@@ -24,8 +24,6 @@ from . import __version__
 from .errors import ScenarioError, SizeCapError
 from .idm import BoundaryLimit, PredictiveBounds
 from .manifest import (
-    DEFAULT_T_RESOLUTION,
-    DEFAULT_THETA_RESOLUTION,
     BinaryChannel,
     direct_manifest_idm,
     naive_reconstruction,
@@ -40,7 +38,7 @@ from .observation import (
     predictive_bounds,
     vacuity_diagnosis,
 )
-from .simplex import CLAMP_TO_EPSILON, DEFAULT_EPS_CLAMP, DirichletParams, SimplexGrid, SimplexPoint
+from .simplex import CLAMP_TO_EPSILON, GRID_MAX_K, DirichletParams, SimplexGrid, SimplexPoint
 from .vacuity import (
     _DENSITY_GRID_FACTOR,
     BoundedFunction,
@@ -373,6 +371,8 @@ def _parse_trend(doc: dict):
     with _field("target"):
         target = SimplexPoint(_require(doc, "target"))
     k = target.k
+    if k > GRID_MAX_K:
+        raise ScenarioError(f"field 'target': grids hold k <= {GRID_MAX_K} coordinates, got {k}")
     f = _function(_object(_require(doc, "function"), "function"), k)
     likelihood = _likelihood(_require(doc, "likelihood"), k, "likelihood")
     contrast = None
@@ -416,27 +416,16 @@ def _parse_scaled_beta(doc: dict):
     t1 = doc.get("fixed_t1")
     if t1 is not None and not _positive(t1, "fixed_t1") < 1.0:
         raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
-    # The manifest functions build their theta grids with SimplexGrid's default clamp.
-    grid = {
-        "theta_resolution": DEFAULT_THETA_RESOLUTION,
-        "t_resolution": DEFAULT_T_RESOLUTION,
-        "boundary_policy": CLAMP_TO_EPSILON,
-        "eps_clamp": DEFAULT_EPS_CLAMP,
-    }
 
     def run() -> dict:
-        bounds = scaled_beta_posterior_bounds(
-            channel, positives, total, s, grid["t_resolution"], grid["theta_resolution"]
-        )
+        bounds = scaled_beta_posterior_bounds(channel, positives, total, s)
         fixed_t = None
         if t1 is not None:
-            mean = scaled_beta_posterior_mean(
-                channel, positives, total, s, t1, grid["theta_resolution"]
-            )
+            mean = scaled_beta_posterior_mean(channel, positives, total, s, t1)
             fixed_t = {"t1": t1, "posterior_mean": mean}
         return _bounds_payload(bounds, interval=list(channel.xi_range), fixed_t=fixed_t)
 
-    return run, {"grid": grid}
+    return run, {}
 
 
 def _parse_naive(doc: dict):

@@ -24,12 +24,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .special import log_gamma
-
 INCLUDE_BOUNDARY = "include-boundary"
 CLAMP_TO_EPSILON = "clamp-to-epsilon"
 
 DEFAULT_EPS_CLAMP = 1e-9
+GRID_MAX_K = 6
 
 _SUM_TOL = 1e-12
 _MAX_GRID_POINTS = 30_000_000
@@ -151,8 +150,8 @@ class SimplexGrid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.k < 2 or self.k > 6:
-            raise ValueError(f"grid dimension k must be in [2, 6], got {self.k}")
+        if not 2 <= self.k <= GRID_MAX_K:
+            raise ValueError(f"grid dimension k must be in [2, {GRID_MAX_K}], got {self.k}")
         if self.resolution < 1:
             raise ValueError("grid resolution must be a positive integer")
         if self.boundary_policy not in (INCLUDE_BOUNDARY, CLAMP_TO_EPSILON):
@@ -211,7 +210,7 @@ def _dirichlet_log_density_matrix(params: DirichletParams, points: np.ndarray) -
     diverges there).
     """
     exponents = params.alpha - 1.0
-    log_norm = log_gamma(params.s) - sum(log_gamma(a) for a in params.alpha)
+    log_norm = math.lgamma(params.s) - sum(math.lgamma(a) for a in params.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(points)
         terms = exponents[None, :] * logs

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes expected values through a different route than
-the library code under test: stdlib lgamma instead of the package's series,
-explicit enumeration instead of the dynamic program, and plain 1-D midpoint
+the library code under test: a scalar density loop instead of the package's
+matrix evaluation, explicit enumeration instead of the dynamic program, Beta
+moments instead of the frequency-weight pass, and plain 1-D midpoint
 quadrature instead of the simplex grid.
 """
 

@@ -257,7 +257,7 @@ def test_criterion_8_manifest_side_approaches():
 
     channel = BinaryChannel(0.1, 0.1)
     for positives, total in ((0, 0), (2, 3), (3, 3), (1, 4), (3, 6)):
-        bounds = scaled_beta_posterior_bounds(channel, positives, total, 2.0, t_resolution=60)
+        bounds = scaled_beta_posterior_bounds(channel, positives, total, 2.0)
         assert bounds.lower == pytest.approx(0.1, abs=2e-3)
         assert bounds.upper == pytest.approx(0.9, abs=2e-3)
 

@@ -51,6 +51,14 @@ TREND_DOC = {
     "grid_resolution": 200,
 }
 
+SCALED_BETA_DOC = {
+    "name": "local-scaled-beta",
+    "kind": "scaled-beta",
+    "channel": {"eps1": 0.1, "eps2": 0.1},
+    "dataset": {"positives": 2, "total": 3},
+    "hyper": {"s": 2.0},
+}
+
 CHANNEL_LIKELIHOOD = {"kind": "channel", "eps1": 0.1, "eps2": 0.1, "observations": [0]}
 
 # (field the error must name, document): each of these used to end in a
@@ -105,6 +113,7 @@ BAD_DOCUMENTS = [
             "hyper": "s",
         },
     ),
+    ("target", dict(TREND_DOC, target=[1.0] + [0.0] * 6, schedule=[6])),
 ]
 
 
@@ -304,6 +313,19 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_SIZE_CAP
         assert "k <= 4" in capsys.readouterr().err
+
+    def test_scaled_beta_fixed_t1_past_size_cap_is_exit_2(self, tmp_path, capsys):
+        doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 21}, fixed_t1=0.5)
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path]) == EXIT_SIZE_CAP
+        assert "n <= 20" in capsys.readouterr().err
+
+    def test_scaled_beta_bounds_take_any_total(self, tmp_path, capsys):
+        doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 1200})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["lower"], results["upper"], results["fixed_t"]) == (0.1, 0.9, None)
 
     @pytest.mark.parametrize("kind", ["predict", "diagnose"])
     def test_impossible_observation_is_exit_1(self, tmp_path, capsys, kind):

@@ -14,7 +14,7 @@ from latentidm import (
     FrequencyVector,
 )
 from latentidm.manifest import latent_to_manifest_chance_vector
-from oracles import midpoint_integral
+from oracles import midpoint_integral, polynomial_posterior_ratio
 
 CH = BinaryChannel(0.1, 0.1)
 
@@ -103,20 +103,55 @@ class TestScaledBeta:
     @pytest.mark.parametrize("positives,total", [(0, 0), (3, 3), (1, 4), (2, 6), (6, 6)])
     def test_bounds_pinned_to_interval(self, eps, positives, total):
         channel = BinaryChannel(eps, eps)
-        b = scaled_beta_posterior_bounds(channel, positives, total, 2.0, t_resolution=60)
+        b = scaled_beta_posterior_bounds(channel, positives, total, 2.0)
         assert b.lower == pytest.approx(eps, abs=2e-3)
         assert b.upper == pytest.approx(1.0 - eps, abs=2e-3)
         assert b.argmin_t == BoundaryLimit(0, 0.0)
         assert b.argmax_t == BoundaryLimit(0, 1.0)
 
     def test_no_data_prior_bounds(self):
-        b = scaled_beta_posterior_bounds(CH, 0, 0, 2.0, t_resolution=40)
+        b = scaled_beta_posterior_bounds(CH, 0, 0, 2.0)
         assert (b.lower, b.upper) == (pytest.approx(0.1), pytest.approx(0.9))
 
     def test_sweep_never_exits_interval(self):
         for t1 in np.linspace(0.05, 0.95, 7):
             value = scaled_beta_posterior_mean(CH, 2, 5, 2.0, float(t1))
             assert 0.1 - 1e-9 <= value <= 0.9 + 1e-9
+
+    @pytest.mark.parametrize("eps1,eps2", [(0.1, 0.1), (0.05, 0.3), (0.45, 0.2)])
+    @pytest.mark.parametrize("s,t1", [(2.0, 0.5), (0.5, 0.15), (7.0, 0.8)])
+    def test_mean_matches_polynomial_oracle(self, eps1, eps2, s, t1):
+        # exact Beta(s t1, s (1 - t1)) moments of xi L(xi) and L(xi), with
+        # xi = eps1 + (1 - eps1 - eps2) theta and L = xi^p (1 - xi)^(n - p)
+        channel = BinaryChannel(eps1, eps2)
+        slope = 1.0 - eps1 - eps2
+        xi, one_minus_xi = [eps1, slope], [1.0 - eps1, -slope]
+        P = np.polynomial.polynomial
+        for total in range(7):
+            for positives in range(total + 1):
+                likelihood = P.polymul(
+                    P.polypow(xi, positives), P.polypow(one_minus_xi, total - positives)
+                )
+                oracle = polynomial_posterior_ratio(s * t1, s * (1.0 - t1), xi, likelihood)
+                value = scaled_beta_posterior_mean(channel, positives, total, s, t1)
+                assert value == pytest.approx(oracle, abs=1e-12)
+
+    # t1 = 1e-9 is near its limit only while 1e-9 outweighs the likelihood
+    # ratio across the interval, so the counts stay small: at 20 of 20
+    # positives that ratio is 16^20 and the mean is still 0.727.
+    @pytest.mark.parametrize("positives,total", [(0, 0), (3, 3), (0, 5), (2, 6), (4, 9)])
+    def test_mean_reaches_interval_ends_as_t1_vanishes(self, positives, total):
+        channel = BinaryChannel(0.05, 0.2)
+        low = scaled_beta_posterior_mean(channel, positives, total, 2.0, 1e-9)
+        high = scaled_beta_posterior_mean(channel, positives, total, 2.0, 1.0 - 1e-9)
+        assert low == pytest.approx(0.05, abs=1e-3)
+        assert high == pytest.approx(0.8, abs=1e-3)
+
+    @pytest.mark.parametrize("t1", [0.01, 0.3, 0.5, 0.99])
+    def test_no_data_mean_is_prior_mean(self, t1):
+        channel = BinaryChannel(0.05, 0.2)
+        value = scaled_beta_posterior_mean(channel, 0, 0, 3.0, t1)
+        assert value == pytest.approx(0.05 + (1.0 - 0.05 - 0.2) * t1, abs=1e-15)
 
 
 class TestNaiveReconstruction:

@@ -1,0 +1,36 @@
+"""The library names that the benchmark's tracer wraps must exist.
+
+perfbench/spans.py replaces public names in latentidm's modules with traced
+wrappers (`--trace 1`).  Removing or renaming one of those names breaks the
+traced benchmark without failing any other test, so this checks that every
+wrapped name resolves, is replaced while instrumented, and is restored.
+"""
+
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+from latentidm.runner import Scenario, bundled_scenarios, run_scenario  # noqa: E402
+
+
+def test_instrumented_wraps_and_restores_every_name():
+    targets = [(module, name) for module, name, _ in spans._targets()]
+    missing = [f"{module.__name__}.{name}" for module, name in targets if not hasattr(module, name)]
+    assert not missing, f"perfbench wraps names that are gone: {missing}"
+    originals = [(module, name, getattr(module, name)) for module, name in targets]
+    with spans.instrumented(spans.Tracer()):
+        for module, name, original in originals:
+            assert getattr(module, name) is not original, f"{module.__name__}.{name}"
+    for module, name, original in originals:
+        assert getattr(module, name) is original, f"{module.__name__}.{name}"
+
+
+def test_traced_scenario_records_its_layers():
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        run_scenario(Scenario.from_dict(bundled_scenarios()["section5-scaled-beta"]))
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["scaled_beta_posterior_mean.calls"] == 1
+    assert metrics["SimplexGrid.builds"] == 0

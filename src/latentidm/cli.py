@@ -10,7 +10,7 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from .errors import DegenerateRatioError, ScenarioError, SizeCapError
@@ -20,6 +20,7 @@ from .runner import (
     bundled_scenarios,
     check_assertions,
     custom_scenarios,
+    read_scenario_file,
     report_to_doc,
     report_to_table,
     run_scenario,
@@ -31,6 +32,11 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SIZE_CAP = 2
 EXIT_DEGENERATE = 3
+_EXIT_CODES = {
+    ScenarioError: EXIT_INVALID,
+    SizeCapError: EXIT_SIZE_CAP,
+    DegenerateRatioError: EXIT_DEGENERATE,
+}
 
 _DESCRIPTIONS = {
     "example4-medical-test": "noisy binary channel, bounds stay (0, 1): no learning",
@@ -49,17 +55,8 @@ _DESCRIPTIONS = {
 
 
 def _load_scenario(identifier: str) -> Scenario:
-    import os
-
     if os.path.exists(identifier):
-        try:
-            with open(identifier, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        return Scenario.from_dict(doc)
+        return Scenario.from_dict(read_scenario_file(identifier))
     catalog = {**bundled_scenarios(), **custom_scenarios()}
     if identifier in catalog:
         return Scenario.from_dict(catalog[identifier])
@@ -67,18 +64,7 @@ def _load_scenario(identifier: str) -> Scenario:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-        report = run_scenario(scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except DegenerateRatioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    report = run_scenario(_load_scenario(args.scenario))
     if args.out:
         write_report(report, args.out, format=args.format)
     else:
@@ -147,7 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

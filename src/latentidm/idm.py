@@ -20,7 +20,8 @@ import numpy as np
 from .simplex import DirichletParams, SimplexPoint
 
 
-@dataclass(frozen=True)
+# Slotted: the weight pass keeps one per support vector, up to 1,771 at k=4, n=20.
+@dataclass(frozen=True, slots=True)
 class FrequencyVector:
     """Outcome counts (a_1, ..., a_k) of a categorical dataset."""
 

@@ -88,10 +88,8 @@ def scaled_beta_posterior_mean(
     emission = channel.emission()
     data = ManifestDataset.from_rows(emission, [0] * positives + [1] * (total - positives))
     prior = DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))
-    return sum(
-        float(emission.entries[0, j]) * posterior_predictive_at_t(data, prior, j)
-        for j in range(2)
-    )
+    hidden = posterior_predictive_at_t(data, prior)
+    return sum(float(emission.entries[0, j]) * hidden[j] for j in range(2))
 
 
 def latent_to_manifest_chance_vector(channel: BinaryChannel, theta1: np.ndarray) -> np.ndarray:

@@ -25,14 +25,14 @@ enumeration over all k^n assignments is kept as a test oracle, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateRatioError, SizeCapError
 from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds
-from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoint
+from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoint, lattice_size
 
 # Unused here; perfbench/spans.py wraps `observation.log_marginal_probability` by name.
 from .idm import log_marginal_probability  # noqa: F401
@@ -130,6 +130,11 @@ class OutcomeDiagnosis:
         if self.lower_strictly_above_zero != bool(self.lower_witnesses):
             raise ValueError("lower flag must mirror its witness list")
 
+    @property
+    def vacuous(self) -> bool:
+        """True when neither bound can move off its analytic limit, 0 or 1."""
+        return not (self.upper_strictly_below_one or self.lower_strictly_above_zero)
+
 
 @dataclass(frozen=True)
 class VacuityDiagnosis:
@@ -138,10 +143,7 @@ class VacuityDiagnosis:
     @property
     def fully_vacuous(self) -> bool:
         """True when no outcome's bounds can move off (0, 1)."""
-        return all(
-            not d.upper_strictly_below_one and not d.lower_strictly_above_zero
-            for d in self.per_outcome
-        )
+        return all(d.vacuous for d in self.per_outcome)
 
     def __getitem__(self, j: int) -> OutcomeDiagnosis:
         return self.per_outcome[j]
@@ -169,11 +171,12 @@ class SearchSpec:
             raise ValueError(f"refinement_passes must be in [0, {len(_REFINEMENT_SHRINKS)}]")
 
     def resolution_for(self, k: int) -> int:
-        if self.resolution is not None:
-            return self.resolution
-        if k not in _DEFAULT_T_RESOLUTION:
+        """Lattice resolution for dimension k, refusing k past the cap or too large a lattice."""
+        if k > DP_MAX_K:
             raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={k}")
-        return _DEFAULT_T_RESOLUTION[k]
+        resolution = _DEFAULT_T_RESOLUTION[k] if self.resolution is None else self.resolution
+        lattice_size(k, resolution)
+        return resolution
 
 
 def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:
@@ -238,23 +241,21 @@ def _log_support(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     return counts, log_w
 
 
-def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams, j: int) -> float:
-    """Posterior probability that the next hidden outcome is x_j, at a fixed prior.
+def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:
+    """Posterior probability that the next hidden outcome is x_j, for every j, at a fixed prior.
 
     A convex combination over frequency vectors: the weight of a is
     proportional to W(a) * P(a) and the combined value is the conjugate
     fraction (a_j + s t_j) / (n + s).  W already aggregates ordered
     assignments, so the ordered-dataset marginal P(a) needs no multiplicity
-    factor.  This is the search's evaluator at the single point t.
+    factor.  One weight pass serves all k outcomes; this is the search's
+    evaluator at the single point t.
     """
     if prior.k != data.k:
         raise ValueError(f"prior has k={prior.k}, dataset has k={data.k}")
-    if not 0 <= j < data.k:
-        raise ValueError(f"outcome index {j} out of range for k={data.k}")
     counts, log_w = _log_support(data)
-    return float(
-        _predictive_values(counts, log_w, prior.s, data.n, j, prior.t.coords[None, :])[0]
-    )
+    t = prior.t.coords[None, :]
+    return tuple(_predictive_values(counts, log_w, prior.s, data.n, range(data.k), t)[0].tolist())
 
 
 def _predictive_values(
@@ -262,20 +263,21 @@ def _predictive_values(
     log_w: np.ndarray,
     s: float,
     n: int,
-    j: int,
+    outcomes: Sequence[int],
     t_points: np.ndarray,
 ) -> np.ndarray:
-    """Posterior predictive for outcome j at every row of a t-point matrix.
+    """Posterior predictive of each listed outcome (columns) at every t-point (rows).
 
     The dataset-marginal term only needs the ascending-factorial part
     sum_h sum_{l<=a_h} log(s t_h + l - 1); the shared denominator cancels in
-    the convex weights.  Work is chunked to bound the (points x datasets)
-    intermediate.
+    the convex weights, which every outcome shares.  Work is chunked to bound
+    the (points x datasets) intermediate, and each column's arithmetic does
+    not depend on which other outcomes are listed.
     """
     n_points = t_points.shape[0]
     n_sets, k = counts.shape
     max_count = int(counts.max(initial=0))
-    out = np.empty(n_points)
+    out = np.empty((n_points, len(outcomes)))
     chunk = max(1, _CHUNK_CELLS // max(1, n_sets * max(1, max_count)))
     icounts = counts.astype(int)
     for start in range(0, n_points, chunk):
@@ -289,11 +291,14 @@ def _predictive_values(
                 [np.zeros((t_block.shape[0], 1)), np.cumsum(np.log(ladder), axis=1)], axis=1
             )
             log_p += prefix[:, icounts[:, h]]
-        scores = log_w[None, :] + log_p
-        scores -= scores.max(axis=1, keepdims=True)
-        w = np.exp(scores)
-        fractions = (counts[None, :, j] + s * t_block[:, j, None]) / (n + s)
-        out[start : start + t_block.shape[0]] = (w * fractions).sum(axis=1) / w.sum(axis=1)
+        log_p += log_w[None, :]
+        log_p -= log_p.max(axis=1, keepdims=True)
+        w = np.exp(log_p, out=log_p)
+        total = w.sum(axis=1)
+        for column, j in enumerate(outcomes):
+            fractions = (counts[None, :, j] + s * t_block[:, j, None]) / (n + s)
+            fractions *= w
+            out[start : start + t_block.shape[0], column] = fractions.sum(axis=1) / total
     return out
 
 
@@ -316,10 +321,10 @@ def _refined_extremum(
     return best, t_best
 
 
-def predictive_bounds(
-    data: ManifestDataset, s: float, j: int, search: SearchSpec | None = None
-) -> PredictiveBounds:
-    """Lower/upper posterior predictive for the next hidden outcome over all t.
+def outcome_bounds(
+    data: ManifestDataset, s: float, outcomes: Sequence[int], search: SearchSpec | None = None
+) -> tuple[PredictiveBounds, ...]:
+    """Lower/upper posterior predictive of each listed next hidden outcome over all t.
 
     Each side is first settled, where it can be, from the exact zero pattern
     of the observed emission entries (`vacuity_diagnosis`).  With no upper
@@ -329,44 +334,53 @@ def predictive_bounds(
     collapses onto such assignments as t_j -> 0, and the lower bound is
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
-    Only the sides left open are searched: one sweep of the clamped t-grid,
-    then that side's local refinement passes around its incumbent.  When
-    both sides are settled no weights are computed and no grid is built, so
-    the n cap of the frequency-weight pass applies only to open sides.
+    Only the sides left open are searched.  The open outcomes share one
+    weight pass and one sweep of the clamped t-grid; each open side then
+    runs its own local refinement passes around its incumbent.  When every
+    side is settled no weights are computed and no grid is built, so the n
+    cap of the frequency-weight pass applies only to open sides.  Returns
+    one entry per listed outcome, in order.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
-    if not 0 <= j < data.k:
-        raise ValueError(f"outcome index {j} out of range for k={data.k}")
-    if data.k > DP_MAX_K:
-        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
+    if not all(0 <= j < data.k for j in outcomes):
+        raise ValueError(f"outcome indices {list(outcomes)} must lie in [0, {data.k})")
     search = search or SearchSpec()
-    flags = vacuity_diagnosis(data)[j]
-    lower, argmin_t = 0.0, BoundaryLimit(j, 0.0)
-    upper, argmax_t = 1.0, BoundaryLimit(j, 1.0)
-    if not (flags.lower_strictly_above_zero or flags.upper_strictly_below_one):
-        return PredictiveBounds(lower=lower, upper=upper, argmin_t=argmin_t, argmax_t=argmax_t)
+    resolution = search.resolution_for(data.k)
+    diagnosis = vacuity_diagnosis(data)
+    found = {
+        j: PredictiveBounds(0.0, 1.0, BoundaryLimit(j, 0.0), BoundaryLimit(j, 1.0))
+        for j in outcomes
+    }
+    open_outcomes = [j for j in found if not diagnosis[j].vacuous]
+    if not open_outcomes:
+        return tuple(found[j] for j in outcomes)
 
     counts, log_w = _log_support(data)
-
-    def evaluate(t_points: np.ndarray) -> np.ndarray:
-        return _predictive_values(counts, log_w, s, data.n, j, t_points)
-
     grid = SimplexGrid(
-        k=data.k,
-        resolution=search.resolution_for(data.k),
-        boundary_policy=CLAMP_TO_EPSILON,
-        eps_clamp=search.clamp,
+        k=data.k, resolution=resolution, boundary_policy=CLAMP_TO_EPSILON, eps_clamp=search.clamp
     )
-    values = evaluate(grid.points)
+    swept = _predictive_values(counts, log_w, s, data.n, open_outcomes, grid.points)
     passes = search.refinement_passes
-    if flags.lower_strictly_above_zero:
-        lower, t_lower = _refined_extremum(values, grid.points, evaluate, True, passes)
-        argmin_t = SimplexPoint(t_lower)
-    if flags.upper_strictly_below_one:
-        upper, t_upper = _refined_extremum(values, grid.points, evaluate, False, passes)
-        argmax_t = SimplexPoint(t_upper)
-    return PredictiveBounds(lower=lower, upper=upper, argmin_t=argmin_t, argmax_t=argmax_t)
+    for values, j in zip(swept.T, open_outcomes):
+
+        def evaluate(t_points: np.ndarray, j: int = j) -> np.ndarray:
+            return _predictive_values(counts, log_w, s, data.n, (j,), t_points)[:, 0]
+
+        if diagnosis[j].lower_strictly_above_zero:
+            lower, t_lower = _refined_extremum(values, grid.points, evaluate, True, passes)
+            found[j] = replace(found[j], lower=lower, argmin_t=SimplexPoint(t_lower))
+        if diagnosis[j].upper_strictly_below_one:
+            upper, t_upper = _refined_extremum(values, grid.points, evaluate, False, passes)
+            found[j] = replace(found[j], upper=upper, argmax_t=SimplexPoint(t_upper))
+    return tuple(found[j] for j in outcomes)
+
+
+def predictive_bounds(
+    data: ManifestDataset, s: float, j: int, search: SearchSpec | None = None
+) -> PredictiveBounds:
+    """`outcome_bounds` for the single outcome j."""
+    return outcome_bounds(data, s, (j,), search)[0]
 
 
 def vacuity_diagnosis(data: ManifestDataset) -> VacuityDiagnosis:

@@ -34,10 +34,13 @@ from .observation import (
     EmissionMatrix,
     ManifestDataset,
     SearchSpec,
+    outcome_bounds,
     posterior_predictive_at_t,
-    predictive_bounds,
     vacuity_diagnosis,
 )
+
+# Unused here; perfbench/spans.py wraps `runner.predictive_bounds` by name.
+from .observation import predictive_bounds  # noqa: F401
 from .simplex import CLAMP_TO_EPSILON, GRID_MAX_K, DirichletParams, SimplexGrid, SimplexPoint
 from .vacuity import (
     _DENSITY_GRID_FACTOR,
@@ -310,6 +313,8 @@ def _parse_predict(doc: dict):
     passes = _integer(spec.get("refinement_passes", 1), "search.refinement_passes")
     with _field("search"):
         search = SearchSpec(resolution=resolution, clamp=clamp, refinement_passes=passes)
+    with _field("search.resolution"):
+        resolution = search.resolution_for(data.k)
     outcomes = _integers(doc.get("outcomes", list(range(data.k))), "outcomes")
     if any(j >= data.k for j in outcomes):
         raise ScenarioError(f"field 'outcomes': every entry must be below k={data.k}")
@@ -321,23 +326,19 @@ def _parse_predict(doc: dict):
             raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
 
     def run() -> dict:
+        bounds = outcome_bounds(data, s, outcomes, search)
         results: dict[str, Any] = {
             "level": "latent",
-            "bounds": [
-                _bounds_payload(predictive_bounds(data, s, j, search), outcome=j)
-                for j in outcomes
-            ],
+            "bounds": [_bounds_payload(b, outcome=j) for j, b in zip(outcomes, bounds)],
         }
         if prior is not None:
-            results["at_t"] = {
-                "t": list(prior.t.coords),
-                "values": [posterior_predictive_at_t(data, prior, j) for j in outcomes],
-            }
+            values = posterior_predictive_at_t(data, prior)
+            results["at_t"] = {"t": list(prior.t.coords), "values": [values[j] for j in outcomes]}
         return results
 
     provenance = {
         "t_search": {
-            "resolution": search.resolution_for(data.k),
+            "resolution": resolution,
             "clamp": search.clamp,
             "refinement_passes": search.refinement_passes,
         }
@@ -543,6 +544,19 @@ def bundled_scenarios() -> dict[str, dict]:
     return catalog
 
 
+def read_scenario_file(path: str) -> Any:
+    """The JSON document in `path`; malformed text raises ScenarioError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+
+
 def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
     directory = directory or os.environ.get(SCENARIO_DIR_ENV)
     if not directory or not os.path.isdir(directory):
@@ -550,8 +564,7 @@ def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
     catalog = {}
     for filename in sorted(os.listdir(directory)):
         if filename.endswith(".json"):
-            with open(os.path.join(directory, filename), encoding="utf-8") as handle:
-                doc = json.load(handle)
+            doc = read_scenario_file(os.path.join(directory, filename))
             if isinstance(doc, dict) and "name" in doc:
                 catalog[doc["name"]] = doc
     return catalog

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -118,6 +118,14 @@ class DirichletParams:
         return self.s * self.t.coords
 
 
+def lattice_size(k: int, resolution: int) -> int:
+    """Points of the resolution-m lattice on the k-simplex; ValueError past the grid cap."""
+    count = math.comb(resolution + k - 1, k - 1)
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"grid would hold {count} points; refusing")
+    return count
+
+
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of length `parts` summing to `total`."""
     if parts == 1:
@@ -159,9 +167,7 @@ class SimplexGrid:
         if self.boundary_policy == CLAMP_TO_EPSILON:
             if not (0.0 < self.eps_clamp < 1.0 / self.k):
                 raise ValueError("eps_clamp must satisfy 0 < eps_clamp < 1/k")
-        expected = math.comb(self.resolution + self.k - 1, self.k - 1)
-        if expected > _MAX_GRID_POINTS:
-            raise ValueError(f"grid would hold {expected} points; refusing")
+        lattice_size(self.k, self.resolution)
         pts = _compositions(self.resolution, self.k).astype(float) / self.resolution
         if self.boundary_policy == CLAMP_TO_EPSILON:
             pts = pts * (1.0 - self.k * self.eps_clamp) + self.eps_clamp
@@ -178,26 +184,20 @@ class SimplexGrid:
         return 1.0 / math.factorial(self.k - 1)
 
 
-SimplexFunction = Callable[[np.ndarray], Union[float, np.ndarray]]
+SimplexFunction = Callable[[np.ndarray], float]
 
 
-def integrate_on_simplex(f: SimplexFunction, grid: SimplexGrid, vectorized: bool = False) -> float:
+def integrate_on_simplex(f: SimplexFunction, grid: SimplexGrid) -> float:
     """Riemann-type grid approximation of the integral of f over the simplex.
 
     Returns (simplex volume / point count) * sum of f over the grid points,
-    with the measure convention documented in the module docstring.  When
-    `vectorized` is true, f is called once with the full (N, k) point array
-    and must return N values; otherwise it is called once per point with a
-    length-k coordinate array.  Evaluation failures of f propagate.
+    with the measure convention documented in the module docstring.  f is
+    called once per point with a length-k coordinate array.  Evaluation
+    failures of f propagate.
     """
     if grid.resolution < 2:
         raise ValueError("integration requires grid resolution m >= 2")
-    if vectorized:
-        values = np.asarray(f(grid.points), dtype=float)
-        if values.shape != (grid.point_count,):
-            raise ValueError("vectorized integrand returned wrong shape")
-    else:
-        values = np.fromiter((f(p) for p in grid.points), dtype=float, count=grid.point_count)
+    values = np.fromiter((f(p) for p in grid.points), dtype=float, count=grid.point_count)
     return float(grid.simplex_volume * values.mean())
 
 

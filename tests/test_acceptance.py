@@ -120,7 +120,7 @@ def test_criterion_2_posterior_predictive_oracle_equivalence():
         dens = grid_density(prior)
         like = latent_likelihood(data, GRID_2000.points)
         oracle = float((GRID_2000.points[:, 0] * like * dens).sum() / (like * dens).sum())
-        value = posterior_predictive_at_t(data, prior, 0)
+        value = posterior_predictive_at_t(data, prior)[0]
         assert value == pytest.approx(oracle, abs=1e-3)
     crit.finish()
 

@@ -114,6 +114,10 @@ BAD_DOCUMENTS = [
         },
     ),
     ("target", dict(TREND_DOC, target=[1.0] + [0.0] * 6, schedule=[6])),
+    (
+        "search.resolution",
+        dict(PREDICT_DOC, k=4, observations=[0, 1], search={"resolution": 1000}),
+    ),
 ]
 
 
@@ -378,6 +382,21 @@ class TestCliExitCodes:
         assert main(["list"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.index("example4-medical-test") < out.index("zz-custom")
+
+    @pytest.mark.parametrize("argv", [["run", "example5-standard-idm"], ["list"]])
+    @pytest.mark.parametrize(
+        "content,message",
+        [(b"{bad json", "parse error at line 1, column 2"), (b"\xff{}", "not UTF-8 text at byte 0")],
+    )
+    def test_malformed_custom_file_is_exit_1_naming_it(
+        self, tmp_path, monkeypatch, capsys, argv, content, message
+    ):
+        (tmp_path / "broken.json").write_bytes(content)
+        monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"broken.json: {message}" in err
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK

@@ -16,12 +16,14 @@ from latentidm import (
     dirichlet_log_density,
     frequency_weights,
     latent_likelihood,
+    outcome_bounds,
     posterior_predictive_at_t,
     predictive_bounds,
     standard_idm_predictive_bounds,
     vacuity_diagnosis,
 )
-from latentidm import observation
+from latentidm import manifest, observation
+from latentidm.runner import Scenario, run_scenario
 from oracles import brute_frequency_weights, manifest_given_latent, random_interior_params
 
 CHANNEL = BinaryChannel(0.1, 0.1)
@@ -220,13 +222,12 @@ class TestPosteriorPredictiveAtT:
     def test_identity_single_term(self):
         data = ManifestDataset.from_rows(IDENTITY2, [0, 0, 1])
         prior = DirichletParams(2.0, SimplexPoint([0.5, 0.5]))
-        assert posterior_predictive_at_t(data, prior, 0) == pytest.approx(0.6, abs=1e-14)
+        assert posterior_predictive_at_t(data, prior)[0] == pytest.approx(0.6, abs=1e-14)
 
     def test_empty_data_gives_prior_mean(self):
         data = ManifestDataset((), k=2)
         prior = DirichletParams(3.0, SimplexPoint([0.3, 0.7]))
-        assert posterior_predictive_at_t(data, prior, 0) == pytest.approx(0.3, abs=1e-14)
-        assert posterior_predictive_at_t(data, prior, 1) == pytest.approx(0.7, abs=1e-14)
+        assert posterior_predictive_at_t(data, prior) == pytest.approx((0.3, 0.7), abs=1e-14)
 
     def test_channel_matches_integration_oracle(self):
         data = ManifestDataset.from_rows(CHANNEL.emission(), [0, 0])
@@ -235,7 +236,7 @@ class TestPosteriorPredictiveAtT:
         dens = np.exp(np.array([dirichlet_log_density(prior, p) for p in grid.points]))
         like = latent_likelihood(data, grid.points)
         oracle = float((grid.points[:, 0] * like * dens).sum() / (like * dens).sum())
-        assert posterior_predictive_at_t(data, prior, 0) == pytest.approx(oracle, abs=1e-3)
+        assert posterior_predictive_at_t(data, prior)[0] == pytest.approx(oracle, abs=1e-3)
 
     def test_coherence_across_outcomes(self):
         rng = np.random.default_rng(31)
@@ -243,7 +244,9 @@ class TestPosteriorPredictiveAtT:
             for _ in range(10):
                 data = random_dataset(rng, k, int(rng.integers(0, 6)))
                 prior = random_interior_params(rng, k, nonneg_exponents=False)
-                total = sum(posterior_predictive_at_t(data, prior, j) for j in range(k))
+                values = posterior_predictive_at_t(data, prior)
+                assert len(values) == k
+                total = sum(values)
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -339,7 +342,21 @@ class TestPredictiveBounds:
         with pytest.raises(DegenerateRatioError):
             predictive_bounds(data, 2.0, 0)
         with pytest.raises(DegenerateRatioError):
-            posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])), 0)
+            posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])))
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each named `observation` global; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(observation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(observation, name, counted)
+    return counts
 
 
 class TestSearchSkipping:
@@ -347,16 +364,7 @@ class TestSearchSkipping:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"frequency_weights": 0, "_predictive_values": 0}
-        for name in counts:
-            original = getattr(observation, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(observation, name, counted)
-        return counts
+        return count_calls(monkeypatch, ["frequency_weights", "_predictive_values"])
 
     def test_all_positive_dataset_does_no_search(self, calls):
         # n = 30 is past the weight pass's cap, which only open sides reach
@@ -375,11 +383,68 @@ class TestSearchSkipping:
         assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2}
 
     def test_two_open_sides_refine_both(self, calls):
+        # both outcomes share one weight pass and one sweep; each side refines alone
         data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
         search = SearchSpec(resolution=50, refinement_passes=2)
-        b = predictive_bounds(data, 2.0, 0, search)
-        assert isinstance(b.argmin_t, SimplexPoint) and isinstance(b.argmax_t, SimplexPoint)
-        assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2 * 2}
+        for b in outcome_bounds(data, 2.0, range(2), search):
+            assert isinstance(b.argmin_t, SimplexPoint) and isinstance(b.argmax_t, SimplexPoint)
+        assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2 * 2 * 2}
+
+
+def structural_zero_dataset(rng, k, n):
+    """Two nonzero entries per column in a cyclic pattern, so sides open."""
+    mask = np.eye(k) + np.roll(np.eye(k), 1, axis=0)
+    raw = rng.uniform(0.05, 1.0, size=(k, k)) * mask
+    emission = EmissionMatrix(raw / raw.sum(axis=0))
+    return ManifestDataset.from_rows(emission, rng.integers(0, k, size=n).tolist())
+
+
+class TestSharedOutcomes:
+    """Every outcome of a dataset comes from one diagnosis, weight pass and sweep."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_each_column_matches_its_single_outcome_run(self, k, monkeypatch):
+        # a small chunk size makes the sweep cross several chunk boundaries
+        monkeypatch.setattr(observation, "_CHUNK_CELLS", 200)
+        data = structural_zero_dataset(np.random.default_rng(k), k, 7)
+        counts, log_w = observation._log_support(data)
+        points = SimplexGrid(k=k, resolution=9).points
+        every = observation._predictive_values(counts, log_w, 2.0, data.n, range(k), points)
+        for j in range(k):
+            one = observation._predictive_values(counts, log_w, 2.0, data.n, [j], points)
+            assert np.array_equal(every[:, j], one[:, 0])
+
+    def test_dataset_bounds_equal_single_outcome_bounds(self):
+        rng = np.random.default_rng(53)
+        search = SearchSpec(resolution=15, refinement_passes=2)
+        for trial in range(12):
+            k = 2 + trial % 3
+            data = structural_zero_dataset(rng, k, int(rng.integers(1, 7)))
+            outcomes = list(range(k)) + [0]
+            together = outcome_bounds(data, 2.0, outcomes, search)
+            assert together == tuple(predictive_bounds(data, 2.0, j, search) for j in outcomes)
+
+    def test_predict_run_computes_each_shared_step_once(self, monkeypatch):
+        counts = count_calls(monkeypatch, ["frequency_weights", "SimplexGrid", "vacuity_diagnosis"])
+        doc = {
+            "name": "k4-open",
+            "kind": "predict",
+            "k": 4,
+            "model": {"emission": "identity"},
+            "observations": [0, 1],
+            "hyper": {"s": 2.0, "t": [0.1, 0.2, 0.3, 0.4]},
+            "search": {"resolution": 8},
+        }
+        report = run_scenario(Scenario.from_dict(doc))
+        bounds = report["results"]["bounds"]
+        assert all(isinstance(b["argmax_t"].get("point"), list) for b in bounds)
+        # one weight pass for the bounds, one for at_t; one lattice; one diagnosis
+        assert counts == {"frequency_weights": 2, "SimplexGrid": 1, "vacuity_diagnosis": 1}
+
+    def test_scaled_beta_mean_makes_one_weight_pass(self, monkeypatch):
+        counts = count_calls(monkeypatch, ["frequency_weights"])
+        manifest.scaled_beta_posterior_mean(CHANNEL, 2, 3, 2.0, 0.3)
+        assert counts == {"frequency_weights": 1}
 
 
 class TestVacuityDiagnosis:

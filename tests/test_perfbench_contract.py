@@ -34,3 +34,11 @@ def test_traced_scenario_records_its_layers():
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["scaled_beta_posterior_mean.calls"] == 1
     assert metrics["SimplexGrid.builds"] == 0
+
+
+def test_traced_predict_shares_one_weight_pass():
+    # both outcomes' bounds come from one weight pass, and tracing them raises nothing
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        run_scenario(Scenario.from_dict(bundled_scenarios()["example5-standard-idm"]))
+    assert spans.layer_metrics(tracer.spans)["frequency_weights.calls"] == 1

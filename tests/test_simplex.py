@@ -177,12 +177,6 @@ class TestIntegration:
         ratio = integrate_on_simplex(weighted_coord, grid) / integrate_on_simplex(density, grid)
         assert ratio == pytest.approx(0.35, abs=1e-3)
 
-    def test_vectorized_matches_scalar(self):
-        grid = SimplexGrid(k=2, resolution=500)
-        scalar = integrate_on_simplex(lambda p: p[0] ** 2, grid)
-        vector = integrate_on_simplex(lambda pts: pts[:, 0] ** 2, grid, vectorized=True)
-        assert scalar == pytest.approx(vector, abs=1e-14)
-
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             integrate_on_simplex(lambda p: 1.0, SimplexGrid(k=2, resolution=1))

@@ -43,7 +43,7 @@ DP_MAX_K = 4
 _COLUMN_SUM_TOL = 1e-12
 _DEFAULT_T_RESOLUTION = {2: 2000, 3: 220, 4: 60}
 _REFINEMENT_SHRINKS = (0.02, 5e-4, 1e-5)
-_CHUNK_CELLS = 4_000_000
+_CHUNK_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -270,35 +270,59 @@ def _predictive_values(
 
     The dataset-marginal term only needs the ascending-factorial part
     sum_h sum_{l<=a_h} log(s t_h + l - 1); the shared denominator cancels in
-    the convex weights, which every outcome shares.  Work is chunked to bound
-    the (points x datasets) intermediate, and each column's arithmetic does
-    not depend on which other outcomes are listed.
+    the convex weights, which every outcome shares.  The points are swept in
+    chunks sized so that no working buffer holds more than `_CHUNK_CELLS`
+    floats.  The buffers are allocated once per call and filled in place,
+    chunk by chunk, so besides the output the working set is
+    O(`_CHUNK_CELLS`) floats (one point's row when |W| is larger) whatever
+    the number of points.  The values are those of the plain elementwise
+    formulas, operation for operation, and every sum runs over one point's
+    row of |W| vectors, so a point's value does not depend on the chunk
+    size, on the other points in the call, or on which other outcomes are
+    listed.
     """
     n_points = t_points.shape[0]
     n_sets, k = counts.shape
     max_count = int(counts.max(initial=0))
     out = np.empty((n_points, len(outcomes)))
-    chunk = max(1, _CHUNK_CELLS // max(1, n_sets * max(1, max_count)))
-    icounts = counts.astype(int)
+    widest = max(n_sets, k * (max_count + 1))  # cells per point of the largest buffer
+    chunk = max(1, min(n_points, _CHUNK_CELLS // widest))
+    icounts = np.ascontiguousarray(counts.T, dtype=np.intp)
+    levels = np.arange(max_count + 1, dtype=float)
+    steps = levels[:-1]
+    # ladder[h, i, c] = log (s t_h)^{(c)} at point i; column 0 stays 0.  Its
+    # terms rungs[h, l, i] = log(s t_h + l) and the fraction table[c, i] are
+    # laid out along the points, so their elementwise passes stay long when
+    # the counts are few.
+    ladder = np.zeros((k, chunk, max_count + 1))
+    rungs = np.empty((k, max_count, chunk))
+    log_p = np.empty((chunk, n_sets))
+    scratch = np.empty((chunk, n_sets))
+    table = np.empty((max_count + 1, chunk))
     for start in range(0, n_points, chunk):
         t_block = t_points[start : start + chunk]
-        log_p = np.zeros((t_block.shape[0], n_sets))
-        for h in range(k):
-            if max_count == 0:
-                break
-            ladder = s * t_block[:, h, None] + np.arange(max_count)[None, :]
-            prefix = np.concatenate(
-                [np.zeros((t_block.shape[0], 1)), np.cumsum(np.log(ladder), axis=1)], axis=1
-            )
-            log_p += prefix[:, icounts[:, h]]
-        log_p += log_w[None, :]
-        log_p -= log_p.max(axis=1, keepdims=True)
-        w = np.exp(log_p, out=log_p)
-        total = w.sum(axis=1)
+        m = t_block.shape[0]
+        logs = rungs[:, :, :m]
+        np.add((s * t_block.T)[:, None, :], steps[:, None], out=logs)
+        np.log(logs, out=logs)
+        np.cumsum(logs.transpose(0, 2, 1), axis=2, out=ladder[:, :m, 1:])
+        weights, part, fractions = log_p[:m], scratch[:m], table[:, :m]
+        # mode="clip" writes straight into `out` ("raise" would buffer it); counts are in range
+        np.take(ladder[0, :m], icounts[0], axis=1, out=weights, mode="clip")
+        for h in range(1, k):
+            np.take(ladder[h, :m], icounts[h], axis=1, out=part, mode="clip")
+            weights += part
+        weights += log_w
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        total = weights.sum(axis=1)
         for column, j in enumerate(outcomes):
-            fractions = (counts[None, :, j] + s * t_block[:, j, None]) / (n + s)
-            fractions *= w
-            out[start : start + t_block.shape[0], column] = fractions.sum(axis=1) / total
+            # (a_j + s t_j) / (n + s) takes one value per count: gather it from a table
+            np.add(levels[:, None], s * t_block[:, j], out=fractions)
+            fractions /= n + s
+            np.take(fractions.T, icounts[j], axis=1, out=part, mode="clip")
+            part *= weights
+            out[start : start + m, column] = part.sum(axis=1) / total
     return out
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes expected values through a different route than
 the library code under test: a scalar density loop instead of the package's
 matrix evaluation, explicit enumeration instead of the dynamic program, Beta
-moments instead of the frequency-weight pass, and plain 1-D midpoint
-quadrature instead of the simplex grid.
+moments instead of the frequency-weight pass, a plain-Python sum over the
+enumerated weights instead of the chunked predictive sweep, and plain 1-D
+midpoint quadrature instead of the simplex grid.
 """
 
 import itertools
@@ -46,6 +47,33 @@ def brute_frequency_weights(data: ManifestDataset) -> dict:
         key = tuple(counts)
         weights[key] = weights.get(key, 0.0) + prob
     return {key: w for key, w in weights.items() if w != 0.0}
+
+
+def log_ascending_factorial(x: float, a: int) -> float:
+    """log of x (x + 1) ... (x + a - 1), term by term."""
+    return sum(math.log(x + step) for step in range(a))
+
+
+def predictive_oracle(data: ManifestDataset, s: float, t) -> tuple[float, ...]:
+    """Posterior predictive of every next hidden outcome at prior Dirichlet(s, t).
+
+    Each frequency vector a, with its enumerated weight W(a), gets the log
+    term log W(a) + sum_h log (s t_h)^{(a_h)}; the terms are shifted by
+    their maximum before exponentiating, and the conjugate fractions
+    (a_j + s t_j) / (n + s) are averaged with those weights by `math.fsum`.
+    """
+    t = [float(x) for x in t]
+    terms = {
+        a: math.log(w) + sum(log_ascending_factorial(s * t_h, a_h) for t_h, a_h in zip(t, a))
+        for a, w in brute_frequency_weights(data).items()
+    }
+    top = max(terms.values())
+    weights = {a: math.exp(term - top) for a, term in terms.items()}
+    total = math.fsum(weights.values())
+    return tuple(
+        math.fsum(w * (a[j] + s * t[j]) / (data.n + s) for a, w in weights.items()) / total
+        for j in range(data.k)
+    )
 
 
 def midpoint_integral(f, lo: float, hi: float, points: int = 100_000) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ from latentidm import (
 )
 from latentidm import manifest, observation
 from latentidm.runner import Scenario, run_scenario
-from oracles import brute_frequency_weights, manifest_given_latent, random_interior_params
+from oracles import (
+    brute_frequency_weights,
+    manifest_given_latent,
+    predictive_oracle,
+    random_interior_params,
+)
 
 CHANNEL = BinaryChannel(0.1, 0.1)
 IDENTITY2 = EmissionMatrix.identity(2)
@@ -413,6 +420,11 @@ class TestSharedOutcomes:
         for j in range(k):
             one = observation._predictive_values(counts, log_w, 2.0, data.n, [j], points)
             assert np.array_equal(every[:, j], one[:, 0])
+        # a point's value does not depend on its batch: each row, swept alone as
+        # posterior_predictive_at_t sweeps it, equals its row in the full sweep
+        for t, row in zip(points, every):
+            alone = observation._predictive_values(counts, log_w, 2.0, data.n, range(k), t[None, :])
+            assert np.array_equal(alone[0], row)
 
     def test_dataset_bounds_equal_single_outcome_bounds(self):
         rng = np.random.default_rng(53)
@@ -445,6 +457,44 @@ class TestSharedOutcomes:
         counts = count_calls(monkeypatch, ["frequency_weights"])
         manifest.scaled_beta_posterior_mean(CHANNEL, 2, 3, 2.0, 0.3)
         assert counts == {"frequency_weights": 1}
+
+
+class TestPredictiveKernel:
+    """The chunked sweep against an exact oracle, and its bounded working set."""
+
+    @pytest.mark.parametrize("k, resolution", [(2, 12), (3, 6), (4, 4)])
+    def test_matches_exact_oracle(self, k, resolution, monkeypatch):
+        # a small chunk size makes the sweep cross several chunk boundaries
+        monkeypatch.setattr(observation, "_CHUNK_CELLS", 40)
+        rng = np.random.default_rng(60 + k)
+        # the lattice reaches the 1e-6-clamped boundary of the simplex
+        points = SimplexGrid(k=k, resolution=resolution, eps_clamp=1e-6).points
+        for _ in range(4):
+            data = structural_zero_dataset(rng, k, int(rng.integers(1, 7)))
+            s = float(rng.uniform(0.5, 5.0))
+            counts, log_w = observation._log_support(data)
+            swept = observation._predictive_values(counts, log_w, s, data.n, range(k), points)
+            for t, row in zip(points, swept):
+                expected = predictive_oracle(data, s, t)
+                assert row == pytest.approx(expected, rel=1e-12, abs=0.0)
+                at_t = posterior_predictive_at_t(data, DirichletParams(s, SimplexPoint(t)))
+                assert at_t == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_sweep_working_set_is_bounded(self):
+        # k=4, n=20, five observations of each row of a cyclic channel: |W| = 671
+        mask = np.eye(4) + np.roll(np.eye(4), 1, axis=0)
+        raw = np.random.default_rng(6).uniform(0.05, 1.0, size=(4, 4)) * mask
+        data = ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), [0, 1, 2, 3] * 5)
+        counts, log_w = observation._log_support(data)
+        assert len(log_w) == 671
+        points = SimplexGrid(k=4, resolution=30).points
+        tracemalloc.start()
+        try:
+            out = observation._predictive_values(counts, log_w, 2.0, data.n, range(4), points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 2 * 2**20
 
 
 class TestVacuityDiagnosis:

@@ -66,18 +66,43 @@ class BoundaryLimit:
 
 
 @dataclass(frozen=True)
+class BoundaryStratum:
+    """Marks a bound approached as the coordinates `vanishing` of t go to 0 at set rates.
+
+    Along t[h] = multipliers[i] * eps**rates[i] for h = vanishing[i], with
+    the other coordinates proportional to `limit` (which is 0 on the
+    vanishing ones), the predictive tends to the bound as eps -> 0.  The
+    rates pick which frequency vectors survive the limit: those minimising
+    sum_i rates[i] * [a_h > 0].  `BoundaryLimit(j, 0)` is the stratum where
+    t[j] alone vanishes, and `BoundaryLimit(j, 1)` the one where every other
+    coordinate vanishes at rate 1.
+    """
+
+    vanishing: tuple[int, ...]
+    rates: tuple[int, ...]
+    multipliers: tuple[float, ...]
+    limit: SimplexPoint
+
+    def __str__(self) -> str:
+        terms = ", ".join(
+            f"t[{h}]~{c:.6g}*eps^{r}" for h, r, c in zip(self.vanishing, self.rates, self.multipliers)
+        )
+        return f"{terms} toward {self.limit!r}"
+
+
+@dataclass(frozen=True)
 class PredictiveBounds:
     """A lower/upper probability pair with the extremizing t recorded.
 
-    argmin_t / argmax_t hold either the grid point where the extremum was
-    found (a SimplexPoint) or a BoundaryLimit descriptor when the extremum
-    is attained only in the limit.
+    argmin_t / argmax_t hold the interior point where the extremum was
+    found (a SimplexPoint), or the boundary stratum it is approached on (a
+    BoundaryLimit or BoundaryStratum) when it is attained only in a limit.
     """
 
     lower: float
     upper: float
-    argmin_t: SimplexPoint | BoundaryLimit | None = None
-    argmax_t: SimplexPoint | BoundaryLimit | None = None
+    argmin_t: SimplexPoint | BoundaryLimit | BoundaryStratum | None = None
+    argmax_t: SimplexPoint | BoundaryLimit | BoundaryStratum | None = None
 
     def __post_init__(self) -> None:
         slack = 1e-12

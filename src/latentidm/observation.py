@@ -9,9 +9,11 @@ fractions.
 
 Whether a predictive bound can move off 0/1 at all is decided exactly, from
 the zero pattern of the observed emission entries: a bound with no witness
-in `vacuity_diagnosis` is its analytic limit, 0 or 1.  Only the sides that
-the zero pattern leaves open are searched, by sweeping the prior mean t
-over the open simplex.  An observation whose row is zero under every hidden
+in `vacuity_diagnosis` is its analytic limit, 0 or 1.  A side the zero
+pattern leaves open is first checked against its conjugate envelope, also
+exactly from the zero pattern; only a side whose envelope is not attained
+is searched, over the interior of the prior-mean simplex and over each of
+its boundary strata.  An observation whose row is zero under every hidden
 outcome is impossible and is rejected when the dataset is built.
 
 The key bookkeeping split: the probability of the observed sequence given a
@@ -24,6 +26,7 @@ enumeration over all k^n assignments is kept as a test oracle, not here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,19 +34,25 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateRatioError, SizeCapError
-from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds
-from .simplex import CLAMP_TO_EPSILON, DirichletParams, SimplexGrid, SimplexPoint, lattice_size
+from .idm import BoundaryLimit, BoundaryStratum, FrequencyVector, PredictiveBounds
+from .simplex import DirichletParams, SimplexPoint
 
-# Unused here; perfbench/spans.py wraps `observation.log_marginal_probability` by name.
+# Unused here; perfbench/spans.py wraps `observation.log_marginal_probability`
+# and `observation.SimplexGrid` by name.
 from .idm import log_marginal_probability  # noqa: F401
+from .simplex import SimplexGrid  # noqa: F401
 
 DP_MAX_N = 20
 DP_MAX_K = 4
 
 _COLUMN_SUM_TOL = 1e-12
-_DEFAULT_T_RESOLUTION = {2: 2000, 3: 220, 4: 60}
-_REFINEMENT_SHRINKS = (0.02, 5e-4, 1e-5)
 _CHUNK_CELLS = 16_384
+# The stratum search: starts screened per side and stratum, how many of the
+# best of them take Newton steps, and the length of a step in log coordinates.
+_SEEDS = 24
+_STARTS = 3
+_NEWTON_STEPS = 80
+_MAX_STEP = 4.0
 
 
 @dataclass(frozen=True)
@@ -149,36 +158,6 @@ class VacuityDiagnosis:
         return self.per_outcome[j]
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Grid-search settings for the sweep over the prior mean t.
-
-    resolution defaults per dimension (2000 for k=2, coarser above), the
-    grid is clamped to the open simplex, and each refinement pass re-sweeps
-    a shrunken copy of the grid centered on the incumbent extremizer.
-    """
-
-    resolution: int | None = None
-    clamp: float = 1e-6
-    refinement_passes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.resolution is not None and self.resolution < 2:
-            raise ValueError("search resolution must be >= 2")
-        if not 0.0 < self.clamp < 0.1:
-            raise ValueError("clamp must be a small positive number")
-        if not 0 <= self.refinement_passes <= len(_REFINEMENT_SHRINKS):
-            raise ValueError(f"refinement_passes must be in [0, {len(_REFINEMENT_SHRINKS)}]")
-
-    def resolution_for(self, k: int) -> int:
-        """Lattice resolution for dimension k, refusing k past the cap or too large a lattice."""
-        if k > DP_MAX_K:
-            raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={k}")
-        resolution = _DEFAULT_T_RESOLUTION[k] if self.resolution is None else self.resolution
-        lattice_size(k, resolution)
-        return resolution
-
-
 def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:
     """Likelihood of the observed sequence as a function of the chances.
 
@@ -198,6 +177,14 @@ def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:
     return float(acc[0]) if single else acc
 
 
+def _check_size(data: ManifestDataset) -> None:
+    if data.n > DP_MAX_N or data.k > DP_MAX_K:
+        raise SizeCapError(
+            f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; "
+            f"got n={data.n}, k={data.k}"
+        )
+
+
 def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     """Total observation probability per hidden frequency vector.
 
@@ -207,11 +194,7 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     O(n * binomial(n+k-1, k-1) * k) instead of the k^n enumeration.
     Frequency vectors whose weight is exactly zero are omitted.
     """
-    if data.n > DP_MAX_N or data.k > DP_MAX_K:
-        raise SizeCapError(
-            f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; "
-            f"got n={data.n}, k={data.k}"
-        )
+    _check_size(data)
     k = data.k
     states: dict[tuple[int, ...], float] = {(0,) * k: 1.0}
     for emission, row in data.observations:
@@ -226,6 +209,42 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
                 nxt[key] = nxt.get(key, 0.0) + contribution
         states = nxt
     return {FrequencyVector(counts): w for counts, w in states.items()}
+
+
+def frequency_support(data: ManifestDataset) -> np.ndarray:
+    """The frequency vectors a with W(a) > 0, one row each, in sorted order.
+
+    Found by integer reachability over the zero pattern of the observed
+    emission entries: a is in the support iff some hidden assignment with
+    frequencies a meets only nonzero entries.  No floating-point weight is
+    formed, so a vector whose weight underflows is kept.
+    """
+    _check_size(data)
+    states = {(0,) * data.k}
+    for emission, row in data.observations:
+        columns = np.flatnonzero(emission.entries[row]).tolist()
+        states = {c[:j] + (c[j] + 1,) + c[j + 1 :] for c in states for j in columns}
+    return np.array(sorted(states), dtype=np.int64).reshape(-1, data.k)
+
+
+def _log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """`frequency_support` and log W(a) of each vector, summed in log space so none underflows."""
+    states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
+    for emission, row in data.observations:
+        lam = emission.entries[row]
+        logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
+        nxt: dict[tuple[int, ...], float] = {}
+        for counts, log_w in states.items():
+            for j, log_lam in logs:
+                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                term = log_w + log_lam
+                known = nxt.get(key)
+                if known is not None:
+                    term = max(known, term) + math.log1p(math.exp(-abs(known - term)))
+                nxt[key] = term
+        states = nxt
+    keys = sorted(states)
+    return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
 
 
 def _log_support(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -326,27 +345,317 @@ def _predictive_values(
     return out
 
 
-def _refined_extremum(
-    values: np.ndarray, points: np.ndarray, evaluate, minimize: bool, passes: int
-) -> tuple[float, np.ndarray]:
-    """Best swept value and its t, improved by `passes` local re-sweeps.
+# Unused here; perfbench/spans.py imports it and reads `refinement_passes` from
+# a default instance.  Bounds take no search settings any more.
+@dataclass(frozen=True)
+class SearchSpec:
+    refinement_passes: int = 0
 
-    Each pass evaluates a copy of the lattice shrunk onto the incumbent.
+
+def _positive_solution(level: list, above: list, d: int) -> tuple[int, ...] | None:
+    """Integer rates r > 0 with <e, r> = 0 for every e in `level` and <g, r> > 0 for every g in `above`.
+
+    Fourier-Motzkin elimination over integer rows (a, strict), each meaning
+    <a, r> > 0 when strict and >= 0 otherwise, then back substitution.  Every
+    combination stays integral, so the answer is exact.  None when no such r
+    exists.
     """
-    pick = np.argmin if minimize else np.argmax
-    i = int(pick(values))
-    best, t_best = float(values[i]), points[i]
-    for shrink in _REFINEMENT_SHRINKS[:passes]:
-        local = (1.0 - shrink) * t_best[None, :] + shrink * points
-        local_values = evaluate(local)
-        i = int(pick(local_values))
-        if (local_values[i] < best) if minimize else (local_values[i] > best):
-            best, t_best = float(local_values[i]), local[i]
-    return best, t_best
+    rows = [(tuple(int(x) for x in e), False) for e in level]
+    rows += [(tuple(-int(x) for x in e), False) for e in level]
+    rows += [(tuple(int(x) for x in g), True) for g in above]
+    rows += [(tuple(int(i == h) for i in range(d)), True) for h in range(d)]
+    stages = []
+    for m in reversed(range(d)):
+        stages.append(rows)
+        lower = [(a, strict) for a, strict in rows if a[m] > 0]
+        upper = [(b, strict) for b, strict in rows if b[m] < 0]
+        rows = [row for row in rows if row[0][m] == 0]
+        rows += [
+            (tuple(a[m] * y - b[m] * x for x, y in zip(a, b)), sa or sb)
+            for a, sa in lower
+            for b, sb in upper
+        ]
+    if any(strict for _, strict in rows):  # every coefficient is zero here: 0 > 0 fails
+        return None
+    r: list[int] = []
+    for m, rows in enumerate(reversed(stages)):
+        # rescale the values so far so that every bound on r[m] is an even integer
+        scale = 2 * math.prod(abs(a[m]) for a, _ in rows if a[m])
+        r = [x * scale for x in r]
+        lower = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] > 0]
+        upper = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] < 0]
+        low = max(lower)  # r[m] > 0 is always among the rows
+        if not upper:
+            r.append(low + 1)
+        else:
+            r.append((low + min(upper)) // 2)
+    divisor = math.gcd(*r)
+    return tuple(x // divisor for x in r)
+
+
+def _faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(rates, member mask) of every face that strictly positive rates expose.
+
+    `patterns` holds each support vector's 0/1 pattern [a_h > 0] over the
+    vanishing coordinates; rates r keep the vectors that minimise
+    <r, pattern>.  Only inclusion-minimal patterns can be minimisers, so the
+    faces are the sets G of those for which some r > 0 levels G and puts
+    every other minimal pattern above it.
+    """
+    distinct = list(np.unique(patterns.astype(np.int64), axis=0))
+    minimal = [p for p in distinct if not any((q <= p).all() and (q < p).any() for q in distinct)]
+    faces = []
+    for size in range(1, len(minimal) + 1):
+        for chosen in itertools.combinations(range(len(minimal)), size):
+            base = minimal[chosen[0]]
+            level = [minimal[i] - base for i in chosen[1:]]
+            above = [minimal[i] - base for i in range(len(minimal)) if i not in chosen]
+            rates = _positive_solution(level, above, patterns.shape[1])
+            if rates is not None:
+                face = np.array([minimal[i] for i in chosen], dtype=bool)
+                members = (patterns[:, None, :] == face[None, :, :]).all(axis=2).any(axis=1)
+                faces.append((rates, members))
+    return faces
+
+
+def _strata(counts: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
+    """(vanishing coordinates, rates, member mask) of every stratum of the support, interior first.
+
+    As the coordinates Z of t vanish like c_h eps^{r_h}, the ascending
+    factorial (s t_h)^{(a_h)} tends to s c_h (a_h - 1)! eps^{r_h} for
+    a_h > 0, so only the vectors on the face that r exposes survive, and
+    the limit is again a predictive of the same form: in t over the other
+    coordinates and in the multipliers c_h.
+    """
+    k = counts.shape[1]
+    strata = [((), (), np.ones(len(counts), dtype=bool))]
+    for size in range(1, k):
+        for vanishing in itertools.combinations(range(k), size):
+            strata += [(vanishing, r, members) for r, members in _faces(counts[:, vanishing] > 0)]
+    return strata
+
+
+def _envelope_limit(support: np.ndarray, j: int, upper: bool, s: float):
+    """(value, descriptor) of an open side that attains its conjugate envelope, else None.
+
+    Every conjugate fraction (a_j + s t_j)/(n + s) lies below (A + s)/(n + s)
+    and above B/(n + s), with A and B the largest and smallest a_j of the
+    support.  The upper reaches its envelope iff, as every coordinate but j
+    vanishes, the surviving face holds only vectors with a_j = A; the lower
+    reaches its envelope iff, for some vanishing set containing j, it holds
+    only vectors with a_j = B.  Both are decided on the exact support, with
+    equal rates (the straight path to the vertex, or t_j alone vanishing)
+    tried first.
+    """
+    n, k = int(support[0].sum()), support.shape[1]
+    column = support[:, j]
+    if upper:
+        target = int(column.max())
+        value = (target + s) / (n + s)
+        others = tuple(h for h in range(k) if h != j)
+        spread = (support[:, others] > 0).sum(axis=1)
+        if (column[spread == spread.min()] == target).all():
+            return value, BoundaryLimit(j, 1.0)
+        candidates = [others]
+    else:
+        target = int(column.min())
+        value = target / (n + s)
+        if (column == target).all():
+            return value, BoundaryLimit(j, 0.0)
+        candidates = [z for size in range(2, k) for z in itertools.combinations(range(k), size)]
+        candidates = [z for z in candidates if j in z]
+    for vanishing in candidates:
+        for rates, members in _faces(support[:, vanishing] > 0):
+            if (column[members] == target).all():
+                rest = np.isin(np.arange(k), vanishing, invert=True)
+                limit = SimplexPoint(rest / rest.sum())
+                return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
+    return None
+
+
+def _stratum_predictive(counts, log_w, s, free, members, outcome, theta, derivatives):
+    """Predictive of `outcome` on each row's stratum, with its gradient and Hessian in theta.
+
+    Row b has free coordinates `free[b]`, where t = softmax(theta) over them,
+    and vanishing ones, where theta is the log multiplier u_h = log(s c_h);
+    `members[b]` is its face.  A vector's log term is
+    log W(a) + sum_free log (s t_h)^{(a_h)} + sum_vanishing [a_h > 0] (u_h + log (a_h - 1)!),
+    the log term of the limit.  With pi the normalised terms and
+    f_a = (a_j + s t_j)/(n + s), the value is E_pi f, its gradient
+    E_pi[df] + Cov_pi(f, dl), and its Hessian adds Cov_pi(f, d2 l) and
+    E_pi[(f - E f)(dl - E dl)(dl - E dl)^T]; df is the same for every a.
+    """
+    rows, k = theta.shape
+    n = int(counts[0].sum())
+    z = np.where(free, theta, -np.inf)
+    top = z.max(axis=1, keepdims=True)
+    log_t = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+    t = np.exp(log_t)
+    x = (s * t)[:, :, None]
+    steps = np.arange(1, n)
+    with np.errstate(divide="ignore"):  # log s t_h is -inf where t_h is not free
+        first = np.log(s) + log_t
+    # ladder[b, h, c]: log (s t_h)^{(c)} on free coordinates, u_h + log (c - 1)! on vanishing ones
+    ladder = np.zeros((rows, k, n + 1))
+    ladder[:, :, 1] = first
+    ladder[:, :, 2:] = first[:, :, None] + np.cumsum(np.log(x + steps), axis=2)
+    occupied = np.arange(n + 1) > 0
+    log_factorials = np.array([math.lgamma(c) if c else 0.0 for c in range(n + 1)])
+    vanishing = log_factorials + theta[:, :, None] * occupied
+    ladder = np.where(free[:, :, None], ladder, vanishing)
+    terms = log_w + sum(ladder[:, h, counts[:, h]] for h in range(k))
+    terms = np.where(members, terms, -np.inf)
+    pi = np.exp(terms - terms.max(axis=1, keepdims=True))
+    pi /= pi.sum(axis=1, keepdims=True)
+    a_j = counts[:, outcome].T
+    mean_j = (pi * a_j).sum(axis=1)
+    t_j = t[np.arange(rows), outcome]
+    value = (mean_j + s * t_j) / (n + s)
+    if not derivatives:
+        return value
+    # e[b, h, c] = d log term / d log t_h (or / d u_h), and q = its derivative in log t_h
+    ratios = x / (x + steps)
+    e = np.zeros((rows, k, n + 1))
+    e[:, :, 1:] = 1.0
+    e[:, :, 2:] += np.cumsum(ratios, axis=2)
+    e = np.where(free[:, :, None], e, occupied)
+    q = np.zeros((rows, k, n + 1))
+    q[:, :, 2:] = np.cumsum(ratios * (1.0 - ratios), axis=2)
+    q *= free[:, :, None]
+    slopes = np.stack([e[:, h, counts[:, h]] for h in range(k)], axis=2)
+    bends = np.stack([q[:, h, counts[:, h]] for h in range(k)], axis=2)
+    total = (slopes * free[:, None, :]).sum(axis=2)
+    dl = slopes - t[:, None, :] * total[:, :, None]
+    centred = pi * (a_j - mean_j[:, None]) / (n + s)
+    cov = (centred[:, None, :] @ dl)[:, 0]
+    toward = np.eye(k)[outcome] - t
+    scale = s / (n + s) * t_j
+    gradient = scale[:, None] * toward + cov
+    spread = t[:, :, None] * np.eye(k) - t[:, :, None] * t[:, None, :]
+    jac = (np.eye(k) - t[:, None, :]) * free[:, :, None] * free[:, None, :]
+    mean_dl = (pi[:, None, :] @ dl)[:, 0]
+    hessian = scale[:, None, None] * (toward[:, :, None] * toward[:, None, :] - spread)
+    bend = (centred[:, None, :] @ bends)[:, 0]
+    hessian += np.einsum("bh,bhm,bhp->bmp", bend, jac, jac)
+    hessian -= (centred * total).sum(axis=1)[:, None, None] * spread
+    hessian += (centred[:, :, None] * dl).transpose(0, 2, 1) @ dl
+    hessian -= mean_dl[:, :, None] * cov[:, None, :] + cov[:, :, None] * mean_dl[:, None, :]
+    return value, gradient, hessian
+
+
+def _newton(evaluate, theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped, saddle-free Newton ascent of each row's signed value from its start.
+
+    A step divides the gradient by |curvature| + damping along each
+    eigenvector of the Hessian and is cut to `_MAX_STEP`; a step that does
+    not raise the value is refused and the damping raised.  A row stops once
+    the gain its step promises to first order, gradient . step, is below
+    1e-15.
+    """
+    value, gradient, hessian = evaluate(theta, rows, True)
+    damping = np.full(len(rows), 1e-3)
+    active = np.arange(len(rows))
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        curvature, basis = np.linalg.eigh(-hessian[active])
+        along = np.einsum("bij,bi->bj", basis, gradient[active])
+        step = np.einsum("bij,bj->bi", basis, along / (np.abs(curvature) + damping[active, None]))
+        length = np.abs(step).max(axis=1)
+        step *= np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))[:, None]
+        promised = np.einsum("bi,bi->b", gradient[active], step)
+        trial = theta[active] + step
+        trial_value, trial_gradient, trial_hessian = evaluate(trial, rows[active], True)
+        gain = trial_value - value[active]
+        better = gain > 0.0
+        took = active[better]
+        theta[took], value[took] = trial[better], trial_value[better]
+        gradient[took], hessian[took] = trial_gradient[better], trial_hessian[better]
+        damping[took] = np.maximum(damping[took] * 0.1, 1e-30)
+        damping[active[~better]] = np.maximum(damping[active[~better]] * 10.0, 1e-9)
+        active = active[promised >= 1e-15]
+    return theta, value
+
+
+def _search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[int, bool]]):
+    """(value, extremizer) of each (outcome, upper) side over the interior and every stratum.
+
+    Each side screens `_SEEDS` seeded starts on every stratum.  A stratum
+    whose own envelope cannot beat the best screened value of its side is
+    dropped; the `_STARTS` best starts on each other stratum take Newton
+    steps.  Every value is a limit of attained values, so no side can
+    overshoot its true bound.  Among values within 1e-15 of the best, the
+    stratum with the most vanishing coordinates, then the smallest face, is
+    reported.
+    """
+    k = counts.shape[1]
+    n = int(counts[0].sum())
+    strata = _strata(counts)
+    free = np.array([np.isin(np.arange(k), z, invert=True) for z, _, _ in strata])
+    members = np.array([m for _, _, m in strata])
+    side_outcome = np.array([j for j, _ in sides])
+    side_sign = np.array([1.0 if upper else -1.0 for _, upper in sides])
+    # the envelope of every (side, stratum) pair, in the signed value the search raises
+    lift = np.where(free[:, side_outcome].T & (side_sign > 0)[:, None], s, 0.0)
+    fractions = side_sign[:, None] * counts.T[side_outcome]
+    envelope = (np.where(members[None], fractions[:, None, :], -np.inf).max(axis=2) + lift) / (n + s)
+
+    seeds = np.random.default_rng(0).standard_normal((_SEEDS, k))
+    seeds *= np.resize([1.0, 3.0, 9.0], _SEEDS)[:, None]
+    seeds[0] = 0.0
+    tasks = len(sides) * len(strata)
+    side_of = np.repeat(np.arange(len(sides)), len(strata) * _SEEDS)
+    stratum_of = np.tile(np.repeat(np.arange(len(strata)), _SEEDS), len(sides))
+    theta = np.tile(seeds, (tasks, 1))
+
+    def evaluate(points, rows, derivatives):
+        sign = side_sign[side_of[rows]]
+        chunk = max(1, 4 * _CHUNK_CELLS // (len(log_w) * k))
+        parts = []
+        for start in range(0, len(rows), chunk):
+            block = rows[start : start + chunk]
+            stratum = stratum_of[block]
+            outcome = side_outcome[side_of[block]]
+            parts.append(
+                _stratum_predictive(
+                    counts, log_w, s, free[stratum], members[stratum], outcome,
+                    points[start : start + chunk], derivatives,
+                )
+            )
+        if not derivatives:
+            return sign * np.concatenate(parts)
+        value, gradient, hessian = (np.concatenate(p) for p in zip(*parts))
+        return sign * value, sign[:, None] * gradient, sign[:, None, None] * hessian
+
+    signed = evaluate(theta, np.arange(len(theta)), False)
+    screened = signed.reshape(tasks, _SEEDS)
+    best = screened.reshape(len(sides), -1).max(axis=1)
+    kept = np.flatnonzero((envelope > best[:, None]).ravel())
+    starts = np.argsort(-screened[kept], axis=1, kind="stable")[:, :_STARTS]
+    rows = (kept[:, None] * _SEEDS + starts).ravel()
+    if rows.size:
+        theta[rows], signed[rows] = _newton(evaluate, theta[rows], rows)
+
+    # among near-ties, prefer more vanishing coordinates, then a smaller face
+    simpler = np.array([len(z) * (len(counts) + 1) - m.sum() for z, _, m in strata])[stratum_of]
+    found = []
+    for i in range(len(sides)):
+        mine = np.arange(i * len(strata) * _SEEDS, (i + 1) * len(strata) * _SEEDS)
+        ties = mine[signed[mine] >= signed[mine].max() - 1e-15]
+        row = ties[np.argmax(simpler[ties])]
+        vanishing, rates, _ = strata[stratum_of[row]]
+        z = np.where(free[stratum_of[row]], theta[row], -np.inf)
+        t = SimplexPoint(np.exp(z - z.max()) / np.exp(z - z.max()).sum())
+        where = t
+        if vanishing:
+            multipliers = tuple(float(np.exp(theta[row, h]) / s) for h in vanishing)
+            where = BoundaryStratum(vanishing, rates, multipliers, t)
+        found.append((float(side_sign[i] * signed[row]), where))
+    return found
 
 
 def outcome_bounds(
-    data: ManifestDataset, s: float, outcomes: Sequence[int], search: SearchSpec | None = None
+    data: ManifestDataset, s: float, outcomes: Sequence[int]
 ) -> tuple[PredictiveBounds, ...]:
     """Lower/upper posterior predictive of each listed next hidden outcome over all t.
 
@@ -358,53 +667,52 @@ def outcome_bounds(
     collapses onto such assignments as t_j -> 0, and the lower bound is
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
-    Only the sides left open are searched.  The open outcomes share one
-    weight pass and one sweep of the clamped t-grid; each open side then
-    runs its own local refinement passes around its incumbent.  When every
-    side is settled no weights are computed and no grid is built, so the n
-    cap of the frequency-weight pass applies only to open sides.  Returns
-    one entry per listed outcome, in order.
+    A side left open is next checked against its conjugate envelope on the
+    exact support (`_envelope_limit`), which needs no weights.  Only the
+    sides that do not attain it are searched (`_search`), all of them from
+    one log-space weight pass.  So when every side is settled no weights
+    are computed, and the n cap applies only to open sides.  Returns one
+    entry per listed outcome, in order.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
     if not all(0 <= j < data.k for j in outcomes):
         raise ValueError(f"outcome indices {list(outcomes)} must lie in [0, {data.k})")
-    search = search or SearchSpec()
-    resolution = search.resolution_for(data.k)
+    if data.k > DP_MAX_K:
+        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
     diagnosis = vacuity_diagnosis(data)
     found = {
         j: PredictiveBounds(0.0, 1.0, BoundaryLimit(j, 0.0), BoundaryLimit(j, 1.0))
         for j in outcomes
     }
-    open_outcomes = [j for j in found if not diagnosis[j].vacuous]
-    if not open_outcomes:
+    sides = [
+        (j, upper)
+        for j in found
+        for upper, witnessed in (
+            (False, diagnosis[j].lower_strictly_above_zero),
+            (True, diagnosis[j].upper_strictly_below_one),
+        )
+        if witnessed
+    ]
+    if not sides:
         return tuple(found[j] for j in outcomes)
 
-    counts, log_w = _log_support(data)
-    grid = SimplexGrid(
-        k=data.k, resolution=resolution, boundary_policy=CLAMP_TO_EPSILON, eps_clamp=search.clamp
-    )
-    swept = _predictive_values(counts, log_w, s, data.n, open_outcomes, grid.points)
-    passes = search.refinement_passes
-    for values, j in zip(swept.T, open_outcomes):
-
-        def evaluate(t_points: np.ndarray, j: int = j) -> np.ndarray:
-            return _predictive_values(counts, log_w, s, data.n, (j,), t_points)[:, 0]
-
-        if diagnosis[j].lower_strictly_above_zero:
-            lower, t_lower = _refined_extremum(values, grid.points, evaluate, True, passes)
-            found[j] = replace(found[j], lower=lower, argmin_t=SimplexPoint(t_lower))
-        if diagnosis[j].upper_strictly_below_one:
-            upper, t_upper = _refined_extremum(values, grid.points, evaluate, False, passes)
-            found[j] = replace(found[j], upper=upper, argmax_t=SimplexPoint(t_upper))
+    support = frequency_support(data)
+    settled = {side: _envelope_limit(support, *side, s) for side in sides}
+    searched = [side for side, limit in settled.items() if limit is None]
+    if searched:
+        settled.update(zip(searched, _search(*_log_weights(data), s, searched)))
+    for (j, upper), (value, where) in settled.items():
+        if upper:
+            found[j] = replace(found[j], upper=value, argmax_t=where)
+        else:
+            found[j] = replace(found[j], lower=value, argmin_t=where)
     return tuple(found[j] for j in outcomes)
 
 
-def predictive_bounds(
-    data: ManifestDataset, s: float, j: int, search: SearchSpec | None = None
-) -> PredictiveBounds:
+def predictive_bounds(data: ManifestDataset, s: float, j: int) -> PredictiveBounds:
     """`outcome_bounds` for the single outcome j."""
-    return outcome_bounds(data, s, (j,), search)[0]
+    return outcome_bounds(data, s, (j,))[0]
 
 
 def vacuity_diagnosis(data: ManifestDataset) -> VacuityDiagnosis:

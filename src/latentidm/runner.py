@@ -1,8 +1,8 @@
 """Scenario documents, execution, and machine-readable reports.
 
 Scenarios are JSON objects with self-describing field names; reports echo
-the scenario, carry a kind-specific results payload, and embed the grid and
-clamp provenance needed to reproduce every numeric field.  Serialization is
+the scenario, carry a kind-specific results payload, and embed the grid
+provenance needed to reproduce every grid-based field.  Serialization is
 canonical (sorted keys, two-space indent), so re-running a scenario on the
 same platform reproduces the report byte-for-byte apart from the timing
 block.
@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .errors import ScenarioError, SizeCapError
-from .idm import BoundaryLimit, PredictiveBounds
+from .idm import BoundaryLimit, BoundaryStratum, PredictiveBounds
 from .manifest import (
     BinaryChannel,
     direct_manifest_idm,
@@ -31,9 +31,9 @@ from .manifest import (
     scaled_beta_posterior_mean,
 )
 from .observation import (
+    DP_MAX_K,
     EmissionMatrix,
     ManifestDataset,
-    SearchSpec,
     outcome_bounds,
     posterior_predictive_at_t,
     vacuity_diagnosis,
@@ -266,6 +266,15 @@ def _manifest_strength(doc: dict) -> float:
 def _describe_extremizer(value) -> dict:
     if isinstance(value, BoundaryLimit):
         return {"limit": {"coordinate": value.coordinate, "value": value.value}}
+    if isinstance(value, BoundaryStratum):
+        return {
+            "stratum": {
+                "vanishing": list(value.vanishing),
+                "rates": list(value.rates),
+                "multipliers": list(value.multipliers),
+                "limit": list(value.limit.coords),
+            }
+        }
     if isinstance(value, SimplexPoint):
         return {"point": list(value.coords)}
     return {"unknown": None}
@@ -305,16 +314,12 @@ def _parse_predict(doc: dict):
     data = _dataset(doc)
     hyper = _object(_require(doc, "hyper"), "hyper")
     s = _positive(hyper.get("s"), "hyper.s")
-    spec = _object(doc.get("search", {}), "search")
-    resolution = spec.get("resolution")
-    if resolution is not None:
-        resolution = _integer(resolution, "search.resolution")
-    clamp = _positive(spec.get("clamp", 1e-6), "search.clamp")
-    passes = _integer(spec.get("refinement_passes", 1), "search.refinement_passes")
-    with _field("search"):
-        search = SearchSpec(resolution=resolution, clamp=clamp, refinement_passes=passes)
-    with _field("search.resolution"):
-        resolution = search.resolution_for(data.k)
+    if "search" in doc:
+        raise ScenarioError(
+            "field 'search': not accepted; predictive bounds are exact and take no search settings"
+        )
+    if data.k > DP_MAX_K:
+        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
     outcomes = _integers(doc.get("outcomes", list(range(data.k))), "outcomes")
     if any(j >= data.k for j in outcomes):
         raise ScenarioError(f"field 'outcomes': every entry must be below k={data.k}")
@@ -326,7 +331,7 @@ def _parse_predict(doc: dict):
             raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
 
     def run() -> dict:
-        bounds = outcome_bounds(data, s, outcomes, search)
+        bounds = outcome_bounds(data, s, outcomes)
         results: dict[str, Any] = {
             "level": "latent",
             "bounds": [_bounds_payload(b, outcome=j) for j, b in zip(outcomes, bounds)],
@@ -336,14 +341,7 @@ def _parse_predict(doc: dict):
             results["at_t"] = {"t": list(prior.t.coords), "values": [values[j] for j in outcomes]}
         return results
 
-    provenance = {
-        "t_search": {
-            "resolution": resolution,
-            "clamp": search.clamp,
-            "refinement_passes": search.refinement_passes,
-        }
-    }
-    return run, provenance
+    return run, {}
 
 
 def _parse_diagnose(doc: dict):

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a different route than
 the library code under test: a scalar density loop instead of the package's
 matrix evaluation, explicit enumeration instead of the dynamic program, Beta
 moments instead of the frequency-weight pass, a plain-Python sum over the
-enumerated weights instead of the chunked predictive sweep, and plain 1-D
+enumerated weights instead of the chunked predictive sweep, a multistart
+over softmax prior means instead of the stratum search, and plain 1-D
 midpoint quadrature instead of the simplex grid.
 """
 
@@ -74,6 +75,84 @@ def predictive_oracle(data: ManifestDataset, s: float, t) -> tuple[float, ...]:
         math.fsum(w * (a[j] + s * t[j]) / (data.n + s) for a, w in weights.items()) / total
         for j in range(data.k)
     )
+
+
+def predictive_at_log_t(counts: np.ndarray, log_w: np.ndarray, s: float, log_t: np.ndarray) -> np.ndarray:
+    """(points, k) posterior predictive of every outcome at each row of log t.
+
+    The first rung of each ascending factorial, log(s t_h), is taken from
+    log t itself, so coordinates far below the smallest float stay exact.
+    """
+    n = int(counts[0].sum())
+    t = np.exp(log_t)
+    steps = np.arange(1, max(n, 1))
+    rungs = np.concatenate(
+        [(math.log(s) + log_t)[:, :, None], np.log(s * t[:, :, None] + steps)], axis=2
+    )[:, :, :n]
+    ladder = np.concatenate([np.zeros(rungs.shape[:2] + (1,)), np.cumsum(rungs, axis=2)], axis=2)
+    scores = log_w + sum(ladder[:, h, counts[:, h]] for h in range(counts.shape[1]))
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return (weights @ counts + s * t) / (n + s)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    top = z.max(axis=-1, keepdims=True)
+    return z - top - np.log(np.exp(z - top).sum(axis=-1, keepdims=True))
+
+
+def predictive_extremes(
+    data: ManifestDataset,
+    s: float,
+    seed: int = 0,
+    scales=(0.5, 2.0, 8.0, 32.0, 128.0),
+    points: int = 400,
+    starts: int = 3,
+    rounds: int = 400,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lowest, highest) predictive of each outcome found at attained prior means.
+
+    Multistart: t = softmax(z) for standard normal z times each scale, as
+    perfbench's probe samples; large scales let coordinates vanish at
+    different rates.  The `starts` best points of every outcome and side are
+    then refined by a compass search on z: move to the best of the 2k axis
+    neighbours and 4 random ones at the current step, or halve the step.
+    Every value is attained, so the true lower/upper lie outside them.
+    """
+    weights = brute_frequency_weights(data)
+    counts = np.array(list(weights), dtype=np.int64)
+    log_w = np.log(np.array(list(weights.values())))
+    k = data.k
+    rng = np.random.default_rng(seed)
+    z = np.concatenate([rng.standard_normal((points, k)) * scale for scale in scales])
+    values = predictive_at_log_t(counts, log_w, s, _log_softmax(z))
+    # one start per (outcome, side, rank); sign +1 raises the value, -1 lowers it
+    signs = np.array([-1.0, 1.0])
+    order = np.argsort(values, axis=0)
+    picks = np.concatenate([order[:starts], order[::-1][:starts]])  # (2 starts, k)
+    current = z[picks].reshape(-1, k)  # rows: side-major, then rank, then outcome
+    outcome = np.tile(np.arange(k), 2 * starts)
+    sign = np.repeat(signs, starts * k)
+    best = sign * values[picks.reshape(-1), outcome]
+    step = np.full(len(current), 2.0)
+    axes = np.concatenate([np.eye(k), -np.eye(k)])
+    for _ in range(rounds):
+        moves = np.concatenate([axes, rng.standard_normal((4, k))])
+        trial = current[:, None, :] + step[:, None, None] * moves[None, :, :]
+        flat = trial.reshape(-1, k)
+        found = predictive_at_log_t(counts, log_w, s, _log_softmax(flat))
+        scored = sign[:, None] * found[np.arange(len(flat)), np.repeat(outcome, len(moves))].reshape(
+            len(current), len(moves)
+        )
+        pick = scored.argmax(axis=1)
+        gain = scored[np.arange(len(current)), pick] > best
+        current[gain] = trial[np.flatnonzero(gain), pick[gain]]
+        best[gain] = scored[np.flatnonzero(gain), pick[gain]]
+        step = np.where(gain, step, step / 2.0)
+        if step.max() < 1e-9:
+            break
+    signed = best.reshape(2, starts, k).max(axis=1)
+    return -signed[0], signed[1]
 
 
 def midpoint_integral(f, lo: float, hi: float, points: int = 100_000) -> float:

@@ -37,7 +37,6 @@ PREDICT_DOC = {
     "model": {"emission": "identity"},
     "observations": [0, 0, 1],
     "hyper": {"s": 2.0},
-    "search": {"resolution": 400},
 }
 
 TREND_DOC = {
@@ -68,10 +67,11 @@ BAD_DOCUMENTS = [
     ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.5, 0.6]})),
     ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [1.0, 0.0]})),
     ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.2, 0.3, 0.5]})),
-    ("search.resolution", dict(PREDICT_DOC, search={"resolution": "fine"})),
-    ("search.resolution", dict(PREDICT_DOC, search={"resolution": 2.5})),
-    ("search.clamp", dict(PREDICT_DOC, search={"clamp": "tiny"})),
-    ("search.refinement_passes", dict(PREDICT_DOC, search={"refinement_passes": 1.5})),
+    # bounds take no search settings: any `search` block is refused, even a once-valid one
+    ("search", dict(PREDICT_DOC, search={"resolution": 400})),
+    ("search", dict(PREDICT_DOC, search={})),
+    ("search", dict(PREDICT_DOC, search={"clamp": 1e-6})),
+    ("search", dict(PREDICT_DOC, search={"refinement_passes": 1})),
     ("model.emission", dict(PREDICT_DOC, model={"emission": "binary-channel(0.6,0.1)"})),
     ("function.index", dict(TREND_DOC, function={"kind": "coordinate", "index": 2})),
     ("function.index", dict(TREND_DOC, function={"kind": "coordinate", "index": "a"})),
@@ -114,10 +114,7 @@ BAD_DOCUMENTS = [
         },
     ),
     ("target", dict(TREND_DOC, target=[1.0] + [0.0] * 6, schedule=[6])),
-    (
-        "search.resolution",
-        dict(PREDICT_DOC, k=4, observations=[0, 1], search={"resolution": 1000}),
-    ),
+    ("search", dict(PREDICT_DOC, k=4, observations=[0, 1], search={"resolution": 1000})),
 ]
 
 
@@ -215,8 +212,8 @@ class TestRunScenario:
     def test_predict_payload_shape(self):
         report = run_scenario(Scenario.from_dict(PREDICT_DOC))
         bounds = report["results"]["bounds"]
-        assert bounds[0]["lower"] == pytest.approx(0.4, abs=2e-3)
-        assert bounds[0]["upper"] == pytest.approx(0.8, abs=2e-3)
+        assert (bounds[0]["lower"], bounds[0]["upper"]) == (0.4, 0.8)
+        assert bounds[0]["argmax_t"] == {"limit": {"coordinate": 0, "value": 1.0}}
         assert report["provenance"]["tool_version"]
         assert "timing" in report
 

@@ -11,7 +11,6 @@ from latentidm import (
     EmissionMatrix,
     FrequencyVector,
     ManifestDataset,
-    SearchSpec,
     SimplexGrid,
     SimplexPoint,
     SizeCapError,
@@ -311,13 +310,6 @@ class TestPredictiveBounds:
         assert b.lower >= 1.0 / (data.n + s) - 1e-6
         assert b.lower > 1e-6
 
-    def test_search_spec_respected(self):
-        data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
-        b = predictive_bounds(data, 2.0, 0, SearchSpec(resolution=50, refinement_passes=2))
-        std = standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), 0)
-        assert b.lower == pytest.approx(std.lower, abs=5e-3)
-        assert b.upper == pytest.approx(std.upper, abs=5e-3)
-
     def test_size_cap_propagates(self):
         data = ManifestDataset.from_rows(IDENTITY2, [0] * 21)
         with pytest.raises(SizeCapError):
@@ -343,11 +335,14 @@ class TestPredictiveBounds:
                 assert b.argmax_t == BoundaryLimit(j, 1.0)
 
     def test_fully_underflowed_weights_are_degenerate(self):
-        # row 0 certifies outcome 0, but 1e-200 squared underflows: no weight left
+        # row 0 certifies outcome 0, but 1e-200 squared underflows: no float weight is
+        # left, so the fixed-prior value is degenerate; the bounds come from the exact
+        # support {(2, 0)}, where both open sides attain their envelopes
         emission = EmissionMatrix([[1e-200, 0.0], [1.0, 1.0]])
         data = ManifestDataset.from_rows(emission, [0, 0])
-        with pytest.raises(DegenerateRatioError):
-            predictive_bounds(data, 2.0, 0)
+        assert predictive_bounds(data, 2.0, 0) == standard_idm_predictive_bounds(
+            2.0, FrequencyVector((2, 0)), 0
+        )
         with pytest.raises(DegenerateRatioError):
             posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])))
 
@@ -367,11 +362,13 @@ def count_calls(monkeypatch, names):
 
 
 class TestSearchSkipping:
-    """The zero pattern settles limits; only open sides pay for weights and sweeps."""
+    """The zero pattern settles limits and envelopes; only the rest pay for weights and a search."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        return count_calls(monkeypatch, ["frequency_weights", "_predictive_values"])
+        return count_calls(
+            monkeypatch, ["frequency_support", "_log_weights", "_search", "frequency_weights"]
+        )
 
     def test_all_positive_dataset_does_no_search(self, calls):
         # n = 30 is past the weight pass's cap, which only open sides reach
@@ -379,23 +376,36 @@ class TestSearchSkipping:
         for j in range(2):
             b = predictive_bounds(data, 2.0, j)
             assert (b.lower, b.upper) == (0.0, 1.0)
-        assert calls == {"frequency_weights": 0, "_predictive_values": 0}
+        assert calls == dict.fromkeys(calls, 0)
 
-    def test_one_open_side_refines_only_that_side(self, calls):
-        data = ManifestDataset.from_rows(IDENTITY2, [0, 0, 0])
-        search = SearchSpec(resolution=50, refinement_passes=2)
-        b = predictive_bounds(data, 2.0, 0, search)
-        assert isinstance(b.argmin_t, SimplexPoint)
-        assert b.argmax_t == BoundaryLimit(0, 1.0)
-        assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2}
+    def test_one_open_side_refines_only_that_side(self, calls, monkeypatch):
+        # outcome 0 of a channel with one zero: its upper is open and below its envelope
+        searched = []
+        original = observation._search
+
+        def recorded(counts, log_w, s, sides):
+            searched.append(sides)
+            return original(counts, log_w, s, sides)
+
+        monkeypatch.setattr(observation, "_search", recorded)
+        emission = EmissionMatrix([[0.0, 0.4], [1.0, 0.6]])
+        data = ManifestDataset.from_rows(emission, [0, 1, 1])
+        b = predictive_bounds(data, 2.0, 0)
+        assert b.argmin_t == BoundaryLimit(0, 0.0) and b.lower == 0.0
+        assert 0.0 < b.upper < (2 + 2.0) / (3 + 2.0)
+        assert searched == [[(0, True)]]
+        assert calls == {
+            "frequency_support": 1, "_log_weights": 1, "_search": 1, "frequency_weights": 0
+        }
 
     def test_two_open_sides_refine_both(self, calls):
-        # both outcomes share one weight pass and one sweep; each side refines alone
+        # an identity channel attains every envelope: exact, with no weights and no search
         data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
-        search = SearchSpec(resolution=50, refinement_passes=2)
-        for b in outcome_bounds(data, 2.0, range(2), search):
-            assert isinstance(b.argmin_t, SimplexPoint) and isinstance(b.argmax_t, SimplexPoint)
-        assert calls == {"frequency_weights": 1, "_predictive_values": 1 + 2 * 2 * 2}
+        for j, b in enumerate(outcome_bounds(data, 2.0, range(2))):
+            assert b == standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), j)
+        assert calls == {
+            "frequency_support": 1, "_log_weights": 0, "_search": 0, "frequency_weights": 0
+        }
 
 
 def structural_zero_dataset(rng, k, n):
@@ -428,16 +438,18 @@ class TestSharedOutcomes:
 
     def test_dataset_bounds_equal_single_outcome_bounds(self):
         rng = np.random.default_rng(53)
-        search = SearchSpec(resolution=15, refinement_passes=2)
         for trial in range(12):
             k = 2 + trial % 3
             data = structural_zero_dataset(rng, k, int(rng.integers(1, 7)))
             outcomes = list(range(k)) + [0]
-            together = outcome_bounds(data, 2.0, outcomes, search)
-            assert together == tuple(predictive_bounds(data, 2.0, j, search) for j in outcomes)
+            together = outcome_bounds(data, 2.0, outcomes)
+            assert together == tuple(predictive_bounds(data, 2.0, j) for j in outcomes)
 
     def test_predict_run_computes_each_shared_step_once(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["frequency_weights", "SimplexGrid", "vacuity_diagnosis"])
+        counts = count_calls(
+            monkeypatch,
+            ["frequency_weights", "frequency_support", "_log_weights", "vacuity_diagnosis"],
+        )
         doc = {
             "name": "k4-open",
             "kind": "predict",
@@ -445,13 +457,15 @@ class TestSharedOutcomes:
             "model": {"emission": "identity"},
             "observations": [0, 1],
             "hyper": {"s": 2.0, "t": [0.1, 0.2, 0.3, 0.4]},
-            "search": {"resolution": 8},
         }
         report = run_scenario(Scenario.from_dict(doc))
         bounds = report["results"]["bounds"]
-        assert all(isinstance(b["argmax_t"].get("point"), list) for b in bounds)
-        # one weight pass for the bounds, one for at_t; one lattice; one diagnosis
-        assert counts == {"frequency_weights": 2, "SimplexGrid": 1, "vacuity_diagnosis": 1}
+        assert all(b["argmax_t"] == {"limit": {"coordinate": b["outcome"], "value": 1.0}} for b in bounds)
+        # every side attains its envelope: one support and one diagnosis for the
+        # bounds, no log-space weights, and one float weight pass for at_t
+        assert counts == {
+            "frequency_weights": 1, "frequency_support": 1, "_log_weights": 0, "vacuity_diagnosis": 1
+        }
 
     def test_scaled_beta_mean_makes_one_weight_pass(self, monkeypatch):
         counts = count_calls(monkeypatch, ["frequency_weights"])
@@ -545,16 +559,18 @@ class TestVacuityDiagnosis:
         # exact agreement for entries down to 1e-300: a side is a BoundaryLimit
         # (exactly 0 or 1) iff the diagnosis has no witness for it
         rng = np.random.default_rng(43)
-        search = SearchSpec(resolution=12, refinement_passes=0)
         for trial in range(60):
             k = 2 + trial % 2
             data = tiny_entry_dataset(rng, k, int(rng.integers(1, 7)))
             diagnosis = vacuity_diagnosis(data)
             for j in range(k):
-                b = predictive_bounds(data, 2.0, j, search)
+                b = predictive_bounds(data, 2.0, j)
                 lower_open = diagnosis[j].lower_strictly_above_zero
                 upper_open = diagnosis[j].upper_strictly_below_one
-                assert isinstance(b.argmin_t, BoundaryLimit) == (not lower_open)
-                assert isinstance(b.argmax_t, BoundaryLimit) == (not upper_open)
+                # an open side may be a boundary limit too, when it attains its envelope
+                if not lower_open:
+                    assert b.argmin_t == BoundaryLimit(j, 0.0)
+                if not upper_open:
+                    assert b.argmax_t == BoundaryLimit(j, 1.0)
                 assert (b.lower > 0.0) == lower_open
                 assert (b.upper < 1.0) == upper_open

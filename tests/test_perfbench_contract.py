@@ -6,11 +6,15 @@ traced benchmark without failing any other test, so this checks that every
 wrapped name resolves, is replaced while instrumented, and is restored.
 """
 
+import json
 import pathlib
 import sys
 
+import pytest
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 from latentidm.runner import Scenario, bundled_scenarios, run_scenario  # noqa: E402
 
@@ -37,8 +41,21 @@ def test_traced_scenario_records_its_layers():
 
 
 def test_traced_predict_shares_one_weight_pass():
-    # both outcomes' bounds come from one weight pass, and tracing them raises nothing
+    # every side of an identity channel attains its envelope on the exact support,
+    # so the bounds need no weight pass at all, and tracing them raises nothing
     tracer = spans.Tracer()
     with spans.instrumented(tracer):
         run_scenario(Scenario.from_dict(bundled_scenarios()["example5-standard-idm"]))
-    assert spans.layer_metrics(tracer.spans)["frequency_weights.calls"] == 1
+    assert spans.layer_metrics(tracer.spans)["frequency_weights.calls"] == 0
+
+
+@pytest.mark.parametrize("seed", [4, 11, 31])
+def test_latent_zeros_uppers_attain_their_envelope(seed):
+    # every column has two nonzero rows, each observed 5 times: A = 10, so the upper
+    # is (10 + s) / (20 + s) = 12/22 exactly, approached on the straight path to t_j = 1
+    (op,) = workloads.build("latent-zeros", seed).ops
+    bounds = run_scenario(Scenario.from_dict(json.loads(op.text)))["results"]["bounds"]
+    for entry in bounds:
+        assert abs(entry["upper"] - 12 / 22) <= 1e-12
+        assert entry["lower"] == 0.0
+        assert entry["argmax_t"] == {"limit": {"coordinate": entry["outcome"], "value": 1.0}}

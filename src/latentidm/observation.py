@@ -47,12 +47,6 @@ DP_MAX_K = 4
 
 _COLUMN_SUM_TOL = 1e-12
 _CHUNK_CELLS = 16_384
-# The stratum search: starts screened per side and stratum, how many of the
-# best of them take Newton steps, and the length of a step in log coordinates.
-_SEEDS = 24
-_STARTS = 3
-_NEWTON_STEPS = 80
-_MAX_STEP = 4.0
 
 
 @dataclass(frozen=True)
@@ -227,26 +221,6 @@ def frequency_support(data: ManifestDataset) -> np.ndarray:
     return np.array(sorted(states), dtype=np.int64).reshape(-1, data.k)
 
 
-def _log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
-    """`frequency_support` and log W(a) of each vector, summed in log space so none underflows."""
-    states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
-    for emission, row in data.observations:
-        lam = emission.entries[row]
-        logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, log_w in states.items():
-            for j, log_lam in logs:
-                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                term = log_w + log_lam
-                known = nxt.get(key)
-                if known is not None:
-                    term = max(known, term) + math.log1p(math.exp(-abs(known - term)))
-                nxt[key] = term
-        states = nxt
-    keys = sorted(states)
-    return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
-
-
 def _log_support(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     """Frequency vectors and log W(a) of the support, refusing one that underflowed."""
     weights = frequency_weights(data)
@@ -352,89 +326,6 @@ class SearchSpec:
     refinement_passes: int = 0
 
 
-def _positive_solution(level: list, above: list, d: int) -> tuple[int, ...] | None:
-    """Integer rates r > 0 with <e, r> = 0 for every e in `level` and <g, r> > 0 for every g in `above`.
-
-    Fourier-Motzkin elimination over integer rows (a, strict), each meaning
-    <a, r> > 0 when strict and >= 0 otherwise, then back substitution.  Every
-    combination stays integral, so the answer is exact.  None when no such r
-    exists.
-    """
-    rows = [(tuple(int(x) for x in e), False) for e in level]
-    rows += [(tuple(-int(x) for x in e), False) for e in level]
-    rows += [(tuple(int(x) for x in g), True) for g in above]
-    rows += [(tuple(int(i == h) for i in range(d)), True) for h in range(d)]
-    stages = []
-    for m in reversed(range(d)):
-        stages.append(rows)
-        lower = [(a, strict) for a, strict in rows if a[m] > 0]
-        upper = [(b, strict) for b, strict in rows if b[m] < 0]
-        rows = [row for row in rows if row[0][m] == 0]
-        rows += [
-            (tuple(a[m] * y - b[m] * x for x, y in zip(a, b)), sa or sb)
-            for a, sa in lower
-            for b, sb in upper
-        ]
-    if any(strict for _, strict in rows):  # every coefficient is zero here: 0 > 0 fails
-        return None
-    r: list[int] = []
-    for m, rows in enumerate(reversed(stages)):
-        # rescale the values so far so that every bound on r[m] is an even integer
-        scale = 2 * math.prod(abs(a[m]) for a, _ in rows if a[m])
-        r = [x * scale for x in r]
-        lower = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] > 0]
-        upper = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] < 0]
-        low = max(lower)  # r[m] > 0 is always among the rows
-        if not upper:
-            r.append(low + 1)
-        else:
-            r.append((low + min(upper)) // 2)
-    divisor = math.gcd(*r)
-    return tuple(x // divisor for x in r)
-
-
-def _faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(rates, member mask) of every face that strictly positive rates expose.
-
-    `patterns` holds each support vector's 0/1 pattern [a_h > 0] over the
-    vanishing coordinates; rates r keep the vectors that minimise
-    <r, pattern>.  Only inclusion-minimal patterns can be minimisers, so the
-    faces are the sets G of those for which some r > 0 levels G and puts
-    every other minimal pattern above it.
-    """
-    distinct = list(np.unique(patterns.astype(np.int64), axis=0))
-    minimal = [p for p in distinct if not any((q <= p).all() and (q < p).any() for q in distinct)]
-    faces = []
-    for size in range(1, len(minimal) + 1):
-        for chosen in itertools.combinations(range(len(minimal)), size):
-            base = minimal[chosen[0]]
-            level = [minimal[i] - base for i in chosen[1:]]
-            above = [minimal[i] - base for i in range(len(minimal)) if i not in chosen]
-            rates = _positive_solution(level, above, patterns.shape[1])
-            if rates is not None:
-                face = np.array([minimal[i] for i in chosen], dtype=bool)
-                members = (patterns[:, None, :] == face[None, :, :]).all(axis=2).any(axis=1)
-                faces.append((rates, members))
-    return faces
-
-
-def _strata(counts: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
-    """(vanishing coordinates, rates, member mask) of every stratum of the support, interior first.
-
-    As the coordinates Z of t vanish like c_h eps^{r_h}, the ascending
-    factorial (s t_h)^{(a_h)} tends to s c_h (a_h - 1)! eps^{r_h} for
-    a_h > 0, so only the vectors on the face that r exposes survive, and
-    the limit is again a predictive of the same form: in t over the other
-    coordinates and in the multipliers c_h.
-    """
-    k = counts.shape[1]
-    strata = [((), (), np.ones(len(counts), dtype=bool))]
-    for size in range(1, k):
-        for vanishing in itertools.combinations(range(k), size):
-            strata += [(vanishing, r, members) for r, members in _faces(counts[:, vanishing] > 0)]
-    return strata
-
-
 def _envelope_limit(support: np.ndarray, j: int, upper: bool, s: float):
     """(value, descriptor) of an open side that attains its conjugate envelope, else None.
 
@@ -464,194 +355,15 @@ def _envelope_limit(support: np.ndarray, j: int, upper: bool, s: float):
             return value, BoundaryLimit(j, 0.0)
         candidates = [z for size in range(2, k) for z in itertools.combinations(range(k), size)]
         candidates = [z for z in candidates if j in z]
+    from . import strata  # on first use: the equal-rate checks above settle most sides
+
     for vanishing in candidates:
-        for rates, members in _faces(support[:, vanishing] > 0):
+        for rates, members in strata.faces(support[:, vanishing] > 0):
             if (column[members] == target).all():
                 rest = np.isin(np.arange(k), vanishing, invert=True)
                 limit = SimplexPoint(rest / rest.sum())
                 return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
     return None
-
-
-def _stratum_predictive(counts, log_w, s, free, members, outcome, theta, derivatives):
-    """Predictive of `outcome` on each row's stratum, with its gradient and Hessian in theta.
-
-    Row b has free coordinates `free[b]`, where t = softmax(theta) over them,
-    and vanishing ones, where theta is the log multiplier u_h = log(s c_h);
-    `members[b]` is its face.  A vector's log term is
-    log W(a) + sum_free log (s t_h)^{(a_h)} + sum_vanishing [a_h > 0] (u_h + log (a_h - 1)!),
-    the log term of the limit.  With pi the normalised terms and
-    f_a = (a_j + s t_j)/(n + s), the value is E_pi f, its gradient
-    E_pi[df] + Cov_pi(f, dl), and its Hessian adds Cov_pi(f, d2 l) and
-    E_pi[(f - E f)(dl - E dl)(dl - E dl)^T]; df is the same for every a.
-    """
-    rows, k = theta.shape
-    n = int(counts[0].sum())
-    z = np.where(free, theta, -np.inf)
-    top = z.max(axis=1, keepdims=True)
-    log_t = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
-    t = np.exp(log_t)
-    x = (s * t)[:, :, None]
-    steps = np.arange(1, n)
-    with np.errstate(divide="ignore"):  # log s t_h is -inf where t_h is not free
-        first = np.log(s) + log_t
-    # ladder[b, h, c]: log (s t_h)^{(c)} on free coordinates, u_h + log (c - 1)! on vanishing ones
-    ladder = np.zeros((rows, k, n + 1))
-    ladder[:, :, 1] = first
-    ladder[:, :, 2:] = first[:, :, None] + np.cumsum(np.log(x + steps), axis=2)
-    occupied = np.arange(n + 1) > 0
-    log_factorials = np.array([math.lgamma(c) if c else 0.0 for c in range(n + 1)])
-    vanishing = log_factorials + theta[:, :, None] * occupied
-    ladder = np.where(free[:, :, None], ladder, vanishing)
-    terms = log_w + sum(ladder[:, h, counts[:, h]] for h in range(k))
-    terms = np.where(members, terms, -np.inf)
-    pi = np.exp(terms - terms.max(axis=1, keepdims=True))
-    pi /= pi.sum(axis=1, keepdims=True)
-    a_j = counts[:, outcome].T
-    mean_j = (pi * a_j).sum(axis=1)
-    t_j = t[np.arange(rows), outcome]
-    value = (mean_j + s * t_j) / (n + s)
-    if not derivatives:
-        return value
-    # e[b, h, c] = d log term / d log t_h (or / d u_h), and q = its derivative in log t_h
-    ratios = x / (x + steps)
-    e = np.zeros((rows, k, n + 1))
-    e[:, :, 1:] = 1.0
-    e[:, :, 2:] += np.cumsum(ratios, axis=2)
-    e = np.where(free[:, :, None], e, occupied)
-    q = np.zeros((rows, k, n + 1))
-    q[:, :, 2:] = np.cumsum(ratios * (1.0 - ratios), axis=2)
-    q *= free[:, :, None]
-    slopes = np.stack([e[:, h, counts[:, h]] for h in range(k)], axis=2)
-    bends = np.stack([q[:, h, counts[:, h]] for h in range(k)], axis=2)
-    total = (slopes * free[:, None, :]).sum(axis=2)
-    dl = slopes - t[:, None, :] * total[:, :, None]
-    centred = pi * (a_j - mean_j[:, None]) / (n + s)
-    cov = (centred[:, None, :] @ dl)[:, 0]
-    toward = np.eye(k)[outcome] - t
-    scale = s / (n + s) * t_j
-    gradient = scale[:, None] * toward + cov
-    spread = t[:, :, None] * np.eye(k) - t[:, :, None] * t[:, None, :]
-    jac = (np.eye(k) - t[:, None, :]) * free[:, :, None] * free[:, None, :]
-    mean_dl = (pi[:, None, :] @ dl)[:, 0]
-    hessian = scale[:, None, None] * (toward[:, :, None] * toward[:, None, :] - spread)
-    bend = (centred[:, None, :] @ bends)[:, 0]
-    hessian += np.einsum("bh,bhm,bhp->bmp", bend, jac, jac)
-    hessian -= (centred * total).sum(axis=1)[:, None, None] * spread
-    hessian += (centred[:, :, None] * dl).transpose(0, 2, 1) @ dl
-    hessian -= mean_dl[:, :, None] * cov[:, None, :] + cov[:, :, None] * mean_dl[:, None, :]
-    return value, gradient, hessian
-
-
-def _newton(evaluate, theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped, saddle-free Newton ascent of each row's signed value from its start.
-
-    A step divides the gradient by |curvature| + damping along each
-    eigenvector of the Hessian and is cut to `_MAX_STEP`; a step that does
-    not raise the value is refused and the damping raised.  A row stops once
-    the gain its step promises to first order, gradient . step, is below
-    1e-15.
-    """
-    value, gradient, hessian = evaluate(theta, rows, True)
-    damping = np.full(len(rows), 1e-3)
-    active = np.arange(len(rows))
-    for _ in range(_NEWTON_STEPS):
-        if not active.size:
-            break
-        curvature, basis = np.linalg.eigh(-hessian[active])
-        along = np.einsum("bij,bi->bj", basis, gradient[active])
-        step = np.einsum("bij,bj->bi", basis, along / (np.abs(curvature) + damping[active, None]))
-        length = np.abs(step).max(axis=1)
-        step *= np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))[:, None]
-        promised = np.einsum("bi,bi->b", gradient[active], step)
-        trial = theta[active] + step
-        trial_value, trial_gradient, trial_hessian = evaluate(trial, rows[active], True)
-        gain = trial_value - value[active]
-        better = gain > 0.0
-        took = active[better]
-        theta[took], value[took] = trial[better], trial_value[better]
-        gradient[took], hessian[took] = trial_gradient[better], trial_hessian[better]
-        damping[took] = np.maximum(damping[took] * 0.1, 1e-30)
-        damping[active[~better]] = np.maximum(damping[active[~better]] * 10.0, 1e-9)
-        active = active[promised >= 1e-15]
-    return theta, value
-
-
-def _search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[int, bool]]):
-    """(value, extremizer) of each (outcome, upper) side over the interior and every stratum.
-
-    Each side screens `_SEEDS` seeded starts on every stratum.  A stratum
-    whose own envelope cannot beat the best screened value of its side is
-    dropped; the `_STARTS` best starts on each other stratum take Newton
-    steps.  Every value is a limit of attained values, so no side can
-    overshoot its true bound.  Among values within 1e-15 of the best, the
-    stratum with the most vanishing coordinates, then the smallest face, is
-    reported.
-    """
-    k = counts.shape[1]
-    n = int(counts[0].sum())
-    strata = _strata(counts)
-    free = np.array([np.isin(np.arange(k), z, invert=True) for z, _, _ in strata])
-    members = np.array([m for _, _, m in strata])
-    side_outcome = np.array([j for j, _ in sides])
-    side_sign = np.array([1.0 if upper else -1.0 for _, upper in sides])
-    # the envelope of every (side, stratum) pair, in the signed value the search raises
-    lift = np.where(free[:, side_outcome].T & (side_sign > 0)[:, None], s, 0.0)
-    fractions = side_sign[:, None] * counts.T[side_outcome]
-    envelope = (np.where(members[None], fractions[:, None, :], -np.inf).max(axis=2) + lift) / (n + s)
-
-    seeds = np.random.default_rng(0).standard_normal((_SEEDS, k))
-    seeds *= np.resize([1.0, 3.0, 9.0], _SEEDS)[:, None]
-    seeds[0] = 0.0
-    tasks = len(sides) * len(strata)
-    side_of = np.repeat(np.arange(len(sides)), len(strata) * _SEEDS)
-    stratum_of = np.tile(np.repeat(np.arange(len(strata)), _SEEDS), len(sides))
-    theta = np.tile(seeds, (tasks, 1))
-
-    def evaluate(points, rows, derivatives):
-        sign = side_sign[side_of[rows]]
-        chunk = max(1, 4 * _CHUNK_CELLS // (len(log_w) * k))
-        parts = []
-        for start in range(0, len(rows), chunk):
-            block = rows[start : start + chunk]
-            stratum = stratum_of[block]
-            outcome = side_outcome[side_of[block]]
-            parts.append(
-                _stratum_predictive(
-                    counts, log_w, s, free[stratum], members[stratum], outcome,
-                    points[start : start + chunk], derivatives,
-                )
-            )
-        if not derivatives:
-            return sign * np.concatenate(parts)
-        value, gradient, hessian = (np.concatenate(p) for p in zip(*parts))
-        return sign * value, sign[:, None] * gradient, sign[:, None, None] * hessian
-
-    signed = evaluate(theta, np.arange(len(theta)), False)
-    screened = signed.reshape(tasks, _SEEDS)
-    best = screened.reshape(len(sides), -1).max(axis=1)
-    kept = np.flatnonzero((envelope > best[:, None]).ravel())
-    starts = np.argsort(-screened[kept], axis=1, kind="stable")[:, :_STARTS]
-    rows = (kept[:, None] * _SEEDS + starts).ravel()
-    if rows.size:
-        theta[rows], signed[rows] = _newton(evaluate, theta[rows], rows)
-
-    # among near-ties, prefer more vanishing coordinates, then a smaller face
-    simpler = np.array([len(z) * (len(counts) + 1) - m.sum() for z, _, m in strata])[stratum_of]
-    found = []
-    for i in range(len(sides)):
-        mine = np.arange(i * len(strata) * _SEEDS, (i + 1) * len(strata) * _SEEDS)
-        ties = mine[signed[mine] >= signed[mine].max() - 1e-15]
-        row = ties[np.argmax(simpler[ties])]
-        vanishing, rates, _ = strata[stratum_of[row]]
-        z = np.where(free[stratum_of[row]], theta[row], -np.inf)
-        t = SimplexPoint(np.exp(z - z.max()) / np.exp(z - z.max()).sum())
-        where = t
-        if vanishing:
-            multipliers = tuple(float(np.exp(theta[row, h]) / s) for h in vanishing)
-            where = BoundaryStratum(vanishing, rates, multipliers, t)
-        found.append((float(side_sign[i] * signed[row]), where))
-    return found
 
 
 def outcome_bounds(
@@ -669,8 +381,8 @@ def outcome_bounds(
 
     A side left open is next checked against its conjugate envelope on the
     exact support (`_envelope_limit`), which needs no weights.  Only the
-    sides that do not attain it are searched (`_search`), all of them from
-    one log-space weight pass.  So when every side is settled no weights
+    sides that do not attain it are searched (`strata.search`), all of them
+    from one log-space weight pass.  So when every side is settled no weights
     are computed, and the n cap applies only to open sides.  Returns one
     entry per listed outcome, in order.
     """
@@ -701,7 +413,9 @@ def outcome_bounds(
     settled = {side: _envelope_limit(support, *side, s) for side in sides}
     searched = [side for side, limit in settled.items() if limit is None]
     if searched:
-        settled.update(zip(searched, _search(*_log_weights(data), s, searched)))
+        from . import strata  # on first use: most scenarios never search
+
+        settled.update(zip(searched, strata.search(*strata.log_weights(data), s, searched)))
     for (j, upper), (value, where) in settled.items():
         if upper:
             found[j] = replace(found[j], upper=value, argmax_t=where)

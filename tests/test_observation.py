@@ -23,7 +23,7 @@ from latentidm import (
     standard_idm_predictive_bounds,
     vacuity_diagnosis,
 )
-from latentidm import manifest, observation
+from latentidm import manifest, observation, strata
 from latentidm.runner import Scenario, run_scenario
 from oracles import (
     brute_frequency_weights,
@@ -347,17 +347,18 @@ class TestPredictiveBounds:
             posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])))
 
 
-def count_calls(monkeypatch, names):
-    """Count the calls of each named `observation` global; returns the live counts."""
-    counts = dict.fromkeys(names, 0)
+def count_calls(monkeypatch, names, module=observation, counts=None):
+    """Count the calls of each named global of `module` into `counts`; returns the live counts."""
+    counts = {} if counts is None else counts
+    counts.update(dict.fromkeys(names, 0))
     for name in names:
-        original = getattr(observation, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(observation, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -366,9 +367,8 @@ class TestSearchSkipping:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        return count_calls(
-            monkeypatch, ["frequency_support", "_log_weights", "_search", "frequency_weights"]
-        )
+        counts = count_calls(monkeypatch, ["frequency_support", "frequency_weights"])
+        return count_calls(monkeypatch, ["log_weights", "search"], strata, counts)
 
     def test_all_positive_dataset_does_no_search(self, calls):
         # n = 30 is past the weight pass's cap, which only open sides reach
@@ -381,31 +381,27 @@ class TestSearchSkipping:
     def test_one_open_side_refines_only_that_side(self, calls, monkeypatch):
         # outcome 0 of a channel with one zero: its upper is open and below its envelope
         searched = []
-        original = observation._search
+        original = strata.search
 
         def recorded(counts, log_w, s, sides):
             searched.append(sides)
             return original(counts, log_w, s, sides)
 
-        monkeypatch.setattr(observation, "_search", recorded)
+        monkeypatch.setattr(strata, "search", recorded)
         emission = EmissionMatrix([[0.0, 0.4], [1.0, 0.6]])
         data = ManifestDataset.from_rows(emission, [0, 1, 1])
         b = predictive_bounds(data, 2.0, 0)
         assert b.argmin_t == BoundaryLimit(0, 0.0) and b.lower == 0.0
         assert 0.0 < b.upper < (2 + 2.0) / (3 + 2.0)
         assert searched == [[(0, True)]]
-        assert calls == {
-            "frequency_support": 1, "_log_weights": 1, "_search": 1, "frequency_weights": 0
-        }
+        assert calls == {"frequency_support": 1, "frequency_weights": 0, "log_weights": 1, "search": 1}
 
     def test_two_open_sides_refine_both(self, calls):
         # an identity channel attains every envelope: exact, with no weights and no search
         data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
         for j, b in enumerate(outcome_bounds(data, 2.0, range(2))):
             assert b == standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), j)
-        assert calls == {
-            "frequency_support": 1, "_log_weights": 0, "_search": 0, "frequency_weights": 0
-        }
+        assert calls == {"frequency_support": 1, "frequency_weights": 0, "log_weights": 0, "search": 0}
 
 
 def structural_zero_dataset(rng, k, n):
@@ -446,10 +442,8 @@ class TestSharedOutcomes:
             assert together == tuple(predictive_bounds(data, 2.0, j) for j in outcomes)
 
     def test_predict_run_computes_each_shared_step_once(self, monkeypatch):
-        counts = count_calls(
-            monkeypatch,
-            ["frequency_weights", "frequency_support", "_log_weights", "vacuity_diagnosis"],
-        )
+        counts = count_calls(monkeypatch, ["frequency_weights", "frequency_support", "vacuity_diagnosis"])
+        count_calls(monkeypatch, ["log_weights"], strata, counts)
         doc = {
             "name": "k4-open",
             "kind": "predict",
@@ -464,7 +458,7 @@ class TestSharedOutcomes:
         # every side attains its envelope: one support and one diagnosis for the
         # bounds, no log-space weights, and one float weight pass for at_t
         assert counts == {
-            "frequency_weights": 1, "frequency_support": 1, "_log_weights": 0, "vacuity_diagnosis": 1
+            "frequency_weights": 1, "frequency_support": 1, "vacuity_diagnosis": 1, "log_weights": 0
         }
 
     def test_scaled_beta_mean_makes_one_weight_pass(self, monkeypatch):

@@ -25,7 +25,7 @@ from latentidm import (
     outcome_bounds,
     standard_idm_predictive_bounds,
 )
-from latentidm import observation
+from latentidm import observation, strata
 from latentidm.idm import BoundaryStratum
 from latentidm.observation import frequency_support
 from oracles import brute_frequency_weights, predictive_at_log_t, predictive_extremes
@@ -78,7 +78,7 @@ class TestFrequencySupport:
         rng = np.random.default_rng(6)
         for trial in range(10):
             data = channel_with_zeros(int(rng.integers(2**31)), 3, int(rng.integers(1, 7)))
-            counts, log_w = observation._log_weights(data)
+            counts, log_w = strata.log_weights(data)
             assert counts.tolist() == frequency_support(data).tolist()
             brute = brute_frequency_weights(data)
             assert np.allclose(log_w, [np.log(brute[tuple(a)]) for a in counts.tolist()], rtol=1e-12)
@@ -106,7 +106,7 @@ class TestFaces:
         cubes = np.array(list(itertools.product([0, 1], repeat=d)), dtype=bool)
         for _ in range(40):
             patterns = cubes[rng.integers(0, len(cubes), size=int(rng.integers(1, 7)))]
-            faces = observation._faces(patterns)
+            faces = strata.faces(patterns)
             found = {frozenset(np.flatnonzero(members).tolist()) for _, members in faces}
             assert found == brute_faces(patterns)
             for rates, members in faces:
@@ -117,8 +117,8 @@ class TestFaces:
 
     def test_infeasible_system_has_no_rates(self):
         # r_0 = r_1 and r_0 > r_1 cannot both hold
-        assert observation._positive_solution([(1, -1)], [(1, -1)], 2) is None
-        assert observation._positive_solution([(1, -1)], [(1, 0)], 2) == (1, 1)
+        assert strata._positive_solution([(1, -1)], [(1, -1)], 2) is None
+        assert strata._positive_solution([(1, -1)], [(1, 0)], 2) == (1, 1)
 
 
 class TestEnvelope:

@@ -205,8 +205,8 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(counts): w for counts, w in states.items()}
 
 
-def frequency_support(data: ManifestDataset) -> np.ndarray:
-    """The frequency vectors a with W(a) > 0, one row each, in sorted order.
+def frequency_support(data: ManifestDataset) -> list[tuple[int, ...]]:
+    """The frequency vectors a with W(a) > 0, in sorted order.
 
     Found by integer reachability over the zero pattern of the observed
     emission entries: a is in the support iff some hidden assignment with
@@ -216,9 +216,9 @@ def frequency_support(data: ManifestDataset) -> np.ndarray:
     _check_size(data)
     states = {(0,) * data.k}
     for emission, row in data.observations:
-        columns = np.flatnonzero(emission.entries[row]).tolist()
+        columns = [j for j, lam in enumerate(emission.entries[row].tolist()) if lam != 0.0]
         states = {c[:j] + (c[j] + 1,) + c[j + 1 :] for c in states for j in columns}
-    return np.array(sorted(states), dtype=np.int64).reshape(-1, data.k)
+    return sorted(states)
 
 
 def _log_support(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +326,7 @@ class SearchSpec:
     refinement_passes: int = 0
 
 
-def _envelope_limit(support: np.ndarray, j: int, upper: bool, s: float):
+def _envelope_limit(support: list[tuple[int, ...]], j: int, upper: bool, s: float):
     """(value, descriptor) of an open side that attains its conjugate envelope, else None.
 
     Every conjugate fraction (a_j + s t_j)/(n + s) lies below (A + s)/(n + s)
@@ -336,30 +336,32 @@ def _envelope_limit(support: np.ndarray, j: int, upper: bool, s: float):
     reaches its envelope iff, for some vanishing set containing j, it holds
     only vectors with a_j = B.  Both are decided on the exact support, with
     equal rates (the straight path to the vertex, or t_j alone vanishing)
-    tried first.
+    tried first.  Plain Python: most runs stop at those first checks.
     """
-    n, k = int(support[0].sum()), support.shape[1]
-    column = support[:, j]
+    n, k = sum(support[0]), len(support[0])
+    column = [a[j] for a in support]
     if upper:
-        target = int(column.max())
+        target = max(column)
         value = (target + s) / (n + s)
         others = tuple(h for h in range(k) if h != j)
-        spread = (support[:, others] > 0).sum(axis=1)
-        if (column[spread == spread.min()] == target).all():
+        spread = [sum(a[h] > 0 for h in others) for a in support]
+        least = min(spread)
+        if all(c == target for c, w in zip(column, spread) if w == least):
             return value, BoundaryLimit(j, 1.0)
         candidates = [others]
     else:
-        target = int(column.min())
+        target = min(column)
         value = target / (n + s)
-        if (column == target).all():
+        if all(c == target for c in column):
             return value, BoundaryLimit(j, 0.0)
         candidates = [z for size in range(2, k) for z in itertools.combinations(range(k), size)]
         candidates = [z for z in candidates if j in z]
     from . import strata  # on first use: the equal-rate checks above settle most sides
 
+    counts = np.array(support)
     for vanishing in candidates:
-        for rates, members in strata.faces(support[:, vanishing] > 0):
-            if (column[members] == target).all():
+        for rates, members in strata.faces(counts[:, vanishing] > 0):
+            if (counts[members, j] == target).all():
                 rest = np.isin(np.arange(k), vanishing, invert=True)
                 limit = SimplexPoint(rest / rest.sum())
                 return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)

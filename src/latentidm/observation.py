@@ -20,8 +20,10 @@ The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
 probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
-W(a), after which no further multiplicity factor is needed.  Brute-force
-enumeration over all k^n assignments is kept as a test oracle, not here.
+W(a), after which no further multiplicity factor is needed.  The library
+runs it once per dataset, in log space (`log_weights`), and the bounds and
+the fixed-prior values all read that one pass.  Brute-force enumeration over
+all k^n assignments is kept as a test oracle, not here.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRatioError, SizeCapError
+from .errors import SizeCapError
 from .idm import BoundaryLimit, BoundaryStratum, FrequencyVector, PredictiveBounds
 from .simplex import DirichletParams, SimplexPoint
 
@@ -46,7 +49,6 @@ DP_MAX_N = 20
 DP_MAX_K = 4
 
 _COLUMN_SUM_TOL = 1e-12
-_CHUNK_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,11 @@ class ManifestDataset:
     @property
     def n(self) -> int:
         return len(self.observations)
+
+    @cached_property
+    def weight_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """`log_weights` of this dataset, computed on first use and shared by every consumer."""
+        return log_weights(self)
 
     @staticmethod
     def from_rows(emission: EmissionMatrix, rows: Sequence[int]) -> "ManifestDataset":
@@ -205,33 +212,32 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(counts): w for counts, w in states.items()}
 
 
-def frequency_support(data: ManifestDataset) -> list[tuple[int, ...]]:
-    """The frequency vectors a with W(a) > 0, in sorted order.
+def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The support of W, in sorted order, and log W(a) of each of its vectors.
 
-    Found by integer reachability over the zero pattern of the observed
-    emission entries: a is in the support iff some hidden assignment with
-    frequencies a meets only nonzero entries.  No floating-point weight is
-    formed, so a vector whose weight underflows is kept.
+    The same forward pass as `frequency_weights`, summed in log space: a
+    vector is kept iff some hidden assignment with its frequencies meets only
+    nonzero emission entries, so no weight underflows however small the
+    entries are.  This is the library's one weight pass; a dataset runs it
+    at most once, through `ManifestDataset.weight_pass`.
     """
     _check_size(data)
-    states = {(0,) * data.k}
+    states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
     for emission, row in data.observations:
-        columns = [j for j, lam in enumerate(emission.entries[row].tolist()) if lam != 0.0]
-        states = {c[:j] + (c[j] + 1,) + c[j + 1 :] for c in states for j in columns}
-    return sorted(states)
-
-
-def _log_support(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency vectors and log W(a) of the support, refusing one that underflowed."""
-    weights = frequency_weights(data)
-    if not weights:
-        raise DegenerateRatioError(
-            "every frequency weight underflowed to zero; the observed emission "
-            "entries are too small for the frequency-weight pass"
-        )
-    counts = np.array([fv.counts for fv in weights], dtype=float)
-    log_w = np.array([math.log(w) for w in weights.values()])
-    return counts, log_w
+        lam = emission.entries[row]
+        logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
+        nxt: dict[tuple[int, ...], float] = {}
+        for counts, log_w in states.items():
+            for j, log_lam in logs:
+                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                term = log_w + log_lam
+                known = nxt.get(key)
+                if known is not None:
+                    term = max(known, term) + math.log1p(math.exp(-abs(known - term)))
+                nxt[key] = term
+        states = nxt
+    keys = sorted(states)
+    return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:
@@ -241,82 +247,26 @@ def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> 
     proportional to W(a) * P(a) and the combined value is the conjugate
     fraction (a_j + s t_j) / (n + s).  W already aggregates ordered
     assignments, so the ordered-dataset marginal P(a) needs no multiplicity
-    factor.  One weight pass serves all k outcomes; this is the search's
-    evaluator at the single point t.
+    factor, and only the ascending-factorial part of log P(a),
+    sum_h log (s t_h)^{(a_h)}, is needed: the rest cancels in the
+    normalised weights.  The log terms are shifted by their maximum before
+    exponentiating, so a value keeps its accuracy when every W(a) is below
+    the smallest float.
     """
     if prior.k != data.k:
         raise ValueError(f"prior has k={prior.k}, dataset has k={data.k}")
-    counts, log_w = _log_support(data)
-    t = prior.t.coords[None, :]
-    return tuple(_predictive_values(counts, log_w, prior.s, data.n, range(data.k), t)[0].tolist())
-
-
-def _predictive_values(
-    counts: np.ndarray,
-    log_w: np.ndarray,
-    s: float,
-    n: int,
-    outcomes: Sequence[int],
-    t_points: np.ndarray,
-) -> np.ndarray:
-    """Posterior predictive of each listed outcome (columns) at every t-point (rows).
-
-    The dataset-marginal term only needs the ascending-factorial part
-    sum_h sum_{l<=a_h} log(s t_h + l - 1); the shared denominator cancels in
-    the convex weights, which every outcome shares.  The points are swept in
-    chunks sized so that no working buffer holds more than `_CHUNK_CELLS`
-    floats.  The buffers are allocated once per call and filled in place,
-    chunk by chunk, so besides the output the working set is
-    O(`_CHUNK_CELLS`) floats (one point's row when |W| is larger) whatever
-    the number of points.  The values are those of the plain elementwise
-    formulas, operation for operation, and every sum runs over one point's
-    row of |W| vectors, so a point's value does not depend on the chunk
-    size, on the other points in the call, or on which other outcomes are
-    listed.
-    """
-    n_points = t_points.shape[0]
-    n_sets, k = counts.shape
-    max_count = int(counts.max(initial=0))
-    out = np.empty((n_points, len(outcomes)))
-    widest = max(n_sets, k * (max_count + 1))  # cells per point of the largest buffer
-    chunk = max(1, min(n_points, _CHUNK_CELLS // widest))
-    icounts = np.ascontiguousarray(counts.T, dtype=np.intp)
-    levels = np.arange(max_count + 1, dtype=float)
-    steps = levels[:-1]
-    # ladder[h, i, c] = log (s t_h)^{(c)} at point i; column 0 stays 0.  Its
-    # terms rungs[h, l, i] = log(s t_h + l) and the fraction table[c, i] are
-    # laid out along the points, so their elementwise passes stay long when
-    # the counts are few.
-    ladder = np.zeros((k, chunk, max_count + 1))
-    rungs = np.empty((k, max_count, chunk))
-    log_p = np.empty((chunk, n_sets))
-    scratch = np.empty((chunk, n_sets))
-    table = np.empty((max_count + 1, chunk))
-    for start in range(0, n_points, chunk):
-        t_block = t_points[start : start + chunk]
-        m = t_block.shape[0]
-        logs = rungs[:, :, :m]
-        np.add((s * t_block.T)[:, None, :], steps[:, None], out=logs)
-        np.log(logs, out=logs)
-        np.cumsum(logs.transpose(0, 2, 1), axis=2, out=ladder[:, :m, 1:])
-        weights, part, fractions = log_p[:m], scratch[:m], table[:, :m]
-        # mode="clip" writes straight into `out` ("raise" would buffer it); counts are in range
-        np.take(ladder[0, :m], icounts[0], axis=1, out=weights, mode="clip")
-        for h in range(1, k):
-            np.take(ladder[h, :m], icounts[h], axis=1, out=part, mode="clip")
-            weights += part
-        weights += log_w
-        weights -= weights.max(axis=1, keepdims=True)
-        np.exp(weights, out=weights)
-        total = weights.sum(axis=1)
-        for column, j in enumerate(outcomes):
-            # (a_j + s t_j) / (n + s) takes one value per count: gather it from a table
-            np.add(levels[:, None], s * t_block[:, j], out=fractions)
-            fractions /= n + s
-            np.take(fractions.T, icounts[j], axis=1, out=part, mode="clip")
-            part *= weights
-            out[start : start + m, column] = part.sum(axis=1) / total
-    return out
+    counts, log_w = data.weight_pass
+    s, t, n = prior.s, prior.t.coords, data.n
+    # ladder[h, c] = log (s t_h)^{(c)}
+    ladder = np.zeros((data.k, n + 1))
+    np.cumsum(np.log(s * t[:, None] + np.arange(n)), axis=1, out=ladder[:, 1:])
+    terms = sum(ladder[h, counts[:, h]] for h in range(data.k)) + log_w
+    weights = np.exp(terms - terms.max())
+    total = weights.sum()
+    return tuple(
+        float((weights * ((counts[:, j] + s * t[j]) / (n + s))).sum() / total)
+        for j in range(data.k)
+    )
 
 
 # Unused here; perfbench/spans.py imports it and reads `refinement_passes` from
@@ -326,7 +276,7 @@ class SearchSpec:
     refinement_passes: int = 0
 
 
-def _envelope_limit(support: list[tuple[int, ...]], j: int, upper: bool, s: float):
+def _envelope_limit(support: Sequence[Sequence[int]], j: int, upper: bool, s: float):
     """(value, descriptor) of an open side that attains its conjugate envelope, else None.
 
     Every conjugate fraction (a_j + s t_j)/(n + s) lies below (A + s)/(n + s)
@@ -382,11 +332,12 @@ def outcome_bounds(
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
     A side left open is next checked against its conjugate envelope on the
-    exact support (`_envelope_limit`), which needs no weights.  Only the
-    sides that do not attain it are searched (`strata.search`), all of them
-    from one log-space weight pass.  So when every side is settled no weights
-    are computed, and the n cap applies only to open sides.  Returns one
-    entry per listed outcome, in order.
+    exact support (`_envelope_limit`), the keys of the dataset's log-space
+    weight pass.  Only the sides that do not attain it are searched
+    (`strata.search`), over the weights of that same pass.  So when the
+    diagnosis settles every side no weights are computed, and the n cap
+    applies only to open sides.  Returns one entry per listed outcome, in
+    order.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -411,13 +362,14 @@ def outcome_bounds(
     if not sides:
         return tuple(found[j] for j in outcomes)
 
-    support = frequency_support(data)
+    counts, log_w = data.weight_pass
+    support = counts.tolist()
     settled = {side: _envelope_limit(support, *side, s) for side in sides}
     searched = [side for side, limit in settled.items() if limit is None]
     if searched:
         from . import strata  # on first use: most scenarios never search
 
-        settled.update(zip(searched, strata.search(*strata.log_weights(data), s, searched)))
+        settled.update(zip(searched, strata.search(counts, log_w, s, searched)))
     for (j, upper), (value, where) in settled.items():
         if upper:
             found[j] = replace(found[j], upper=value, argmax_t=where)

@@ -12,8 +12,9 @@ supremum or infimum over the open simplex is the best value over the
 interior and the strata, and every stratum value is a limit of attained
 values.
 
-`observation` imports this module on first use: most scenarios settle
-every side from the zero pattern and never need it.
+`observation` imports this module on first use, and passes it the support
+and log weights of the dataset's one weight pass: most scenarios settle
+every side from the zero pattern and the envelope, and never need it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import numpy as np
 
 from .idm import BoundaryStratum
-from .observation import ManifestDataset
 from .simplex import SimplexPoint
 
 # Starts screened per side and stratum, how many of the best of them take
@@ -35,29 +35,6 @@ _NEWTON_STEPS = 80
 _MAX_STEP = 4.0
 # Floats per |W|-by-k working array of one batch of starts.
 _CHUNK_CELLS = 65_536
-
-
-def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
-    """`frequency_support` and log W(a) of each vector, summed in log space so none underflows.
-
-    The caps of `frequency_support` are checked by its callers first.
-    """
-    states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
-    for emission, row in data.observations:
-        lam = emission.entries[row]
-        logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, log_w in states.items():
-            for j, log_lam in logs:
-                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                term = log_w + log_lam
-                known = nxt.get(key)
-                if known is not None:
-                    term = max(known, term) + math.log1p(math.exp(-abs(known - term)))
-                nxt[key] = term
-        states = nxt
-    keys = sorted(states)
-    return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
 
 
 def _positive_solution(level: list, above: list, d: int) -> tuple[int, ...] | None:

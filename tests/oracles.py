@@ -4,13 +4,15 @@ Everything here recomputes expected values through a different route than
 the library code under test: a scalar density loop instead of the package's
 matrix evaluation, explicit enumeration instead of the dynamic program, Beta
 moments instead of the frequency-weight pass, a plain-Python sum over the
-enumerated weights instead of the chunked predictive sweep, a multistart
-over softmax prior means instead of the stratum search, and plain 1-D
-midpoint quadrature instead of the simplex grid.
+enumerated weights, or exact rational arithmetic, instead of the log-space
+fixed-prior value, a multistart over softmax prior means instead of the
+stratum search, and plain 1-D midpoint quadrature instead of the simplex
+grid.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,6 +77,28 @@ def predictive_oracle(data: ManifestDataset, s: float, t) -> tuple[float, ...]:
         math.fsum(w * (a[j] + s * t[j]) / (data.n + s) for a, w in weights.items()) / total
         for j in range(data.k)
     )
+
+
+def exact_predictive(data: ManifestDataset, s: float, t) -> tuple[Fraction, ...]:
+    """Posterior predictive of every next hidden outcome at Dirichlet(s, t), as exact rationals.
+
+    Every float input is taken at its exact binary value and every sum over
+    the k^n hidden assignments is exact, so no weight underflows or rounds.
+    """
+    s = Fraction(s)
+    alpha = [s * Fraction(x) for x in t]
+    numerators = [Fraction(0)] * data.k
+    total = Fraction(0)
+    rows = [[Fraction(float(x)) for x in emission.entries[row]] for emission, row in data.observations]
+    for assignment in itertools.product(range(data.k), repeat=data.n):
+        term = math.prod((lam[j] for lam, j in zip(rows, assignment)), start=Fraction(1))
+        counts = [assignment.count(h) for h in range(data.k)]
+        for a_h, alpha_h in zip(counts, alpha):
+            term *= math.prod((alpha_h + step for step in range(a_h)), start=Fraction(1))
+        total += term
+        for j in range(data.k):
+            numerators[j] += term * (counts[j] + alpha[j])
+    return tuple(x / (total * (data.n + s)) for x in numerators)
 
 
 def predictive_at_log_t(counts: np.ndarray, log_w: np.ndarray, s: float, log_t: np.ndarray) -> np.ndarray:

@@ -1,12 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from latentidm import (
     BinaryChannel,
     BoundaryLimit,
-    DegenerateRatioError,
     DirichletParams,
     EmissionMatrix,
     FrequencyVector,
@@ -27,6 +24,7 @@ from latentidm import manifest, observation, strata
 from latentidm.runner import Scenario, run_scenario
 from oracles import (
     brute_frequency_weights,
+    exact_predictive,
     manifest_given_latent,
     predictive_oracle,
     random_interior_params,
@@ -244,6 +242,15 @@ class TestPosteriorPredictiveAtT:
         oracle = float((grid.points[:, 0] * like * dens).sum() / (like * dens).sum())
         assert posterior_predictive_at_t(data, prior)[0] == pytest.approx(oracle, abs=1e-3)
 
+    def test_subnormal_weights_match_exact_value(self):
+        # every product of three entries is below the smallest normal float, so float
+        # weights lose their ratios; the log-space pass keeps them
+        emission = EmissionMatrix([[1e-108, 2e-108], [1 - 1e-108, 1 - 2e-108]])
+        data = ManifestDataset.from_rows(emission, [0, 0, 0])
+        expected = exact_predictive(data, 2.0, (0.5, 0.5))
+        at_t = posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])))
+        assert at_t == pytest.approx([float(x) for x in expected], rel=1e-12, abs=0.0)
+
     def test_coherence_across_outcomes(self):
         rng = np.random.default_rng(31)
         for k in (2, 3):
@@ -336,15 +343,16 @@ class TestPredictiveBounds:
 
     def test_fully_underflowed_weights_are_degenerate(self):
         # row 0 certifies outcome 0, but 1e-200 squared underflows: no float weight is
-        # left, so the fixed-prior value is degenerate; the bounds come from the exact
-        # support {(2, 0)}, where both open sides attain their envelopes
+        # left, yet the log-space pass keeps the support {(2, 0)} and its weight, so
+        # both open sides attain their envelopes and the fixed-prior value is exact
         emission = EmissionMatrix([[1e-200, 0.0], [1.0, 1.0]])
         data = ManifestDataset.from_rows(emission, [0, 0])
+        assert frequency_weights(data) == {}
         assert predictive_bounds(data, 2.0, 0) == standard_idm_predictive_bounds(
             2.0, FrequencyVector((2, 0)), 0
         )
-        with pytest.raises(DegenerateRatioError):
-            posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])))
+        at_t = posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.5, 0.5])))
+        assert at_t == (0.75, 0.25)
 
 
 def count_calls(monkeypatch, names, module=observation, counts=None):
@@ -367,8 +375,8 @@ class TestSearchSkipping:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["frequency_support", "frequency_weights"])
-        return count_calls(monkeypatch, ["log_weights", "search"], strata, counts)
+        counts = count_calls(monkeypatch, ["log_weights", "frequency_weights"])
+        return count_calls(monkeypatch, ["search"], strata, counts)
 
     def test_all_positive_dataset_does_no_search(self, calls):
         # n = 30 is past the weight pass's cap, which only open sides reach
@@ -394,14 +402,14 @@ class TestSearchSkipping:
         assert b.argmin_t == BoundaryLimit(0, 0.0) and b.lower == 0.0
         assert 0.0 < b.upper < (2 + 2.0) / (3 + 2.0)
         assert searched == [[(0, True)]]
-        assert calls == {"frequency_support": 1, "frequency_weights": 0, "log_weights": 1, "search": 1}
+        assert calls == {"log_weights": 1, "frequency_weights": 0, "search": 1}
 
     def test_two_open_sides_refine_both(self, calls):
-        # an identity channel attains every envelope: exact, with no weights and no search
+        # an identity channel attains every envelope: exact, from the support alone
         data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
         for j, b in enumerate(outcome_bounds(data, 2.0, range(2))):
             assert b == standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), j)
-        assert calls == {"frequency_support": 1, "frequency_weights": 0, "log_weights": 0, "search": 0}
+        assert calls == {"log_weights": 1, "frequency_weights": 0, "search": 0}
 
 
 def structural_zero_dataset(rng, k, n):
@@ -413,24 +421,7 @@ def structural_zero_dataset(rng, k, n):
 
 
 class TestSharedOutcomes:
-    """Every outcome of a dataset comes from one diagnosis, weight pass and sweep."""
-
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_each_column_matches_its_single_outcome_run(self, k, monkeypatch):
-        # a small chunk size makes the sweep cross several chunk boundaries
-        monkeypatch.setattr(observation, "_CHUNK_CELLS", 200)
-        data = structural_zero_dataset(np.random.default_rng(k), k, 7)
-        counts, log_w = observation._log_support(data)
-        points = SimplexGrid(k=k, resolution=9).points
-        every = observation._predictive_values(counts, log_w, 2.0, data.n, range(k), points)
-        for j in range(k):
-            one = observation._predictive_values(counts, log_w, 2.0, data.n, [j], points)
-            assert np.array_equal(every[:, j], one[:, 0])
-        # a point's value does not depend on its batch: each row, swept alone as
-        # posterior_predictive_at_t sweeps it, equals its row in the full sweep
-        for t, row in zip(points, every):
-            alone = observation._predictive_values(counts, log_w, 2.0, data.n, range(k), t[None, :])
-            assert np.array_equal(alone[0], row)
+    """Every outcome of a dataset comes from one diagnosis and one weight pass."""
 
     def test_dataset_bounds_equal_single_outcome_bounds(self):
         rng = np.random.default_rng(53)
@@ -442,8 +433,7 @@ class TestSharedOutcomes:
             assert together == tuple(predictive_bounds(data, 2.0, j) for j in outcomes)
 
     def test_predict_run_computes_each_shared_step_once(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["frequency_weights", "frequency_support", "vacuity_diagnosis"])
-        count_calls(monkeypatch, ["log_weights"], strata, counts)
+        counts = count_calls(monkeypatch, ["frequency_weights", "log_weights", "vacuity_diagnosis"])
         doc = {
             "name": "k4-open",
             "kind": "predict",
@@ -455,54 +445,44 @@ class TestSharedOutcomes:
         report = run_scenario(Scenario.from_dict(doc))
         bounds = report["results"]["bounds"]
         assert all(b["argmax_t"] == {"limit": {"coordinate": b["outcome"], "value": 1.0}} for b in bounds)
-        # every side attains its envelope: one support and one diagnosis for the
-        # bounds, no log-space weights, and one float weight pass for at_t
-        assert counts == {
-            "frequency_weights": 1, "frequency_support": 1, "vacuity_diagnosis": 1, "log_weights": 0
+        # every side attains its envelope on the support of the one weight pass,
+        # and at_t reads the weights of that same pass
+        assert counts == {"frequency_weights": 0, "log_weights": 1, "vacuity_diagnosis": 1}
+
+    def test_searched_predict_run_shares_its_weight_pass(self, monkeypatch):
+        # outcome 0's upper misses its envelope, so the search and at_t both need weights
+        counts = count_calls(monkeypatch, ["frequency_weights", "log_weights"])
+        count_calls(monkeypatch, ["search"], strata, counts)
+        doc = {
+            "name": "searched",
+            "kind": "predict",
+            "model": {"emission": [[0.0, 0.4], [1.0, 0.6]]},
+            "observations": [0, 1, 1],
+            "hyper": {"s": 2.0, "t": [0.3, 0.7]},
         }
+        run_scenario(Scenario.from_dict(doc))
+        assert counts == {"frequency_weights": 0, "log_weights": 1, "search": 1}
 
     def test_scaled_beta_mean_makes_one_weight_pass(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["frequency_weights"])
+        counts = count_calls(monkeypatch, ["frequency_weights", "log_weights"])
         manifest.scaled_beta_posterior_mean(CHANNEL, 2, 3, 2.0, 0.3)
-        assert counts == {"frequency_weights": 1}
+        assert counts == {"frequency_weights": 0, "log_weights": 1}
 
 
 class TestPredictiveKernel:
-    """The chunked sweep against an exact oracle, and its bounded working set."""
+    """The fixed-prior value against an exact oracle, up to the clamped boundary."""
 
     @pytest.mark.parametrize("k, resolution", [(2, 12), (3, 6), (4, 4)])
-    def test_matches_exact_oracle(self, k, resolution, monkeypatch):
-        # a small chunk size makes the sweep cross several chunk boundaries
-        monkeypatch.setattr(observation, "_CHUNK_CELLS", 40)
+    def test_matches_exact_oracle(self, k, resolution):
         rng = np.random.default_rng(60 + k)
         # the lattice reaches the 1e-6-clamped boundary of the simplex
         points = SimplexGrid(k=k, resolution=resolution, eps_clamp=1e-6).points
         for _ in range(4):
             data = structural_zero_dataset(rng, k, int(rng.integers(1, 7)))
             s = float(rng.uniform(0.5, 5.0))
-            counts, log_w = observation._log_support(data)
-            swept = observation._predictive_values(counts, log_w, s, data.n, range(k), points)
-            for t, row in zip(points, swept):
-                expected = predictive_oracle(data, s, t)
-                assert row == pytest.approx(expected, rel=1e-12, abs=0.0)
+            for t in points:
                 at_t = posterior_predictive_at_t(data, DirichletParams(s, SimplexPoint(t)))
-                assert at_t == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-    def test_sweep_working_set_is_bounded(self):
-        # k=4, n=20, five observations of each row of a cyclic channel: |W| = 671
-        mask = np.eye(4) + np.roll(np.eye(4), 1, axis=0)
-        raw = np.random.default_rng(6).uniform(0.05, 1.0, size=(4, 4)) * mask
-        data = ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), [0, 1, 2, 3] * 5)
-        counts, log_w = observation._log_support(data)
-        assert len(log_w) == 671
-        points = SimplexGrid(k=4, resolution=30).points
-        tracemalloc.start()
-        try:
-            out = observation._predictive_values(counts, log_w, 2.0, data.n, range(4), points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - out.nbytes < 2 * 2**20
+                assert at_t == pytest.approx(predictive_oracle(data, s, t), rel=1e-12, abs=0.0)
 
 
 class TestVacuityDiagnosis:

@@ -59,3 +59,14 @@ def test_latent_zeros_uppers_attain_their_envelope(seed):
         assert abs(entry["upper"] - 12 / 22) <= 1e-12
         assert entry["lower"] == 0.0
         assert entry["argmax_t"] == {"limit": {"coordinate": entry["outcome"], "value": 1.0}}
+
+
+@pytest.mark.parametrize("name", ["latent-vacuous", "latent-zeros"])
+@pytest.mark.parametrize("seed", [4, 11, 31])
+def test_latent_reports_pass_the_benchmark_checks(name, seed):
+    # the checks the benchmark applies to every report: lower <= at_t <= upper for
+    # each outcome, and each 0/1 bound agreeing with the learnability witnesses
+    workload = workloads.build(name, seed)
+    (op,) = workload.ops
+    report = run_scenario(Scenario.from_dict(json.loads(op.text)))
+    assert workloads.problems(workload, op, report) == []

@@ -373,10 +373,9 @@ def _parse_trend(doc: dict):
     if k > GRID_MAX_K:
         raise ScenarioError(f"field 'target': grids hold k <= {GRID_MAX_K} coordinates, got {k}")
     f = _function(_object(_require(doc, "function"), "function"), k)
-    likelihood = _likelihood(_require(doc, "likelihood"), k, "likelihood")
-    contrast = None
+    likelihoods = [_likelihood(_require(doc, "likelihood"), k, "likelihood")]
     if "contrast_likelihood" in doc:
-        contrast = _likelihood(doc["contrast_likelihood"], k, "contrast_likelihood")
+        likelihoods.append(_likelihood(doc["contrast_likelihood"], k, "contrast_likelihood"))
     sequence = _sequence(_object(doc.get("sequence", {}), "sequence"), target)
     # The concentrating path t(n) stays on the simplex only for n >= k - 1.
     schedule = _integers(doc.get("schedule", list(_DEFAULT_SCHEDULE)), "schedule", max(2, k - 1))
@@ -390,12 +389,11 @@ def _parse_trend(doc: dict):
         grid = SimplexGrid(k=k, resolution=resolution, boundary_policy=CLAMP_TO_EPSILON)
 
     def run() -> dict:
-        main = verify_theorem1(f, likelihood, sequence, schedule, grid, deltas=deltas)
-        payload = {"main": _trend_payload(main), "contrast": None}
-        if contrast is not None:
-            report = verify_theorem1(f, contrast, sequence, schedule, grid, deltas=deltas)
-            payload["contrast"] = _trend_payload(report)
-        return payload
+        main, *contrast = verify_theorem1(f, likelihoods, sequence, schedule, grid, deltas=deltas)
+        return {
+            "main": _trend_payload(main),
+            "contrast": _trend_payload(contrast[0]) if contrast else None,
+        }
 
     provenance = {
         "grid": {

@@ -12,6 +12,8 @@ replaced by trend checks over a fixed index schedule, with grid integrals as
 the measurement device.  Expectations, set masses, and posterior ratios are
 all computed as ratios of grid sums over the same grid, so the simplex
 measure constant cancels and the dominant discretization bias cancels with
+it.  A trend check evaluates one prior density per schedule index and reads
+every slab mass, the expectation and each likelihood's posterior ratio from
 it.
 """
 
@@ -109,11 +111,11 @@ class DeltaSet:
         if self.mode not in (MAX_SIDE, MIN_SIDE):
             raise ValueError(f"mode must be {MAX_SIDE!r} or {MIN_SIDE!r}")
 
-    def contains_mask(self, points: np.ndarray) -> np.ndarray:
-        values = self.f.values(points)
+    def mask(self, f_values: np.ndarray) -> np.ndarray:
+        """Members of the slab among points with the given values of f."""
         if self.mode == MAX_SIDE:
-            return values >= self.f.declared_max - self.delta
-        return values <= self.f.declared_min + self.delta
+            return f_values >= self.f.declared_max - self.delta
+        return f_values <= self.f.declared_min + self.delta
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,22 @@ def _density(params: DirichletParams, grid: SimplexGrid) -> np.ndarray:
     return np.exp(_dirichlet_log_density_matrix(params, grid.points))
 
 
+def _slab_mass(density: np.ndarray, member: np.ndarray, total: float) -> float:
+    if total <= 0.0:
+        raise DegenerateRatioError("density mass underflowed on the whole grid")
+    return float(density[member].sum() / total)
+
+
+def _ratio(density: np.ndarray, f_values: np.ndarray, l_values: np.ndarray) -> float:
+    denominator = float((l_values * density).sum())
+    if not np.isfinite(denominator) or denominator < _UNDERFLOW_FLOOR:
+        raise DegenerateRatioError(
+            f"posterior normalizer underflowed (sum {denominator!r}); "
+            "the likelihood is numerically zero where the prior has mass"
+        )
+    return float((f_values * l_values * density).sum() / denominator)
+
+
 def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -> float:
     """Prior probability mass of the near-extremal slab, by filtered grid sums.
 
@@ -166,11 +184,8 @@ def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -
     lies in [0, 1].
     """
     density = _density(params, grid)
-    member = dset.contains_mask(grid.points)
-    total = float(density.sum())
-    if total <= 0.0:
-        raise DegenerateRatioError("density mass underflowed on the whole grid")
-    return float(density[member].sum() / total)
+    member = dset.mask(dset.f.values(grid.points))
+    return _slab_mass(density, member, float(density.sum()))
 
 
 def posterior_ratio(
@@ -186,19 +201,7 @@ def posterior_ratio(
     """
     density = _density(params, grid)
     l_values = likelihood.values(grid.points)
-    f_values = f.values(grid.points)
-    denominator = float((l_values * density).sum())
-    if not np.isfinite(denominator) or denominator < _UNDERFLOW_FLOOR:
-        raise DegenerateRatioError(
-            f"posterior normalizer underflowed (sum {denominator!r}); "
-            "the likelihood is numerically zero where the prior has mass"
-        )
-    return float((f_values * l_values * density).sum() / denominator)
-
-
-def _expectation(params: DirichletParams, f: BoundedFunction, grid: SimplexGrid) -> float:
-    density = _density(params, grid)
-    return float((f.values(grid.points) * density).sum() / density.sum())
+    return _ratio(density, f.values(grid.points), l_values)
 
 
 def _trend_grid(base: SimplexGrid, n: int) -> SimplexGrid:
@@ -231,52 +234,50 @@ def _infer_side(f: BoundedFunction, target: SimplexPoint) -> str:
 
 def verify_theorem1(
     f: BoundedFunction,
-    likelihood: LikelihoodFunction,
+    likelihoods: Sequence[LikelihoodFunction],
     sequence: ConcentratingSequence,
     schedule: Sequence[int],
     grid: SimplexGrid,
     deltas: Sequence[float] = (0.1, 0.01),
     side: str | None = None,
     tolerance: float = 0.01,
-) -> TrendReport:
+) -> tuple[TrendReport, ...]:
     """Trend check that posterior expectations are dragged to f's extremum.
 
     For each index n in the schedule, reports E_n(f), the mass of the
     near-extremal slabs at the given deltas, and the posterior ratio under
-    the supplied likelihood.  The verdict flag records whether the final
-    ratio lands within `tolerance` of the declared extremum.  The sequence's
-    target must be an extremizer of f; the side is inferred from the hints
-    unless given explicitly.
+    each supplied likelihood; returns one report per likelihood, in order.
+    Each index evaluates its prior density and f once on its grid, and every
+    report reads its masses, expectation and ratio from those arrays.  The
+    verdict flag records whether the final ratio lands within `tolerance`
+    of the declared extremum.  The sequence's target must be an extremizer
+    of f; the side is inferred from the hints unless given explicitly.
     """
     side = side or _infer_side(f, sequence.target)
     if side not in (MAX_SIDE, MIN_SIDE):
         raise ValueError(f"side must be {MAX_SIDE!r} or {MIN_SIDE!r}")
     extremum = f.declared_max if side == MAX_SIDE else f.declared_min
-    rows = []
-    for n in schedule:
-        params = sequence.generator(int(n))
-        grid_n = _trend_grid(grid, int(n))
-        masses = tuple(
-            delta_set_mass(params, DeltaSet(f, float(d), mode=side), grid_n) for d in deltas
+    slabs = [DeltaSet(f, float(d), mode=side) for d in deltas]
+    rows = [[] for _ in likelihoods]
+    for n in map(int, schedule):
+        params = sequence.generator(n)
+        grid_n = _trend_grid(grid, n)
+        density = _density(params, grid_n)
+        f_values = f.values(grid_n.points)
+        total = float(density.sum())
+        masses = tuple(_slab_mass(density, slab.mask(f_values), total) for slab in slabs)
+        expectation = float((f_values * density).sum() / total)
+        for likelihood, out in zip(likelihoods, rows):
+            ratio = _ratio(density, f_values, likelihood.values(grid_n.points))
+            out.append(TrendRow(n, expectation, masses, ratio))
+    deltas = tuple(slab.delta for slab in slabs)
+    reports = []
+    for out in rows:
+        gap = abs(out[-1].posterior_ratio - extremum)
+        reports.append(
+            TrendReport(side, extremum, deltas, tuple(out), tolerance, gap, gap <= tolerance)
         )
-        rows.append(
-            TrendRow(
-                n=int(n),
-                expectation=_expectation(params, f, grid_n),
-                delta_masses=masses,
-                posterior_ratio=posterior_ratio(params, likelihood, f, grid_n),
-            )
-        )
-    final_gap = abs(rows[-1].posterior_ratio - extremum)
-    return TrendReport(
-        side=side,
-        extremum=extremum,
-        deltas=tuple(float(d) for d in deltas),
-        rows=tuple(rows),
-        tolerance=tolerance,
-        final_gap=final_gap,
-        extremum_reached=final_gap <= tolerance,
-    )
+    return tuple(reports)
 
 
 def liminf_positivity_check(

@@ -206,9 +206,9 @@ def test_criterion_6_vacuous_predictive_values():
     assert vacuous_prior_upper_predictive(FrequencyVector((1, 1))) == 0.25
     f = monomial_function([1, 1])
     channel_data = ManifestDataset.from_rows(BinaryChannel(0.1, 0.1).emission(), [0, 0])
-    report = verify_theorem1(
+    (report,) = verify_theorem1(
         f,
-        dataset_likelihood(channel_data),
+        [dataset_likelihood(channel_data)],
         canonical_concentrating_sequence(SimplexPoint([0.5, 0.5])),
         [10, 100, 1000],
         GRID_2000,
@@ -226,7 +226,9 @@ def test_criterion_7_concentration_trends():
     positive_like = dataset_likelihood(
         ManifestDataset.from_rows(BinaryChannel(0.1, 0.1).emission(), [0, 0])
     )
-    report = verify_theorem1(f, positive_like, seq, [10, 100, 1000], GRID_2000)
+    report, contrast = verify_theorem1(
+        f, [positive_like, monomial_likelihood([1, 60])], seq, [10, 100, 1000], GRID_2000
+    )
     masses = [row.delta_masses[0] for row in report.rows]  # delta = 0.1
     assert masses[0] <= masses[1] <= masses[2]
     assert masses[2] >= 0.99
@@ -234,15 +236,14 @@ def test_criterion_7_concentration_trends():
 
     # contrast: a mixed fully-observed dataset's likelihood vanishes at the
     # argmax and the final ratio stays at least 0.05 away from it
-    contrast = verify_theorem1(f, monomial_likelihood([1, 60]), seq, [10, 100, 1000], GRID_2000)
     assert all(abs(row.posterior_ratio - 1.0) >= 0.05 for row in contrast.rows)
     assert contrast.final_gap >= 0.05
 
     # same escape along a family inside the fixed-strength prior set,
     # where the margin is wide
-    fixed = verify_theorem1(
+    (fixed,) = verify_theorem1(
         f,
-        monomial_likelihood([1, 1]),
+        [monomial_likelihood([1, 1])],
         fixed_strength_concentrating_sequence(target, 2.0),
         [10, 100, 1000],
         GRID_2000,

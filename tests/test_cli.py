@@ -361,6 +361,16 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_DEGENERATE
 
+    def test_degenerate_contrast_ratio_is_exit_3(self, tmp_path, capsys):
+        # the main likelihood is fine; the contrast's ratio underflows
+        doc = dict(
+            bundled_scenarios()["theorem-a1-concentration"],
+            contrast_likelihood={"kind": "monomial", "exponents": [0, 5000]},
+        )
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path)]) == EXIT_DEGENERATE
+        assert "posterior normalizer underflowed (sum 0.0); " in capsys.readouterr().err
+
     def test_list_contains_bundled_names(self, capsys):
         assert main(["list"]) == EXIT_OK
         out = capsys.readouterr().out

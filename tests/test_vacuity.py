@@ -24,7 +24,10 @@ from latentidm import (
     posterior_ratio,
     verify_theorem1,
 )
-from latentidm.vacuity import MAX_SIDE, MIN_SIDE
+from latentidm import CLAMP_TO_EPSILON, vacuity
+from latentidm.runner import Scenario, bundled_scenarios, run_scenario
+from latentidm.simplex import _dirichlet_log_density_matrix
+from latentidm.vacuity import MAX_SIDE, MIN_SIDE, _trend_grid
 from oracles import polynomial_posterior_ratio
 
 GRID = SimplexGrid(k=2, resolution=2000)
@@ -217,7 +220,7 @@ class TestPosteriorRatio:
 class TestVerifyTheorem1:
     def test_max_side_with_positive_likelihood(self):
         seq = canonical_concentrating_sequence(VERTEX_10)
-        report = verify_theorem1(F_COORD, CHANNEL_LIKELIHOOD, seq, [10, 100, 1000], GRID)
+        (report,) = verify_theorem1(F_COORD, [CHANNEL_LIKELIHOOD], seq, [10, 100, 1000], GRID)
         assert report.side == MAX_SIDE
         assert report.rows[-1].posterior_ratio >= 0.99
         assert report.extremum_reached
@@ -226,7 +229,7 @@ class TestVerifyTheorem1:
 
     def test_min_side_inferred_from_hint(self):
         seq = canonical_concentrating_sequence(SimplexPoint([0.0, 1.0]))
-        report = verify_theorem1(F_COORD, CHANNEL_LIKELIHOOD, seq, [10, 100, 1000], GRID)
+        (report,) = verify_theorem1(F_COORD, [CHANNEL_LIKELIHOOD], seq, [10, 100, 1000], GRID)
         assert report.side == MIN_SIDE
         assert report.rows[-1].posterior_ratio <= 0.01
         assert report.extremum_reached
@@ -234,24 +237,104 @@ class TestVerifyTheorem1:
     def test_monomial_reaches_vacuous_upper_value(self):
         f = monomial_function([1, 1])
         seq = canonical_concentrating_sequence(SimplexPoint([0.5, 0.5]))
-        report = verify_theorem1(f, CHANNEL_LIKELIHOOD, seq, [10, 100, 1000], GRID)
+        (report,) = verify_theorem1(f, [CHANNEL_LIKELIHOOD], seq, [10, 100, 1000], GRID)
         assert report.extremum == 0.25
         assert report.rows[-1].posterior_ratio >= 0.25 - 0.01
         assert report.extremum_reached
 
     def test_expectation_column_tracks_mean(self):
         seq = canonical_concentrating_sequence(VERTEX_10)
-        report = verify_theorem1(F_COORD, constant_likelihood(), seq, [10, 100], GRID)
+        (report,) = verify_theorem1(F_COORD, [constant_likelihood()], seq, [10, 100], GRID)
         for row, n in zip(report.rows, (10, 100)):
             assert row.expectation == pytest.approx(1.0 - 1.0 / n, abs=1e-3)
 
     def test_contrast_reports_failure(self):
         seq = fixed_strength_concentrating_sequence(VERTEX_10, 2.0)
-        report = verify_theorem1(
-            F_COORD, monomial_likelihood([1, 1]), seq, [10, 100, 1000], GRID
+        (report,) = verify_theorem1(
+            F_COORD, [monomial_likelihood([1, 1])], seq, [10, 100, 1000], GRID
         )
         assert not report.extremum_reached
         assert report.final_gap > 0.05
+
+
+def _trend_configurations():
+    """(f, likelihoods, sequence, schedule, grid, deltas): the three bundled
+    trend scenarios, then a k=3 monomial case with a contrast."""
+    grid = SimplexGrid(k=2, resolution=2000, boundary_policy=CLAMP_TO_EPSILON)
+    grid_k3 = SimplexGrid(k=3, resolution=60, boundary_policy=CLAMP_TO_EPSILON)
+    target_k3 = SimplexPoint([1.0, 0.0, 0.0])
+    schedule = [10, 100, 1000]
+    return [
+        (  # theorem-a1-concentration
+            F_COORD,
+            [CHANNEL_LIKELIHOOD, monomial_likelihood([1, 60])],
+            canonical_concentrating_sequence(VERTEX_10),
+            schedule,
+            grid,
+            [0.2, 0.1, 0.05],
+        ),
+        (  # theorem1-escape-contrast
+            F_COORD,
+            [monomial_likelihood([1, 1])],
+            fixed_strength_concentrating_sequence(VERTEX_10, 2.0),
+            schedule,
+            grid,
+            [0.1, 0.01],
+        ),
+        (  # theorem1-monomial-vacuity
+            monomial_function([1, 1]),
+            [CHANNEL_LIKELIHOOD],
+            canonical_concentrating_sequence(SimplexPoint([0.5, 0.5])),
+            schedule,
+            grid,
+            [0.1, 0.01],
+        ),
+        (
+            coordinate_function(0, 3),
+            [monomial_likelihood([2, 1, 1]), monomial_likelihood([0, 2, 1])],
+            canonical_concentrating_sequence(target_k3),
+            [10, 40],
+            grid_k3,
+            [0.2, 0.05],
+        ),
+    ]
+
+
+class TestSharedDensity:
+    @pytest.mark.parametrize("config", _trend_configurations())
+    def test_rows_equal_standalone_integrals(self, config):
+        f, likelihoods, seq, schedule, grid, deltas = config
+        reports = verify_theorem1(f, likelihoods, seq, schedule, grid, deltas=deltas)
+        assert len(reports) == len(likelihoods)
+        for report, likelihood in zip(reports, likelihoods):
+            assert [row.n for row in report.rows] == schedule
+            for row in report.rows:
+                params = seq.generator(row.n)
+                grid_n = _trend_grid(grid, row.n)
+                density = np.exp(_dirichlet_log_density_matrix(params, grid_n.points))
+                expectation = float((f.values(grid_n.points) * density).sum() / density.sum())
+                masses = tuple(
+                    delta_set_mass(params, DeltaSet(f, d, mode=report.side), grid_n)
+                    for d in deltas
+                )
+                assert row.expectation == expectation
+                assert row.delta_masses == masses
+                assert row.posterior_ratio == posterior_ratio(params, likelihood, f, grid_n)
+
+    def test_one_density_per_index_with_a_contrast(self, monkeypatch):
+        doc = bundled_scenarios()["theorem-a1-concentration"]
+        assert doc["kind"] == "theorem-a1a2" and "contrast_likelihood" in doc
+        calls = []
+        density = vacuity._density
+
+        def counted(params, grid):
+            calls.append(params)
+            return density(params, grid)
+
+        monkeypatch.setattr(vacuity, "_density", counted)
+        report = run_scenario(Scenario.from_dict(doc))
+        assert report["results"]["contrast"] is not None
+        assert len(calls) == len(doc["schedule"])
 
 
 class TestLiminfPositivity:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentidm import (
+    CLAMP_TO_EPSILON,
     BinaryChannel,
     BoundedFunction,
     DegenerateRatioError,
@@ -24,7 +25,7 @@ from latentidm import (
     posterior_ratio,
     verify_theorem1,
 )
-from latentidm import CLAMP_TO_EPSILON, vacuity
+from latentidm import vacuity
 from latentidm.runner import Scenario, bundled_scenarios, run_scenario
 from latentidm.simplex import _dirichlet_log_density_matrix
 from latentidm.vacuity import MAX_SIDE, MIN_SIDE, _trend_grid

@@ -21,9 +21,9 @@ hidden assignment depends on the full ordered assignment, while the prior
 probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
 W(a), after which no further multiplicity factor is needed.  The library
-runs it once per dataset, in log space (`log_weights`), and the bounds and
-the fixed-prior values all read that one pass.  Brute-force enumeration over
-all k^n assignments is kept as a test oracle, not here.
+runs it once per dataset, vectorised in log space (`log_weights`), and the
+bounds, the fixed-prior values and `frequency_weights` all read that one
+pass.  Brute-force enumeration and a dict pass are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -190,54 +190,67 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     """Total observation probability per hidden frequency vector.
 
     W(a) = sum over ordered hidden assignments with frequencies a of
-    P(observations | assignment).  Computed by a forward pass over the
-    observations whose state is the running count vector, costing
-    O(n * binomial(n+k-1, k-1) * k) instead of the k^n enumeration.
-    Frequency vectors whose weight is exactly zero are omitted.
+    P(observations | assignment): the exponentials of `log_weights`, whose
+    forward pass costs O(n * binomial(n+k-1, k-1) * k) instead of the k^n
+    enumeration.  Frequency vectors whose weight rounds to 0.0 are omitted.
     """
-    _check_size(data)
-    k = data.k
-    states: dict[tuple[int, ...], float] = {(0,) * k: 1.0}
-    for emission, row in data.observations:
-        lam = emission.entries[row, :]
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, w in states.items():
-            for j in range(k):
-                contribution = w * lam[j]
-                if contribution == 0.0:
-                    continue
-                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                nxt[key] = nxt.get(key, 0.0) + contribution
-        states = nxt
-    return {FrequencyVector(counts): w for counts, w in states.items()}
+    counts, log_w = log_weights(data)
+    weights = zip(counts.tolist(), map(math.exp, log_w.tolist()))
+    return {FrequencyVector(tuple(a)): w for a, w in weights if w != 0.0}
 
 
 def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     """The support of W, in sorted order, and log W(a) of each of its vectors.
 
-    The same forward pass as `frequency_weights`, summed in log space: a
-    vector is kept iff some hidden assignment with its frequencies meets only
-    nonzero emission entries, so no weight underflows however small the
-    entries are.  This is the library's one weight pass; a dataset runs it
-    at most once, through `ManifestDataset.weight_pass`.
+    A forward pass in log space, so no weight underflows however small the
+    entries are: a vector is kept iff some hidden assignment with its
+    frequencies meets only nonzero emission entries.  A state is a vector of
+    the first k - 1 counts (the k-th is the step minus their sum); those
+    with sum <= n are indexed once, in lexicographic order.  Each
+    observation gathers log W at the predecessors under every outcome its
+    row allows, adds their log emission entries and combines the rows by a
+    max-shifted log-sum-exp.  Unreached states stay -inf; the finite ones
+    after the last step are the support, already sorted.  This is the
+    library's one weight pass; a dataset runs it at most once, through
+    `ManifestDataset.weight_pass`.
     """
     _check_size(data)
-    states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
-    for emission, row in data.observations:
-        lam = emission.entries[row]
-        logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, log_w in states.items():
-            for j, log_lam in logs:
-                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                term = log_w + log_lam
-                known = nxt.get(key)
-                if known is not None:
-                    term = max(known, term) + math.log1p(math.exp(-abs(known - term)))
-                nxt[key] = term
-        states = nxt
-    keys = sorted(states)
-    return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
+    k, n = data.k, data.n
+    # every state, in lexicographic order: each prefix extends by each count that keeps sum <= n
+    heads = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k - 1):
+        room = n + 1 - heads.sum(axis=1)
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        heads = np.column_stack((np.repeat(heads, room, axis=0), last))
+    size = len(heads)
+    strides = (n + 1) ** np.arange(k - 2, -1, -1)
+    codes = heads @ strides
+    # the state one x_j earlier, or the extra slot `size`, which holds -inf; x_k leaves the
+    # state as is, and a state whose sum exceeds the step is unreached, so it reads -inf too
+    predecessors = [
+        np.where(heads[:, j] > 0, np.searchsorted(codes, codes - strides[j]), size)
+        for j in range(k - 1)
+    ] + [np.arange(size)]
+    log_w = np.full(size + 1, -np.inf)
+    log_w[0] = 0.0  # the zero vector
+    terms = np.empty((k, size))
+    with np.errstate(divide="ignore"):
+        for emission, row in data.observations:
+            lam = emission.entries[row]
+            allowed = np.flatnonzero(lam)
+            rows = terms[: len(allowed)]
+            for r, j in enumerate(allowed):
+                np.take(log_w, predecessors[j], out=rows[r])
+            rows += np.log(lam[allowed])[:, None]
+            top = rows.max(axis=0)
+            shift = np.where(top == -np.inf, 0.0, top)
+            rows -= shift
+            np.exp(rows, out=rows)
+            np.log(rows.sum(axis=0), out=log_w[:size])
+            log_w[:size] += shift
+    reached = np.flatnonzero(log_w[:size] > -np.inf)
+    heads = heads[reached]
+    return np.column_stack((heads, n - heads.sum(axis=1))), log_w[reached]
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:

@@ -2,12 +2,12 @@
 
 Everything here recomputes expected values through a different route than
 the library code under test: a scalar density loop instead of the package's
-matrix evaluation, explicit enumeration instead of the dynamic program, Beta
-moments instead of the frequency-weight pass, a plain-Python sum over the
-enumerated weights, or exact rational arithmetic, instead of the log-space
-fixed-prior value, a multistart over softmax prior means instead of the
-stratum search, and plain 1-D midpoint quadrature instead of the simplex
-grid.
+matrix evaluation, explicit enumeration or a plain-Python dict pass instead
+of the vectorised weight pass, Beta moments instead of the frequency-weight
+pass, a plain-Python sum over the enumerated weights, or exact rational
+arithmetic, instead of the log-space fixed-prior value, a multistart over
+softmax prior means instead of the stratum search, and plain 1-D midpoint
+quadrature instead of the simplex grid.
 """
 
 import itertools
@@ -50,6 +50,31 @@ def brute_frequency_weights(data: ManifestDataset) -> dict:
         key = tuple(counts)
         weights[key] = weights.get(key, 0.0) + prob
     return {key: w for key, w in weights.items() if w != 0.0}
+
+
+def dict_log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted support of W and log W(a), by a plain-Python forward pass over a dict.
+
+    The state is the running count vector; each step adds every allowed
+    hidden outcome's log emission entry and merges equal keys pairwise with
+    log1p(exp(-|d|)), so no weight underflows however small the entries are.
+    """
+    states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
+    for emission, row in data.observations:
+        lam = emission.entries[row]
+        logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
+        nxt: dict[tuple[int, ...], float] = {}
+        for counts, log_w in states.items():
+            for j, log_lam in logs:
+                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                term = log_w + log_lam
+                known = nxt.get(key)
+                if known is not None:
+                    term = max(known, term) + math.log1p(math.exp(-abs(known - term)))
+                nxt[key] = term
+        states = nxt
+    keys = sorted(states)
+    return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
 
 
 def log_ascending_factorial(x: float, a: int) -> float:

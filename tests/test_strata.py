@@ -7,6 +7,7 @@ cannot overshoot).
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from latentidm import (
 from latentidm import observation, strata
 from latentidm.idm import BoundaryStratum
 from latentidm.observation import log_weights
-from oracles import brute_frequency_weights, predictive_at_log_t, predictive_extremes
+from oracles import (
+    brute_frequency_weights,
+    dict_log_weights,
+    predictive_at_log_t,
+    predictive_extremes,
+)
 
 
 def channel_with_zeros(seed: int, k: int, n: int) -> ManifestDataset:
@@ -94,6 +100,70 @@ class TestFrequencySupport:
             log_weights(ManifestDataset.from_rows(EmissionMatrix.identity(2), [0] * 21))
         with pytest.raises(SizeCapError, match="k <= 4"):
             log_weights(ManifestDataset.from_rows(EmissionMatrix.identity(5), [0]))
+
+
+# zeros, entries at or below 1e-150 whose products underflow, and moderate entries
+ENTRIES = st.sampled_from([0.0, 0.0, 1e-300, 1e-200, 1e-150, 0.05, 0.3, 1.0])
+
+
+@st.composite
+def tiny_channels(draw) -> ManifestDataset:
+    """k in {2, 3, 4}, n <= 8, 2-4 manifest rows of structural zeros and tiny entries."""
+    k = draw(st.integers(2, 4))
+    rows = draw(st.integers(2, 4))
+    raw = np.array(draw(st.lists(ENTRIES, min_size=rows * k, max_size=rows * k))).reshape(rows, k)
+    raw[0, raw.sum(axis=0) == 0.0] = 1.0
+    observable = np.flatnonzero(raw.sum(axis=1) > 0.0).tolist()
+    observed = draw(st.lists(st.sampled_from(observable), max_size=8))
+    return ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), observed)
+
+
+def workload_shaped(zeros: bool, seed: int = 0) -> ManifestDataset:
+    """k=4, n=20, each row observed 5 times: all-positive, or two cyclic nonzeros per column."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, size=(4, 4))
+    if zeros:
+        raw *= np.eye(4) + np.roll(np.eye(4), 1, axis=0)
+    emission = EmissionMatrix(raw / raw.sum(axis=0))
+    return ManifestDataset.from_rows(emission, rng.permutation(np.repeat(np.arange(4), 5)).tolist())
+
+
+class TestVectorisedWeightPass:
+    """The vectorised pass against the plain-Python dict pass it replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=tiny_channels())
+    def test_matches_the_dict_pass(self, data):
+        counts, log_w = log_weights(data)
+        oracle_counts, oracle_log_w = dict_log_weights(data)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, oracle_counts)
+        np.testing.assert_allclose(log_w, oracle_log_w, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("zeros, support", [(False, 1771), (True, 671)])
+    def test_workload_shaped_supports(self, zeros, support):
+        data = workload_shaped(zeros)
+        counts, log_w = log_weights(data)
+        oracle_counts, oracle_log_w = dict_log_weights(data)
+        assert len(counts) == support
+        assert np.array_equal(counts, oracle_counts)
+        np.testing.assert_allclose(log_w, oracle_log_w, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_empty_dataset(self, k):
+        counts, log_w = log_weights(ManifestDataset((), k=k))
+        assert counts.tolist() == [[0] * k]
+        assert log_w.tolist() == [0.0]
+
+    def test_peak_memory(self):
+        data = workload_shaped(zeros=False)
+        tracemalloc.start()
+        try:
+            log_weights(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 2**20
 
 
 def brute_faces(patterns: np.ndarray) -> set[frozenset]:

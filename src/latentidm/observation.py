@@ -199,6 +199,31 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(tuple(a)): w for a, w in weights if w != 0.0}
 
 
+def _state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The states of `log_weights` and, per hidden outcome, each state's predecessor.
+
+    A state is a vector of the first k - 1 counts with sum <= n; they come in
+    lexicographic order.  predecessors[j][i] is the state one x_j before
+    state i, or len(states), the index of an extra -inf slot, when count j
+    is 0.  x_k leaves the first k - 1 counts as they are: a state whose sum
+    exceeds the step is unreached, so reading it gives -inf as well.
+    """
+    # each prefix extends by each count that keeps the sum <= n
+    heads = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k - 1):
+        room = n + 1 - heads.sum(axis=1)
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        heads = np.column_stack((np.repeat(heads, room, axis=0), last))
+    size = len(heads)
+    # a position table over the counts plus one, in base n + 2: a count of -1 lands on a
+    # slot that is no state, and every such slot holds `size`
+    strides = np.array([(n + 2) ** (k - 2 - j) for j in range(k - 1)], dtype=np.int64)
+    codes = (heads + 1) @ strides
+    position = np.full((n + 2) ** (k - 1), size, dtype=np.int64)
+    position[codes] = np.arange(size)
+    return heads, [position[codes - stride] for stride in strides] + [np.arange(size)]
+
+
 def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     """The support of W, in sorted order, and log W(a) of each of its vectors.
 
@@ -206,48 +231,28 @@ def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     entries are: a vector is kept iff some hidden assignment with its
     frequencies meets only nonzero emission entries.  A state is a vector of
     the first k - 1 counts (the k-th is the step minus their sum); those
-    with sum <= n are indexed once, in lexicographic order.  Each
-    observation gathers log W at the predecessors under every outcome its
-    row allows, adds their log emission entries and combines the rows by a
-    max-shifted log-sum-exp.  Unreached states stay -inf; the finite ones
-    after the last step are the support, already sorted.  This is the
-    library's one weight pass; a dataset runs it at most once, through
-    `ManifestDataset.weight_pass`.
+    with sum <= n are indexed once, in lexicographic order (`_state_index`).
+    Each observation gathers log W at the predecessors under every outcome
+    its row allows, adds their log emission entries and combines the rows
+    pairwise with `np.logaddexp`, max(x, y) + log1p(exp(-|x - y|)).
+    Unreached states stay -inf; the finite ones after the last step are the
+    support, already sorted.  This is the library's one weight pass; a
+    dataset runs it at most once, through `ManifestDataset.weight_pass`.
     """
     _check_size(data)
     k, n = data.k, data.n
-    # every state, in lexicographic order: each prefix extends by each count that keeps sum <= n
-    heads = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(k - 1):
-        room = n + 1 - heads.sum(axis=1)
-        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
-        heads = np.column_stack((np.repeat(heads, room, axis=0), last))
+    heads, predecessors = _state_index(k, n)
     size = len(heads)
-    strides = (n + 1) ** np.arange(k - 2, -1, -1)
-    codes = heads @ strides
-    # the state one x_j earlier, or the extra slot `size`, which holds -inf; x_k leaves the
-    # state as is, and a state whose sum exceeds the step is unreached, so it reads -inf too
-    predecessors = [
-        np.where(heads[:, j] > 0, np.searchsorted(codes, codes - strides[j]), size)
-        for j in range(k - 1)
-    ] + [np.arange(size)]
     log_w = np.full(size + 1, -np.inf)
     log_w[0] = 0.0  # the zero vector
     terms = np.empty((k, size))
-    with np.errstate(divide="ignore"):
-        for emission, row in data.observations:
-            lam = emission.entries[row]
-            allowed = np.flatnonzero(lam)
-            rows = terms[: len(allowed)]
-            for r, j in enumerate(allowed):
-                np.take(log_w, predecessors[j], out=rows[r])
-            rows += np.log(lam[allowed])[:, None]
-            top = rows.max(axis=0)
-            shift = np.where(top == -np.inf, 0.0, top)
-            rows -= shift
-            np.exp(rows, out=rows)
-            np.log(rows.sum(axis=0), out=log_w[:size])
-            log_w[:size] += shift
+    for emission, row in data.observations:
+        lam = emission.entries[row]
+        allowed = [j for j in range(k) if lam[j] != 0.0]
+        rows = terms[: len(allowed)]
+        for r, j in enumerate(allowed):
+            np.add(log_w[predecessors[j]], math.log(lam[j]), out=rows[r])
+        np.logaddexp.reduce(rows, axis=0, out=log_w[:size])
     reached = np.flatnonzero(log_w[:size] > -np.inf)
     heads = heads[reached]
     return np.column_stack((heads, n - heads.sum(axis=1))), log_w[reached]

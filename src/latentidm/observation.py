@@ -200,13 +200,13 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
 
 
 def _state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The states of `log_weights` and, per hidden outcome, each state's predecessor.
+    """The states of `log_weights`, in lexicographic order, and their predecessors.
 
-    A state is a vector of the first k - 1 counts with sum <= n; they come in
-    lexicographic order.  predecessors[j][i] is the state one x_j before
-    state i, or len(states), the index of an extra -inf slot, when count j
-    is 0.  x_k leaves the first k - 1 counts as they are: a state whose sum
-    exceeds the step is unreached, so reading it gives -inf as well.
+    A state is a vector of the first k - 1 counts with sum <= n (the k-th is
+    the step minus their sum).  predecessors[j][i] is the state one x_j
+    before state i, or len(states), an extra -inf slot, when count j is 0;
+    x_k leaves the state as is, and a state whose sum exceeds the step is
+    unreached, so it reads -inf as well.
     """
     # each prefix extends by each count that keeps the sum <= n
     heads = np.zeros((1, 0), dtype=np.int64)
@@ -229,15 +229,13 @@ def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
 
     A forward pass in log space, so no weight underflows however small the
     entries are: a vector is kept iff some hidden assignment with its
-    frequencies meets only nonzero emission entries.  A state is a vector of
-    the first k - 1 counts (the k-th is the step minus their sum); those
-    with sum <= n are indexed once, in lexicographic order (`_state_index`).
-    Each observation gathers log W at the predecessors under every outcome
+    frequencies meets only nonzero emission entries.  Each observation
+    gathers log W at the predecessors (`_state_index`) under every outcome
     its row allows, adds their log emission entries and combines the rows
-    pairwise with `np.logaddexp`, max(x, y) + log1p(exp(-|x - y|)).
-    Unreached states stay -inf; the finite ones after the last step are the
-    support, already sorted.  This is the library's one weight pass; a
-    dataset runs it at most once, through `ManifestDataset.weight_pass`.
+    pairwise with `np.logaddexp`.  Unreached states stay -inf; the finite
+    ones after the last step are the support, already sorted.  This is the
+    library's one weight pass; a dataset runs it at most once, through
+    `ManifestDataset.weight_pass`.
     """
     _check_size(data)
     k, n = data.k, data.n

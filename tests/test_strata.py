@@ -128,26 +128,27 @@ def workload_shaped(zeros: bool, seed: int = 0) -> ManifestDataset:
     return ManifestDataset.from_rows(emission, rng.permutation(np.repeat(np.arange(4), 5)).tolist())
 
 
+def assert_matches_dict_pass(data: ManifestDataset) -> np.ndarray:
+    """Same int64 counts in the same order as the dict pass, log W within 1e-12; returns the counts."""
+    counts, log_w = log_weights(data)
+    oracle_counts, oracle_log_w = dict_log_weights(data)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, oracle_counts)
+    np.testing.assert_allclose(log_w, oracle_log_w, rtol=1e-12, atol=1e-13)
+    return counts
+
+
 class TestVectorisedWeightPass:
     """The vectorised pass against the plain-Python dict pass it replaced."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=tiny_channels())
     def test_matches_the_dict_pass(self, data):
-        counts, log_w = log_weights(data)
-        oracle_counts, oracle_log_w = dict_log_weights(data)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, oracle_counts)
-        np.testing.assert_allclose(log_w, oracle_log_w, rtol=1e-12, atol=1e-13)
+        assert_matches_dict_pass(data)
 
     @pytest.mark.parametrize("zeros, support", [(False, 1771), (True, 671)])
     def test_workload_shaped_supports(self, zeros, support):
-        data = workload_shaped(zeros)
-        counts, log_w = log_weights(data)
-        oracle_counts, oracle_log_w = dict_log_weights(data)
-        assert len(counts) == support
-        assert np.array_equal(counts, oracle_counts)
-        np.testing.assert_allclose(log_w, oracle_log_w, rtol=1e-12, atol=1e-13)
+        assert len(assert_matches_dict_pass(workload_shaped(zeros))) == support
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_empty_dataset(self, k):

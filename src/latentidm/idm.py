@@ -12,8 +12,8 @@ and 0**0 is 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -117,23 +117,36 @@ class PredictiveBounds:
 
 
 def log_marginal_probability(prior: DirichletParams, freq: FrequencyVector) -> float:
-    """Log probability of an ordered dataset with the given frequencies.
-
-    log P(x) = sum_h sum_{j=1..a_h} log(s t_h + j - 1) - sum_{j=1..n} log(s + j - 1),
-    with empty products equal to 1.  Evaluated in log space so ascending
-    factorials cannot overflow.
-    """
+    """Log probability of an ordered dataset with the given frequencies (`log_moments`)."""
     if freq.k != prior.k:
         raise ValueError(f"frequency vector has k={freq.k}, prior has k={prior.k}")
-    s = prior.s
-    total = 0.0
-    for h, a_h in enumerate(freq.counts):
-        st_h = s * prior.t[h]
-        for j in range(1, a_h + 1):
-            total += math.log(st_h + j - 1)
-    for j in range(1, freq.n + 1):
-        total -= math.log(s + j - 1)
-    return total
+    return float(log_moments(prior, np.array([freq.counts]))[0])
+
+
+def log_moments(prior: DirichletParams, counts: np.ndarray) -> np.ndarray:
+    """log E[theta^a] under the prior, for each row a of a nonnegative integer matrix.
+
+    E[theta^a] = prod_h (s t_h)^{(a_h)} / s^{(|a|)} is also the probability
+    of an ordered dataset with frequencies a.  Evaluated in log space so
+    ascending factorials cannot overflow; empty products are 1.
+    """
+    sizes = counts.sum(axis=1, keepdims=True)
+    return log_rising(prior.alpha, counts) - log_rising([prior.s], sizes)
+
+
+def log_rising(alpha: Sequence[float], counts: np.ndarray) -> np.ndarray:
+    """sum_h log (alpha_h)^{(counts[r, h])} for each row r of a nonnegative integer matrix.
+
+    ladder[h, c] = log (alpha_h)^{(c)} is one cumulative sum of log(alpha_h + j),
+    read by every row; it holds len(alpha) x (largest count + 1) numbers.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    ladder = np.zeros((len(alpha), int(counts.max()) + 1))
+    rungs = ladder[:, 1:]  # filled in place: a huge count costs one ladder, no copies
+    np.add(alpha[:, None], np.arange(rungs.shape[1]), out=rungs)
+    np.log(rungs, out=rungs)
+    np.cumsum(rungs, axis=1, out=rungs)
+    return sum(ladder[h, counts[:, h]] for h in range(len(alpha)))
 
 
 def posterior_update(

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, standard_idm_predictive_bounds
 from .observation import EmissionMatrix, ManifestDataset, posterior_predictive_at_t
 from .simplex import DirichletParams, SimplexPoint
@@ -90,11 +88,6 @@ def scaled_beta_posterior_mean(
     prior = DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))
     hidden = posterior_predictive_at_t(data, prior)
     return sum(float(emission.entries[0, j]) * hidden[j] for j in range(2))
-
-
-def latent_to_manifest_chance_vector(channel: BinaryChannel, theta1: np.ndarray) -> np.ndarray:
-    """xi_1 = (1 - eps2) * theta_1 + eps1 * (1 - theta_1); image is [eps1, 1-eps2]."""
-    return (1.0 - channel.eps2) * theta1 + channel.eps1 * (1.0 - theta1)
 
 
 def scaled_beta_posterior_bounds(

@@ -23,7 +23,9 @@ program therefore aggregates ordered assignments into frequency weights
 W(a), after which no further multiplicity factor is needed.  The library
 runs it once per dataset, vectorised in log space (`log_weights`), and the
 bounds, the fixed-prior values and `frequency_weights` all read that one
-pass.  Brute-force enumeration and a dict pass are kept as test oracles.
+pass.  The same pass without the size cap (`likelihood_terms`) is the
+coefficient map of a channel likelihood in the trend lab.  Brute-force
+enumeration and a dict pass are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeCapError
-from .idm import BoundaryLimit, BoundaryStratum, FrequencyVector, PredictiveBounds
+from .idm import BoundaryLimit, BoundaryStratum, FrequencyVector, PredictiveBounds, log_rising
 from .simplex import DirichletParams, SimplexPoint
 
 # Unused here; perfbench/spans.py wraps `observation.log_marginal_probability`
@@ -159,25 +161,6 @@ class VacuityDiagnosis:
         return self.per_outcome[j]
 
 
-def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:
-    """Likelihood of the observed sequence as a function of the chances.
-
-    Computed through the per-index factorization prod_i sum_j lambda_{h_i j}
-    theta_j, which equals the sum over all hidden assignments of
-    P(observations | assignment) * P(assignment | theta).  Accepts a single
-    point (returns float) or an (N, k) matrix of points (returns N values).
-    """
-    coords = theta.coords if isinstance(theta, SimplexPoint) else np.asarray(theta, dtype=float)
-    single = coords.ndim == 1
-    pts = coords[None, :] if single else coords
-    if pts.shape[1] != data.k:
-        raise ValueError(f"theta must have k={data.k} coordinates")
-    acc = np.ones(pts.shape[0])
-    for emission, row in data.observations:
-        acc = acc * (pts @ emission.entries[row, :])
-    return float(acc[0]) if single else acc
-
-
 def _check_size(data: ManifestDataset) -> None:
     if data.n > DP_MAX_N or data.k > DP_MAX_K:
         raise SizeCapError(
@@ -200,7 +183,7 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
 
 
 def _state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The states of `log_weights`, in lexicographic order, and their predecessors.
+    """The states of `likelihood_terms`, in lexicographic order, and their predecessors.
 
     A state is a vector of the first k - 1 counts with sum <= n (the k-th is
     the step minus their sum).  predecessors[j][i] is the state one x_j
@@ -225,19 +208,28 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The support of W, in sorted order, and log W(a) of each of its vectors.
+    """`likelihood_terms` under the n <= 20, k <= 4 cap of the bounds and fixed-prior values.
 
-    A forward pass in log space, so no weight underflows however small the
-    entries are: a vector is kept iff some hidden assignment with its
-    frequencies meets only nonzero emission entries.  Each observation
-    gathers log W at the predecessors (`_state_index`) under every outcome
-    its row allows, adds their log emission entries and combines the rows
-    pairwise with `np.logaddexp`.  Unreached states stay -inf; the finite
-    ones after the last step are the support, already sorted.  This is the
-    library's one weight pass; a dataset runs it at most once, through
-    `ManifestDataset.weight_pass`.
+    A dataset runs it at most once, through `ManifestDataset.weight_pass`.
     """
     _check_size(data)
+    return likelihood_terms(data)
+
+
+def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The support of W, in sorted order, and log W(a) of each of its vectors.
+
+    The likelihood of the observed sequence is sum_a W(a) theta^a, so these
+    are its exponent rows and log coefficients.  A forward pass in log
+    space, so no weight underflows however small the entries are: a vector
+    is kept iff some hidden assignment with its frequencies meets only
+    nonzero emission entries.  Each observation gathers log W at the
+    predecessors (`_state_index`) under every outcome its row allows, adds
+    their log emission entries and combines the rows pairwise with
+    `np.logaddexp`.  Unreached states stay -inf; the finite ones after the
+    last step are the support, already sorted.  This is the library's one
+    weight pass; it has no size cap of its own.
+    """
     k, n = data.k, data.n
     heads, predecessors = _state_index(k, n)
     size = len(heads)
@@ -273,10 +265,7 @@ def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> 
         raise ValueError(f"prior has k={prior.k}, dataset has k={data.k}")
     counts, log_w = data.weight_pass
     s, t, n = prior.s, prior.t.coords, data.n
-    # ladder[h, c] = log (s t_h)^{(c)}
-    ladder = np.zeros((data.k, n + 1))
-    np.cumsum(np.log(s * t[:, None] + np.arange(n)), axis=1, out=ladder[:, 1:])
-    terms = sum(ladder[h, counts[:, h]] for h in range(data.k)) + log_w
+    terms = log_rising(s * t, counts) + log_w
     weights = np.exp(terms - terms.max())
     total = weights.sum()
     return tuple(
@@ -411,8 +400,8 @@ def vacuity_diagnosis(data: ManifestDataset) -> VacuityDiagnosis:
     exact comparisons on the user-supplied entries.
 
     The diagnosis is stated for the fixed-strength Dirichlet near-ignorance
-    set; other near-ignorance sets are only covered by the generic
-    positivity condition checked in the vacuity lab.
+    set; other near-ignorance sets are only covered by the trend checks of
+    the vacuity lab.
     """
     rows = [emission.entries[row, :] for emission, row in data.observations]
     per_outcome = []

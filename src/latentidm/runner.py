@@ -1,11 +1,12 @@
 """Scenario documents, execution, and machine-readable reports.
 
 Scenarios are JSON objects with self-describing field names; reports echo
-the scenario, carry a kind-specific results payload, and embed the grid
-provenance needed to reproduce every grid-based field.  Serialization is
-canonical (sorted keys, two-space indent), so re-running a scenario on the
-same platform reproduces the report byte-for-byte apart from the timing
-block.
+the scenario and carry a kind-specific results payload and a provenance
+block.  A trend report's provenance names the method of each quantity,
+read from the report the lab returned, and describes the lattice grid when
+one was summed.  Serialization is canonical (sorted keys, two-space
+indent), so re-running a scenario on the same platform reproduces the
+report byte-for-byte apart from the timing block.
 """
 
 from __future__ import annotations
@@ -41,17 +42,17 @@ from .observation import (
 
 # Unused here; perfbench/spans.py wraps `runner.predictive_bounds` by name.
 from .observation import predictive_bounds  # noqa: F401
-from .simplex import CLAMP_TO_EPSILON, GRID_MAX_K, DirichletParams, SimplexGrid, SimplexPoint
+from .simplex import GRID_MAX_K, DirichletParams, SimplexPoint, lattice_size
+
+# Unused here; perfbench/spans.py wraps `runner.SimplexGrid` by name.
+from .simplex import SimplexGrid  # noqa: F401
 from .vacuity import (
-    _DENSITY_GRID_FACTOR,
-    BoundedFunction,
     ConcentratingSequence,
-    LikelihoodFunction,
+    Polynomial,
     TrendReport,
     canonical_concentrating_sequence,
     constant_likelihood,
     coordinate_function,
-    coordinate_likelihood,
     dataset_likelihood,
     fixed_strength_concentrating_sequence,
     monomial_function,
@@ -71,15 +72,14 @@ class Scenario:
     """A parsed scenario document, ready to run.
 
     `run` computes the results payload from the objects that parsing built
-    and checked; `provenance` describes those objects.  `raw` is the
-    document itself, kept only to be echoed in the report.
+    and checked, and the provenance that describes the objects it used.
+    `raw` is the document itself, kept only to be echoed in the report.
     """
 
     name: str
     kind: str
     raw: dict = field(repr=False)
-    run: Callable[[], dict] = field(repr=False, compare=False)
-    provenance: dict = field(repr=False, compare=False)
+    run: Callable[[], tuple[dict, dict]] = field(repr=False, compare=False)
 
     @staticmethod
     def from_dict(doc: Any) -> "Scenario":
@@ -91,8 +91,7 @@ class Scenario:
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _PARSERS:
             raise ScenarioError(f"field 'kind': must be one of {', '.join(_PARSERS)}; got {kind!r}")
-        run, provenance = _PARSERS[kind](doc)
-        return Scenario(name=name, kind=kind, raw=doc, run=run, provenance=provenance)
+        return Scenario(name=name, kind=kind, raw=doc, run=_PARSERS[kind](doc))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def _exponents(spec: dict, k: int, name: str) -> list[int]:
     return exponents
 
 
-def _function(spec: dict, k: int) -> BoundedFunction:
+def _function(spec: dict, k: int) -> Polynomial:
     kind = spec.get("kind")
     if kind == "coordinate":
         index = _integer(spec.get("index", 0), "function.index")
@@ -202,15 +201,14 @@ def _function(spec: dict, k: int) -> BoundedFunction:
     raise ScenarioError(f"field 'function.kind': unknown kind {kind!r}")
 
 
-def _likelihood(spec, k: int, name: str) -> LikelihoodFunction:
+def _likelihood(spec, k: int, name: str) -> Polynomial:
     kind = _object(spec, name).get("kind")
     if kind == "constant":
-        return constant_likelihood()
+        return constant_likelihood(k)
     if kind == "coordinate":
         index = _integer(spec.get("index", 0), f"{name}.index")
-        if index >= k:
-            raise ScenarioError(f"field '{name}.index': index {index} out of range for k={k}")
-        return coordinate_likelihood(index)
+        with _field(f"{name}.index"):
+            return coordinate_function(index, k)
     if kind == "monomial":
         return monomial_likelihood(_exponents(spec, k, f"{name}.exponents"))
     if kind == "channel":
@@ -260,7 +258,7 @@ def _manifest_strength(doc: dict) -> float:
 
 # ---------------------------------------------------------------------------
 # One parser per kind: each checks its fields while building what its run
-# uses, and returns that run with its provenance.
+# uses, and returns that run; a run returns its results and provenance.
 
 
 def _describe_extremizer(value) -> dict:
@@ -310,6 +308,17 @@ def _trend_payload(report: TrendReport) -> dict:
     }
 
 
+def _trend_provenance(report: TrendReport) -> dict:
+    provenance: dict[str, Any] = {"methods": report.methods}
+    if report.grid is not None:
+        provenance["grid"] = {
+            "resolution": report.grid.resolution,
+            "boundary_policy": report.grid.boundary_policy,
+            "eps_clamp": report.grid.eps_clamp,
+        }
+    return provenance
+
+
 def _parse_predict(doc: dict):
     data = _dataset(doc)
     hyper = _object(_require(doc, "hyper"), "hyper")
@@ -330,7 +339,7 @@ def _parse_predict(doc: dict):
         if prior.k != data.k:
             raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
 
-    def run() -> dict:
+    def run() -> tuple[dict, dict]:
         bounds = outcome_bounds(data, s, outcomes)
         results: dict[str, Any] = {
             "level": "latent",
@@ -339,15 +348,15 @@ def _parse_predict(doc: dict):
         if prior is not None:
             values = posterior_predictive_at_t(data, prior)
             results["at_t"] = {"t": list(prior.t.coords), "values": [values[j] for j in outcomes]}
-        return results
+        return results, {}
 
-    return run, {}
+    return run
 
 
 def _parse_diagnose(doc: dict):
     data = _dataset(doc)
 
-    def run() -> dict:
+    def run() -> tuple[dict, dict]:
         diagnosis = vacuity_diagnosis(data)
         return {
             "outcomes": [
@@ -361,9 +370,9 @@ def _parse_diagnose(doc: dict):
                 for d in diagnosis.per_outcome
             ],
             "fully_vacuous": diagnosis.fully_vacuous,
-        }
+        }, {}
 
-    return run, {}
+    return run
 
 
 def _parse_trend(doc: dict):
@@ -382,28 +391,25 @@ def _parse_trend(doc: dict):
     if not schedule:
         raise ScenarioError("field 'schedule': needs at least one index")
     deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
+    # used only by the slab masses of a monomial with two or more positive
+    # exponents on k >= 3 coordinates; checked here for every document alike
     resolution = _integer(
         doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION), "grid_resolution", minimum=2
     )
     with _field("grid_resolution"):
-        grid = SimplexGrid(k=k, resolution=resolution, boundary_policy=CLAMP_TO_EPSILON)
+        lattice_size(k, resolution)
 
-    def run() -> dict:
-        main, *contrast = verify_theorem1(f, likelihoods, sequence, schedule, grid, deltas=deltas)
-        return {
+    def run() -> tuple[dict, dict]:
+        main, *contrast = verify_theorem1(
+            f, likelihoods, sequence, schedule, deltas=deltas, grid_resolution=resolution
+        )
+        results = {
             "main": _trend_payload(main),
             "contrast": _trend_payload(contrast[0]) if contrast else None,
         }
+        return results, _trend_provenance(main)
 
-    provenance = {
-        "grid": {
-            "base_resolution": grid.resolution,
-            "resolution_rule": f"max(base, {_DENSITY_GRID_FACTOR}*n) for k=2",
-            "boundary_policy": grid.boundary_policy,
-            "eps_clamp": grid.eps_clamp,
-        }
-    }
-    return run, provenance
+    return run
 
 
 def _parse_scaled_beta(doc: dict):
@@ -414,15 +420,15 @@ def _parse_scaled_beta(doc: dict):
     if t1 is not None and not _positive(t1, "fixed_t1") < 1.0:
         raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
 
-    def run() -> dict:
+    def run() -> tuple[dict, dict]:
         bounds = scaled_beta_posterior_bounds(channel, positives, total, s)
         fixed_t = None
         if t1 is not None:
             mean = scaled_beta_posterior_mean(channel, positives, total, s, t1)
             fixed_t = {"t1": t1, "posterior_mean": mean}
-        return _bounds_payload(bounds, interval=list(channel.xi_range), fixed_t=fixed_t)
+        return _bounds_payload(bounds, interval=list(channel.xi_range), fixed_t=fixed_t), {}
 
-    return run, {}
+    return run
 
 
 def _parse_naive(doc: dict):
@@ -430,7 +436,7 @@ def _parse_naive(doc: dict):
     positives, total = _counts(doc)
     s = _manifest_strength(doc)
 
-    def run() -> dict:
+    def run() -> tuple[dict, dict]:
         manifest = direct_manifest_idm(positives, total, s)
         lower = naive_reconstruction(channel, manifest.lower)
         upper = naive_reconstruction(channel, manifest.upper)
@@ -438,19 +444,19 @@ def _parse_naive(doc: dict):
             "manifest": {"lower": manifest.lower, "upper": manifest.upper},
             "reconstructed_lower": {"value": lower.value, "out_of_range": lower.out_of_range},
             "reconstructed_upper": {"value": upper.value, "out_of_range": upper.out_of_range},
-        }
+        }, {}
 
-    return run, {}
+    return run
 
 
 def _parse_direct(doc: dict):
     positives, total = _counts(doc)
     s = _manifest_strength(doc)
 
-    def run() -> dict:
-        return _bounds_payload(direct_manifest_idm(positives, total, s), level="manifest")
+    def run() -> tuple[dict, dict]:
+        return _bounds_payload(direct_manifest_idm(positives, total, s), level="manifest"), {}
 
-    return run, {}
+    return run
 
 
 _PARSERS = {
@@ -467,12 +473,12 @@ _PARSERS = {
 def run_scenario(scenario: Scenario) -> dict:
     """Execute a parsed scenario; returns the full report dict."""
     started = time.perf_counter()
-    results = scenario.run()
+    results, provenance = scenario.run()
     elapsed = time.perf_counter() - started
     return {
         "scenario": scenario.raw,
         "results": results,
-        "provenance": {"tool_version": __version__, **scenario.provenance},
+        "provenance": {"tool_version": __version__, **provenance},
         "timing": {"seconds": elapsed},
     }
 

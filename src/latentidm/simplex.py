@@ -1,26 +1,25 @@
 """Geometry and measure on the probability simplex.
 
-Points, regular lattice grids, Dirichlet densities, and a brute-force grid
-integrator.  The integrator is the validation oracle for every closed form
-in this repository, so its measure convention is fixed once, here:
+Points, Dirichlet parameters, regular lattice grids, and the Dirichlet log
+density on a grid.  Grid sums are the validation oracles of the closed
+forms in this repository, so their measure convention is fixed once, here:
 
     All integrals are taken with respect to Lebesgue measure on the simplex
     projected onto its first k-1 coordinates.  The total measure of the
     k-simplex under this convention is 1/(k-1)!, and Dirichlet densities as
-    evaluated by :func:`dirichlet_log_density` integrate to exactly 1.
+    evaluated by :func:`_dirichlet_log_density_matrix` integrate to exactly 1.
 
 The alternative convention (surface measure of the simplex embedded in R^k,
 total measure sqrt(k)/(k-1)!) differs only by the constant factor sqrt(k).
-Every downstream use of the integrator is a ratio of two integrals over the
-same grid, so the choice is contract-irrelevant as long as it is consistent;
-the projected convention is used because it makes densities normalize to 1.
+Every downstream use of a grid is a ratio of two sums over the same grid,
+so the choice is contract-irrelevant as long as it is consistent; the
+projected convention is used because it makes densities normalize to 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -184,23 +183,6 @@ class SimplexGrid:
         return 1.0 / math.factorial(self.k - 1)
 
 
-SimplexFunction = Callable[[np.ndarray], float]
-
-
-def integrate_on_simplex(f: SimplexFunction, grid: SimplexGrid) -> float:
-    """Riemann-type grid approximation of the integral of f over the simplex.
-
-    Returns (simplex volume / point count) * sum of f over the grid points,
-    with the measure convention documented in the module docstring.  f is
-    called once per point with a length-k coordinate array.  Evaluation
-    failures of f propagate.
-    """
-    if grid.resolution < 2:
-        raise ValueError("integration requires grid resolution m >= 2")
-    values = np.fromiter((f(p) for p in grid.points), dtype=float, count=grid.point_count)
-    return float(grid.simplex_volume * values.mean())
-
-
 def _dirichlet_log_density_matrix(params: DirichletParams, points: np.ndarray) -> np.ndarray:
     """Log density at each row of an (N, k) point matrix.
 
@@ -224,18 +206,3 @@ def _dirichlet_log_density_matrix(params: DirichletParams, points: np.ndarray) -
         # 0 * log(0) is taken as 0 (the coordinate's factor is theta^0 = 1).
         terms = np.where(zero_mask & (exponents[None, :] == 0.0), 0.0, terms)
     return log_norm + terms.sum(axis=1)
-
-
-def dirichlet_log_density(params: DirichletParams, theta) -> float:
-    """Log of the Dirichlet density at theta.
-
-    Computes log Gamma(s) - sum_i log Gamma(s t_i) + sum_i (s t_i - 1) log theta_i.
-    theta may be a :class:`SimplexPoint` or a plain length-k coordinate array.
-    Raises ValueError if theta has a zero coordinate where the corresponding
-    exponent s t_i - 1 is negative.
-    """
-    coords = theta.coords if isinstance(theta, SimplexPoint) else np.asarray(theta, dtype=float)
-    if coords.shape != (params.k,):
-        raise ValueError(f"theta must have {params.k} coordinates")
-    return float(_dirichlet_log_density_matrix(params, coords[None, :])[0])
-

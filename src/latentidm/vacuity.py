@@ -8,25 +8,26 @@ concentrating sequences for every function it leaves vacuous, so positive
 likelihoods make posterior bounds as vacuous as the prior ones.
 
 This module makes the limit statements checkable at desk scale: limits are
-replaced by trend checks over a fixed index schedule, with grid integrals as
-the measurement device.  Expectations, set masses, and posterior ratios are
-all computed as ratios of grid sums over the same grid, so the simplex
-measure constant cancels and the dominant discretization bias cancels with
-it.  A trend check evaluates one prior density per schedule index and reads
-every slab mass, the expectation and each likelihood's posterior ratio from
-it.
+replaced by trend checks over a fixed index schedule, each computed
+exactly.  Every f and likelihood L is a `Polynomial`, so E_n(f) and the
+posterior ratios E_n(f L) / E_n(L) are sums of Dirichlet moments, and a
+slab mass is the Beta mass of an interval of one coordinate.  Only the slab
+of a monomial with two or more positive exponents on k >= 3 coordinates is
+summed on a lattice grid.  `delta_set_mass` and `posterior_ratio` are plain
+grid sums, kept as the tests' oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateRatioError
-from .idm import FrequencyVector, vacuous_prior_upper_predictive
-from .observation import ManifestDataset, latent_likelihood
+from .idm import FrequencyVector, log_moments, vacuous_prior_upper_predictive
+from .observation import ManifestDataset, likelihood_terms
 from .simplex import (
     DirichletParams,
     SimplexGrid,
@@ -37,55 +38,54 @@ from .simplex import (
 MAX_SIDE = "max-side"
 MIN_SIDE = "min-side"
 
-_RANGE_SLACK = 1e-9
+# how a trend quantity was computed, as named in report provenance
+MOMENT = "dirichlet-moment"
+BETA_TAIL = "beta-tail"
+BETA_INTERVAL = "beta-interval"
+GRID = "grid"
+
+_TOLERANCE = 0.01
 _UNDERFLOW_FLOOR = 1e-300
-_DENSITY_GRID_FACTOR = 20  # grid cells per unit of concentration index, k=2
 
 
-@dataclass(frozen=True)
-class BoundedFunction:
-    """A bounded function on the simplex with declared extrema.
+@dataclass(frozen=True, eq=False)
+class Polynomial:
+    """sum_r exp(log_coeffs[r]) * prod_h theta_h^exponents[r, h], with positive coefficients.
 
-    declared_min/declared_max are the true infimum/supremum over the whole
-    simplex; grid sweeps validate observed values against them (with 1e-9
-    slack).  Hints locate extremizers for concentration targets.  The
-    evaluator takes an (N, k) matrix of points and returns N values.
+    A coordinate is a unit monomial, and the likelihood of a manifest
+    dataset has its weight pass's frequency vectors and log weights.
     """
 
-    evaluator: Callable
-    declared_min: float
-    declared_max: float
-    argmax_hint: SimplexPoint | None = None
-    argmin_hint: SimplexPoint | None = None
-    description: str = ""
+    exponents: np.ndarray
+    log_coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.exponents, dtype=np.int64)
+        logs = np.array(self.log_coeffs, dtype=float)
+        if rows.ndim != 2 or len(rows) < 1 or rows.shape[1] < 2 or logs.shape != rows.shape[:1]:
+            raise ValueError("need exponent rows of k >= 2 entries, one log coefficient each")
+        if rows.min() < 0 or not np.isfinite(logs).all():
+            raise ValueError("exponents must be nonnegative and log coefficients finite")
+        rows.setflags(write=False)
+        logs.setflags(write=False)
+        object.__setattr__(self, "exponents", rows)
+        object.__setattr__(self, "log_coeffs", logs)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.evaluator(points), dtype=float).reshape(points.shape[0])
-        if out.size and (
-            out.min() < self.declared_min - _RANGE_SLACK
-            or out.max() > self.declared_max + _RANGE_SLACK
-        ):
-            raise ValueError(
-                f"function values escape declared range [{self.declared_min}, {self.declared_max}]"
-            )
-        return out
+        """The polynomial at each row of an (N, k) point matrix: the lab's one grid evaluation."""
+        return np.exp(self.log_coeffs) @ np.prod(points[None] ** self.exponents[:, None], axis=2)
 
 
-@dataclass(frozen=True)
-class LikelihoodFunction:
-    """A nonnegative function of the chances, treated as a black box.
+def _monomial(f: Polynomial) -> np.ndarray:
+    """The exponent row of a lab function: one monomial theta^e with coefficient 1 and |e| >= 1."""
+    if len(f.exponents) != 1 or f.log_coeffs[0] != 0.0 or f.exponents.sum() < 1:
+        raise ValueError("a bounded function of the lab is one monomial with coefficient 1")
+    return f.exponents[0]
 
-    The evaluator takes an (N, k) matrix of points and returns N values.
-    """
 
-    evaluator: Callable
-    description: str = ""
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.evaluator(points), dtype=float).reshape(points.shape[0])
-        if out.size and out.min() < 0.0:
-            raise ValueError("likelihood values must be nonnegative")
-        return out
+def _peak(row: np.ndarray) -> float:
+    """max of theta^row over the simplex, attained at row / |row|; its minimum is 0."""
+    return vacuous_prior_upper_predictive(FrequencyVector(tuple(row.tolist())))
 
 
 @dataclass(frozen=True)
@@ -94,28 +94,35 @@ class ConcentratingSequence:
 
     generator: Callable[[int], DirichletParams]
     target: SimplexPoint
-    description: str = ""
 
 
 @dataclass(frozen=True)
 class DeltaSet:
     """The near-extremal slab of f: points within delta of its max (or min)."""
 
-    f: BoundedFunction
+    f: Polynomial
     delta: float
     mode: str = MAX_SIDE
 
     def __post_init__(self) -> None:
+        _monomial(self.f)
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
         if self.mode not in (MAX_SIDE, MIN_SIDE):
             raise ValueError(f"mode must be {MAX_SIDE!r} or {MIN_SIDE!r}")
 
+    @property
+    def level(self) -> float:
+        """The slab is {f >= level} on the max side and {f <= level} on the min side."""
+        if self.mode == MAX_SIDE:
+            return _peak(_monomial(self.f)) - self.delta
+        return self.delta
+
     def mask(self, f_values: np.ndarray) -> np.ndarray:
         """Members of the slab among points with the given values of f."""
         if self.mode == MAX_SIDE:
-            return f_values >= self.f.declared_max - self.delta
-        return f_values <= self.f.declared_min + self.delta
+            return f_values >= self.level
+        return f_values <= self.level
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,9 @@ class TrendReport:
     `extremum_reached` is set when the final posterior ratio lands within
     `tolerance` of the declared extremum: the numerical signature that the
     posterior expectation bound over the prior set coincides with the
-    function's own extremum (posterior vacuity on that side).
+    function's own extremum (posterior vacuity on that side).  `methods`
+    names how each quantity was computed, and `grid` is the lattice the
+    slab masses were summed on, if any.
     """
 
     side: str
@@ -143,36 +152,19 @@ class TrendReport:
     tolerance: float
     final_gap: float
     extremum_reached: bool
+    methods: dict[str, str]
+    grid: SimplexGrid | None
 
 
-@dataclass(frozen=True)
-class LiminfReport:
-    """Estimate of the limiting infimum of L over shrinking near-max slabs."""
-
-    deltas: tuple[float, ...]
-    infimums: tuple[float, ...]
-    c_estimate: float
-    positive: bool
+# ---------------------------------------------------------------------------
+# Grid sums: the oracles of the exact values below.
 
 
-def _density(params: DirichletParams, grid: SimplexGrid) -> np.ndarray:
-    return np.exp(_dirichlet_log_density_matrix(params, grid.points))
-
-
-def _slab_mass(density: np.ndarray, member: np.ndarray, total: float) -> float:
-    if total <= 0.0:
-        raise DegenerateRatioError("density mass underflowed on the whole grid")
-    return float(density[member].sum() / total)
-
-
-def _ratio(density: np.ndarray, f_values: np.ndarray, l_values: np.ndarray) -> float:
-    denominator = float((l_values * density).sum())
-    if not np.isfinite(denominator) or denominator < _UNDERFLOW_FLOOR:
-        raise DegenerateRatioError(
-            f"posterior normalizer underflowed (sum {denominator!r}); "
-            "the likelihood is numerically zero where the prior has mass"
-        )
-    return float((f_values * l_values * density).sum() / denominator)
+def _underflow(denominator: float) -> DegenerateRatioError:
+    return DegenerateRatioError(
+        f"posterior normalizer underflowed (sum {denominator!r}); "
+        "the likelihood is numerically zero where the prior has mass"
+    )
 
 
 def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -> float:
@@ -183,15 +175,17 @@ def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -
     full sum removes the shared discretization bias, so the result always
     lies in [0, 1].
     """
-    density = _density(params, grid)
-    member = dset.mask(dset.f.values(grid.points))
-    return _slab_mass(density, member, float(density.sum()))
+    density = np.exp(_dirichlet_log_density_matrix(params, grid.points))
+    total = float(density.sum())
+    if total <= 0.0:
+        raise DegenerateRatioError("density mass underflowed on the whole grid")
+    return float(density[dset.mask(dset.f.values(grid.points))].sum() / total)
 
 
 def posterior_ratio(
     params: DirichletParams,
-    likelihood: LikelihoodFunction,
-    f: BoundedFunction,
+    likelihood: Polynomial,
+    f: Polynomial,
     grid: SimplexGrid,
 ) -> float:
     """Posterior expectation of f: grid ratio of integrals of f*L*p and L*p.
@@ -199,205 +193,184 @@ def posterior_ratio(
     Raises DegenerateRatioError when the denominator underflows (zero, below
     1e-300, or not finite) rather than silently returning garbage.
     """
-    density = _density(params, grid)
-    l_values = likelihood.values(grid.points)
-    return _ratio(density, f.values(grid.points), l_values)
+    density = np.exp(_dirichlet_log_density_matrix(params, grid.points))
+    weights = likelihood.values(grid.points) * density
+    denominator = float(weights.sum())
+    if not np.isfinite(denominator) or denominator < _UNDERFLOW_FLOOR:
+        raise _underflow(denominator)
+    return float((f.values(grid.points) * weights).sum() / denominator)
 
 
-def _trend_grid(base: SimplexGrid, n: int) -> SimplexGrid:
-    """Resolution coupled to the concentration index for k=2 sequences.
+# ---------------------------------------------------------------------------
+# Exact values: Dirichlet moments and Beta CDFs.
 
-    A prior with index n piles mass into a region of width ~1/n, so the
-    grid must resolve that peak; otherwise trend checks fail for lack of
-    resolution, not lack of truth.
+
+def _expected_ratio(params: DirichletParams, f_row: np.ndarray, likelihood: Polynomial) -> float:
+    """E(theta^f_row L) / E(L), each a log-space sum of Dirichlet moments; raises
+    DegenerateRatioError when E(L) < 1e-300, where L is numerically zero under the prior."""
+    rows = likelihood.exponents
+    logs = log_moments(params, np.vstack((rows, rows + f_row))) + np.tile(likelihood.log_coeffs, 2)
+    log_normalizer = np.logaddexp.reduce(logs[: len(rows)])
+    if log_normalizer < math.log(_UNDERFLOW_FLOOR):
+        raise _underflow(math.exp(log_normalizer))
+    return math.exp(np.logaddexp.reduce(logs[len(rows) :]) - log_normalizer)
+
+
+def _beta_cdf(x: float, a: float, b: float) -> float:
+    """The regularised incomplete beta I_x(a, b), P(X <= x) for X ~ Beta(a, b).
+
+    Its continued fraction by the modified Lentz method, on the side of the
+    mean where it converges fast (Numerical Recipes, 3rd ed., section 6.4).
+    The prefactor takes math.lgamma, so the relative error follows the
+    rounding of lgamma(a + b): ~1e-13 for a + b in the hundreds.
     """
-    if base.k != 2:
-        return base
-    needed = max(base.resolution, _DENSITY_GRID_FACTOR * n)
-    if needed == base.resolution:
-        return base
-    return SimplexGrid(
-        k=base.k,
-        resolution=needed,
-        boundary_policy=base.boundary_policy,
-        eps_clamp=base.eps_clamp,
-    )
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_cdf(1.0 - x, b, a)
+    front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    front += a * math.log(x) + b * math.log1p(-x)
+    c, d = 1.0, 1.0 / _off_zero(1.0 - (a + b) * x / (a + 1.0))
+    value = d
+    for m in range(1, 10_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for term in (even, odd):
+            d = 1.0 / _off_zero(1.0 + term * d)
+            c = _off_zero(1.0 + term / c)
+            value *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return math.exp(front) * value / a
+    raise ArithmeticError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
 
 
-def _infer_side(f: BoundedFunction, target: SimplexPoint) -> str:
-    if f.argmin_hint is not None and np.allclose(
-        target.coords, f.argmin_hint.coords, atol=1e-9
-    ):
-        return MIN_SIDE
-    return MAX_SIDE
+def _off_zero(value: float) -> float:
+    return value if abs(value) > 1e-300 else 1e-300
+
+
+def _crossing(f_at: Callable[[float], float], level: float, inside: float, outside: float) -> float:
+    """Where f crosses `level` between `inside` (f >= level) and `outside`, to one ulp."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return mid
+        if f_at(mid) >= level:
+            inside = mid
+        else:
+            outside = mid
+
+
+def _exact_mass(params: DirichletParams, f_row: np.ndarray, slab: DeltaSet) -> float:
+    """Prior mass of the slab of f = theta^f_row, where f is a function x^p (1 - x)^q of
+    one coordinate x: theta_0 when k = 2, else the one coordinate f depends on.
+
+    x is Beta with the Dirichlet's parameters split at x, and {f >= level} is
+    an interval of x around the peak p / (p + q), found by bisection.
+    """
+    level, alpha = slab.level, params.alpha
+    if not 0.0 < level < _peak(f_row):
+        return 1.0  # delta reaches the peak: the slab is the whole simplex
+    if len(f_row) == 2:
+        (p, q), (a, b) = f_row, alpha
+    else:
+        (i,) = np.flatnonzero(f_row)
+        p, q, a, b = f_row[i], 0, alpha[i], alpha[f_row == 0].sum()
+    lo, hi = (_crossing(lambda x: x**p * (1.0 - x) ** q, level, p / (p + q), end) for end in (0, 1))
+    inside = _beta_cdf(hi, a, b) - _beta_cdf(lo, a, b)
+    return inside if slab.mode == MAX_SIDE else 1.0 - inside
 
 
 def verify_theorem1(
-    f: BoundedFunction,
-    likelihoods: Sequence[LikelihoodFunction],
+    f: Polynomial,
+    likelihoods: Sequence[Polynomial],
     sequence: ConcentratingSequence,
     schedule: Sequence[int],
-    grid: SimplexGrid,
     deltas: Sequence[float] = (0.1, 0.01),
-    side: str | None = None,
-    tolerance: float = 0.01,
+    grid_resolution: int = 2000,
 ) -> tuple[TrendReport, ...]:
     """Trend check that posterior expectations are dragged to f's extremum.
 
     For each index n in the schedule, reports E_n(f), the mass of the
     near-extremal slabs at the given deltas, and the posterior ratio under
     each supplied likelihood; returns one report per likelihood, in order.
-    Each index evaluates its prior density and f once on its grid, and every
-    report reads its masses, expectation and ratio from those arrays.  The
-    verdict flag records whether the final ratio lands within `tolerance`
-    of the declared extremum.  The sequence's target must be an extremizer
-    of f; the side is inferred from the hints unless given explicitly.
+    All are exact, apart from the slab masses of a monomial f with two or
+    more positive exponents on k >= 3 coordinates: those are sums over one
+    clamp-to-epsilon lattice grid of `grid_resolution`, built on first use.
+    The verdict flag records whether the final ratio lands within 0.01 of
+    the extremum.  The sequence's target must be an extremizer of f: the
+    side is the min side when f vanishes at the target, else the max side.
     """
-    side = side or _infer_side(f, sequence.target)
-    if side not in (MAX_SIDE, MIN_SIDE):
-        raise ValueError(f"side must be {MAX_SIDE!r} or {MIN_SIDE!r}")
-    extremum = f.declared_max if side == MAX_SIDE else f.declared_min
+    f_row = _monomial(f)
+    side = MIN_SIDE if (sequence.target.coords[f_row > 0] == 0.0).any() else MAX_SIDE
+    extremum = _peak(f_row) if side == MAX_SIDE else 0.0
     slabs = [DeltaSet(f, float(d), mode=side) for d in deltas]
+    mass = BETA_TAIL if np.count_nonzero(f_row) == 1 else GRID if len(f_row) > 2 else BETA_INTERVAL
+    grid = None
     rows = [[] for _ in likelihoods]
     for n in map(int, schedule):
         params = sequence.generator(n)
-        grid_n = _trend_grid(grid, n)
-        density = _density(params, grid_n)
-        f_values = f.values(grid_n.points)
-        total = float(density.sum())
-        masses = tuple(_slab_mass(density, slab.mask(f_values), total) for slab in slabs)
-        expectation = float((f_values * density).sum() / total)
+        if mass != GRID or not slabs:
+            masses = tuple(_exact_mass(params, f_row, slab) for slab in slabs)
+        else:
+            if grid is None:
+                grid = SimplexGrid(k=len(f_row), resolution=grid_resolution)
+                log_points = np.log(grid.points)  # clamped: every coordinate is positive
+                members = [slab.mask(f.values(grid.points)) for slab in slabs]
+            log_density = log_points @ (params.alpha - 1.0)
+            density = np.exp(log_density - log_density.max())
+            masses = tuple(float(density[m].sum() / density.sum()) for m in members)
+        expectation = math.exp(log_moments(params, f_row[None, :])[0])
         for likelihood, out in zip(likelihoods, rows):
-            ratio = _ratio(density, f_values, likelihood.values(grid_n.points))
-            out.append(TrendRow(n, expectation, masses, ratio))
+            out.append(TrendRow(n, expectation, masses, _expected_ratio(params, f_row, likelihood)))
     deltas = tuple(slab.delta for slab in slabs)
+    methods = {"expectation": MOMENT, "mass": mass, "ratio": MOMENT}
     reports = []
     for out in rows:
         gap = abs(out[-1].posterior_ratio - extremum)
+        reached = gap <= _TOLERANCE
         reports.append(
-            TrendReport(side, extremum, deltas, tuple(out), tolerance, gap, gap <= tolerance)
+            TrendReport(side, extremum, deltas, tuple(out), _TOLERANCE, gap, reached, methods, grid)
         )
     return tuple(reports)
-
-
-def liminf_positivity_check(
-    likelihood: LikelihoodFunction,
-    f: BoundedFunction,
-    deltas: Sequence[float],
-    grid: SimplexGrid,
-    threshold: float = 1e-9,
-) -> LiminfReport:
-    """Grid estimate of c = lim_{delta->0} inf over the near-max slab of L.
-
-    Positivity of c is the weak sufficient condition for the max-side
-    vacuity trend; the infimum sequence is nondecreasing as delta shrinks,
-    so the last entry is the estimate.  The verdict is positive when it
-    stays above the threshold.
-    """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas) or any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing and positive")
-    l_values = likelihood.values(grid.points)
-    f_values = f.values(grid.points)
-    infimums = []
-    for d in deltas:
-        mask = f_values >= f.declared_max - d
-        if not mask.any():
-            # Slab too thin for this grid: fall back to the best grid point.
-            mask = f_values == f_values.max()
-        infimums.append(float(l_values[mask].min()))
-    c_estimate = infimums[-1]
-    return LiminfReport(
-        deltas=tuple(deltas),
-        infimums=tuple(infimums),
-        c_estimate=c_estimate,
-        positive=c_estimate > threshold,
-    )
 
 
 # ---------------------------------------------------------------------------
 # Ready-made functions, likelihoods, and concentrating families.
 
 
-def coordinate_function(index: int, k: int) -> BoundedFunction:
-    """f(theta) = theta_index: range [0, 1], extremized at vertices."""
+def coordinate_function(index: int, k: int) -> Polynomial:
+    """f(theta) = theta_index: range [0, 1], extremized at vertices; also a likelihood."""
     if not 0 <= index < k:
         raise ValueError(f"index {index} out of range for k={k}")
-    off = (index + 1) % k
-    return BoundedFunction(
-        evaluator=lambda pts: pts[:, index],
-        declared_min=0.0,
-        declared_max=1.0,
-        argmax_hint=SimplexPoint.vertex(k, index),
-        argmin_hint=SimplexPoint.vertex(k, off),
-        description=f"theta[{index}]",
-    )
+    return Polynomial([np.arange(k) == index], [0.0])
 
 
-def monomial_function(exponents: Sequence[int]) -> BoundedFunction:
+def monomial_function(exponents: Sequence[int]) -> Polynomial:
     """f(theta) = prod theta_i^{e_i}: the predictive probability of a future
     dataset with those outcome counts.  Its maximum over the simplex is
     prod (e_i/n')^{e_i}, attained at the relative frequencies."""
     counts = FrequencyVector(tuple(int(e) for e in exponents))
     if counts.n < 1:
         raise ValueError("at least one exponent must be positive")
-    exp_arr = np.asarray(counts.counts, dtype=float)
-    argmax = SimplexPoint(exp_arr / counts.n)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        acc = np.ones(pts.shape[0])
-        for i, e in enumerate(counts.counts):
-            if e > 0:
-                acc = acc * pts[:, i] ** e
-        return acc
-
-    return BoundedFunction(
-        evaluator=evaluate,
-        declared_min=0.0,
-        declared_max=vacuous_prior_upper_predictive(counts),
-        argmax_hint=argmax,
-        argmin_hint=None,
-        description="theta^" + str(counts.counts),
-    )
+    return Polynomial([counts.counts], [0.0])
 
 
-def constant_likelihood() -> LikelihoodFunction:
-    return LikelihoodFunction(
-        evaluator=lambda pts: np.ones(pts.shape[0]),
-        description="constant 1",
-    )
+def constant_likelihood(k: int) -> Polynomial:
+    return Polynomial([[0] * k], [0.0])
 
 
-def coordinate_likelihood(index: int) -> LikelihoodFunction:
-    return LikelihoodFunction(
-        evaluator=lambda pts: pts[:, index],
-        description=f"theta[{index}]",
-    )
-
-
-def monomial_likelihood(counts: Sequence[int]) -> LikelihoodFunction:
+def monomial_likelihood(counts: Sequence[int]) -> Polynomial:
     """Likelihood of a fully observed dataset with the given outcome counts."""
     freq = FrequencyVector(tuple(int(c) for c in counts))
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        acc = np.ones(pts.shape[0])
-        for i, e in enumerate(freq.counts):
-            if e > 0:
-                acc = acc * pts[:, i] ** e
-        return acc
-
-    return LikelihoodFunction(
-        evaluator=evaluate,
-        description="multinomial counts " + str(freq.counts),
-    )
+    return Polynomial([freq.counts], [0.0])
 
 
-def dataset_likelihood(data: ManifestDataset) -> LikelihoodFunction:
-    """Likelihood of an observed manifest sequence (noisy-channel data)."""
-    return LikelihoodFunction(
-        evaluator=lambda pts: latent_likelihood(data, pts),
-        description=f"manifest dataset, n={data.n}",
-    )
+def dataset_likelihood(data: ManifestDataset) -> Polynomial:
+    """Likelihood of an observed manifest sequence (noisy-channel data): sum_a W(a) theta^a."""
+    counts, log_w = likelihood_terms(data)
+    return Polynomial(counts, log_w)
 
 
 def _target_path(target: SimplexPoint, n: int) -> SimplexPoint:
@@ -422,7 +395,6 @@ def canonical_concentrating_sequence(target: SimplexPoint) -> ConcentratingSeque
     return ConcentratingSequence(
         generator=lambda n: DirichletParams(s=float(n), t=_target_path(target, n)),
         target=target,
-        description="strength n, mean on the target path",
     )
 
 
@@ -435,14 +407,12 @@ def fixed_strength_concentrating_sequence(
     fixed-strength near-ignorance prior set, so this family exhibits the
     escape from vacuity: a likelihood vanishing at the target caps the
     posterior ratio strictly away from the extremum however far the mean
-    walks.  Near the boundary the densities diverge, so only ratio
-    computations (where the likelihood's zero tames the divergence) are
-    meaningful along this family.
+    walks.  The densities diverge at the target, which no grid integrates;
+    the trend check's moments and Beta tails are exact for them.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
     return ConcentratingSequence(
         generator=lambda n: DirichletParams(s=float(s), t=_target_path(target, n)),
         target=target,
-        description=f"fixed strength s={s:g}, mean on the target path",
     )

@@ -7,16 +7,23 @@ of the vectorised weight pass, Beta moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
 arithmetic, instead of the log-space fixed-prior value, a multistart over
 softmax prior means instead of the stratum search, and plain 1-D midpoint
-quadrature instead of the simplex grid.
+quadrature instead of the simplex grid.  The trend lab's exact values are
+checked against exact-rational Dirichlet-moment sums over an exactly
+expanded likelihood, binomial sums for Beta CDFs with integer parameters,
+exact-rational bisection for level-set ends, and a substituted 1-D
+quadrature for Beta tails whose density diverges; the grid integrator and
+scalar densities here are the brute-force oracles of everything else.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from latentidm import DirichletParams, ManifestDataset, SimplexPoint
+from latentidm import BinaryChannel, DirichletParams, ManifestDataset, SimplexGrid, SimplexPoint
+from latentidm.simplex import _dirichlet_log_density_matrix
 
 
 def reference_log_dirichlet(params: DirichletParams, coords) -> float:
@@ -211,8 +218,8 @@ def midpoint_integral(f, lo: float, hi: float, points: int = 100_000) -> float:
 
 
 def beta_moment(a: float, b: float, order: int) -> float:
-    """E[x^order] for a Beta(a, b) variable."""
-    value = 1.0
+    """E[x^order] for a Beta(a, b) variable; exact when a and b are Fractions."""
+    value = 1
     for j in range(order):
         value *= (a + j) / (a + b + j)
     return value
@@ -221,7 +228,8 @@ def beta_moment(a: float, b: float, order: int) -> float:
 def polynomial_posterior_ratio(a: float, b: float, f_coeffs, l_coeffs) -> float:
     """E[f(x) L(x)] / E[L(x)] under Beta(a, b) for polynomial f and L.
 
-    Coefficients are in ascending powers of x.
+    Coefficients are in ascending powers of x.  With Fraction parameters and
+    coefficients every step is exact, however the coefficients' signs mix.
     """
     prod = np.polynomial.polynomial.polymul(f_coeffs, l_coeffs)
     num = sum(c * beta_moment(a, b, i) for i, c in enumerate(prod))
@@ -240,3 +248,146 @@ def random_interior_params(rng, k: int, nonneg_exponents: bool = True) -> Dirich
     else:
         s = rng.uniform(0.5, 8.0)
     return DirichletParams(s=float(s), t=SimplexPoint(t))
+
+
+SimplexFunction = Callable[[np.ndarray], float]
+
+
+def integrate_on_simplex(f: SimplexFunction, grid: SimplexGrid) -> float:
+    """Riemann-type grid approximation of the integral of f over the simplex.
+
+    Returns (simplex volume / point count) * sum of f over the grid points,
+    with the measure convention documented in `latentidm.simplex`.  f is
+    called once per point with a length-k coordinate array.  Evaluation
+    failures of f propagate.
+    """
+    if grid.resolution < 2:
+        raise ValueError("integration requires grid resolution m >= 2")
+    values = np.fromiter((f(p) for p in grid.points), dtype=float, count=grid.point_count)
+    return float(grid.simplex_volume * values.mean())
+
+
+def dirichlet_log_density(params: DirichletParams, theta) -> float:
+    """Log of the Dirichlet density at theta.
+
+    Computes log Gamma(s) - sum_i log Gamma(s t_i) + sum_i (s t_i - 1) log theta_i.
+    theta may be a :class:`SimplexPoint` or a plain length-k coordinate array.
+    Raises ValueError if theta has a zero coordinate where the corresponding
+    exponent s t_i - 1 is negative.
+    """
+    coords = theta.coords if isinstance(theta, SimplexPoint) else np.asarray(theta, dtype=float)
+    if coords.shape != (params.k,):
+        raise ValueError(f"theta must have {params.k} coordinates")
+    return float(_dirichlet_log_density_matrix(params, coords[None, :])[0])
+
+
+def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:
+    """Likelihood of the observed sequence as a function of the chances.
+
+    Computed through the per-index factorization prod_i sum_j lambda_{h_i j}
+    theta_j, which equals the sum over all hidden assignments of
+    P(observations | assignment) * P(assignment | theta).  Accepts a single
+    point (returns float) or an (N, k) matrix of points (returns N values).
+    """
+    coords = theta.coords if isinstance(theta, SimplexPoint) else np.asarray(theta, dtype=float)
+    single = coords.ndim == 1
+    pts = coords[None, :] if single else coords
+    if pts.shape[1] != data.k:
+        raise ValueError(f"theta must have k={data.k} coordinates")
+    acc = np.ones(pts.shape[0])
+    for emission, row in data.observations:
+        acc = acc * (pts @ emission.entries[row, :])
+    return float(acc[0]) if single else acc
+
+
+def latent_to_manifest_chance_vector(channel: BinaryChannel, theta1: np.ndarray) -> np.ndarray:
+    """xi_1 = (1 - eps2) * theta_1 + eps1 * (1 - theta_1); image is [eps1, 1-eps2]."""
+    return (1.0 - channel.eps2) * theta1 + channel.eps1 * (1.0 - theta1)
+
+
+def beta_cdf_binomial(x: float, a: int, b: int) -> Fraction:
+    """I_x(a, b) for integers a, b >= 1, exactly, at the exact binary value of x.
+
+    X ~ Beta(a, b) has X <= x iff at least a of a + b - 1 Bernoulli(x)
+    trials succeed, so I_x(a, b) is a binomial tail; the shorter of the sum
+    and its complement is taken, in integer arithmetic over x = p / q.
+    """
+    p, q = Fraction(x).as_integer_ratio()
+    m = a + b - 1
+    if b <= a:
+        top = sum(math.comb(m, j) * p**j * (q - p) ** (m - j) for j in range(a, m + 1))
+        return Fraction(top, q**m)
+    low = sum(math.comb(m, j) * p**j * (q - p) ** (m - j) for j in range(a))
+    return 1 - Fraction(low, q**m)
+
+
+def beta_tail_quadrature(x: float, a: float, b: float, points: int = 2**18) -> float:
+    """P(X >= x) for X ~ Beta(a, b) with a >= 1 and b <= 1, by 1-D quadrature.
+
+    The density diverges at 1 when b < 1; the substitution u = (1 - X)^b
+    turns the tail into (1 / (b B(a, b))) times the integral of
+    (1 - u^(1/b))^(a - 1) over [0, (1 - x)^b], a smooth integrand.  Midpoint
+    sums at two step sizes are combined by Richardson extrapolation.
+    """
+    top = (1.0 - x) ** b
+
+    def integrand(u):
+        return (1.0 - u ** (1.0 / b)) ** (a - 1.0)
+
+    coarse = midpoint_integral(integrand, 0.0, top, points)
+    fine = midpoint_integral(integrand, 0.0, top, 2 * points)
+    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return (4.0 * fine - coarse) / 3.0 / (b * beta)
+
+
+def monomial_interval(p: int, q: int, level: Fraction) -> tuple[Fraction, Fraction]:
+    """The ends of {x in [0, 1] : x^p (1 - x)^q >= level}, for 0 < level < the peak.
+
+    Exact-rational bisection on each side of the peak p / (p + q), to 2^-70.
+    """
+    peak = Fraction(p, p + q)
+
+    def end(outside: Fraction) -> Fraction:
+        inside = peak
+        while abs(inside - outside) > Fraction(1, 2**70):
+            mid = (inside + outside) / 2
+            if mid**p * (1 - mid) ** q >= level:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    return end(Fraction(0)), end(Fraction(1))
+
+
+def dirichlet_moment(s: float, t, e) -> Fraction:
+    """E[theta^e] under Dirichlet(s, t), exactly, at the exact binary values of s and t:
+    prod_h (s t_h)^{(e_h)} / s^{(|e|)}."""
+    s = Fraction(s)
+    top = Fraction(1)
+    for t_h, e_h in zip(t, e):
+        top *= math.prod((s * Fraction(float(t_h)) + j for j in range(e_h)), start=Fraction(1))
+    return top / math.prod((s + j for j in range(sum(e))), start=Fraction(1))
+
+
+def expanded_likelihood(data: ManifestDataset) -> dict[tuple[int, ...], Fraction]:
+    """The likelihood prod_i sum_j lambda_{h_i j} theta_j of `data`, expanded exactly:
+    exponent vector -> coefficient, with every entry at its exact binary value."""
+    terms = {(0,) * data.k: Fraction(1)}
+    for emission, row in data.observations:
+        lam = [Fraction(float(x)) for x in emission.entries[row]]
+        step: dict[tuple[int, ...], Fraction] = {}
+        for e, c in terms.items():
+            for j, l_j in enumerate(lam):
+                if l_j:
+                    key = e[:j] + (e[j] + 1,) + e[j + 1 :]
+                    step[key] = step.get(key, Fraction(0)) + c * l_j
+        terms = step
+    return terms
+
+
+def moment_ratio(s: float, t, f_exponents, terms: dict) -> Fraction:
+    """E[theta^f L] / E[L] under Dirichlet(s, t) for L = sum_e terms[e] theta^e, exactly."""
+    shifted = {tuple(a + b for a, b in zip(e, f_exponents)): c for e, c in terms.items()}
+    num = sum(c * dirichlet_moment(s, t, e) for e, c in shifted.items())
+    return num / sum(c * dirichlet_moment(s, t, e) for e, c in terms.items())

@@ -23,10 +23,8 @@ from latentidm import (
     canonical_concentrating_sequence,
     coordinate_function,
     dataset_likelihood,
-    dirichlet_log_density,
     fixed_strength_concentrating_sequence,
     frequency_weights,
-    latent_likelihood,
     monomial_function,
     monomial_likelihood,
     posterior_predictive_at_t,
@@ -46,7 +44,12 @@ from latentidm.runner import (
     report_to_doc,
     run_scenario,
 )
-from oracles import brute_frequency_weights, random_interior_params
+from oracles import (
+    brute_frequency_weights,
+    dirichlet_log_density,
+    latent_likelihood,
+    random_interior_params,
+)
 
 GRID_2000 = SimplexGrid(k=2, resolution=2000)
 
@@ -211,7 +214,6 @@ def test_criterion_6_vacuous_predictive_values():
         [dataset_likelihood(channel_data)],
         canonical_concentrating_sequence(SimplexPoint([0.5, 0.5])),
         [10, 100, 1000],
-        GRID_2000,
     )
     assert report.extremum == 0.25
     assert report.rows[-1].posterior_ratio >= 0.24
@@ -227,7 +229,7 @@ def test_criterion_7_concentration_trends():
         ManifestDataset.from_rows(BinaryChannel(0.1, 0.1).emission(), [0, 0])
     )
     report, contrast = verify_theorem1(
-        f, [positive_like, monomial_likelihood([1, 60])], seq, [10, 100, 1000], GRID_2000
+        f, [positive_like, monomial_likelihood([1, 60])], seq, [10, 100, 1000]
     )
     masses = [row.delta_masses[0] for row in report.rows]  # delta = 0.1
     assert masses[0] <= masses[1] <= masses[2]
@@ -246,7 +248,6 @@ def test_criterion_7_concentration_trends():
         [monomial_likelihood([1, 1])],
         fixed_strength_concentrating_sequence(target, 2.0),
         [10, 100, 1000],
-        GRID_2000,
     )
     assert fixed.final_gap >= 0.05
     crit.finish()

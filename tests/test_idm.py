@@ -12,13 +12,12 @@ from latentidm import (
     PredictiveBounds,
     SimplexGrid,
     SimplexPoint,
-    dirichlet_log_density,
     log_marginal_probability,
     posterior_update,
     standard_idm_predictive_bounds,
     vacuous_prior_upper_predictive,
 )
-from oracles import random_interior_params
+from oracles import dirichlet_log_density, random_interior_params
 
 
 def _grid_ratio(params, numerator_coord, grid, monomial):

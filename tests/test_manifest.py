@@ -13,8 +13,7 @@ from latentidm import (
     standard_idm_predictive_bounds,
     FrequencyVector,
 )
-from latentidm.manifest import latent_to_manifest_chance_vector
-from oracles import midpoint_integral, polynomial_posterior_ratio
+from oracles import latent_to_manifest_chance_vector, midpoint_integral, polynomial_posterior_ratio
 
 CH = BinaryChannel(0.1, 0.1)
 

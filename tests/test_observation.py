@@ -11,9 +11,7 @@ from latentidm import (
     SimplexGrid,
     SimplexPoint,
     SizeCapError,
-    dirichlet_log_density,
     frequency_weights,
-    latent_likelihood,
     outcome_bounds,
     posterior_predictive_at_t,
     predictive_bounds,
@@ -24,7 +22,9 @@ from latentidm import manifest, observation, strata
 from latentidm.runner import Scenario, run_scenario
 from oracles import (
     brute_frequency_weights,
+    dirichlet_log_density,
     exact_predictive,
+    latent_likelihood,
     manifest_given_latent,
     predictive_oracle,
     random_interior_params,

@@ -11,10 +11,13 @@ from latentidm import (
     DirichletParams,
     SimplexGrid,
     SimplexPoint,
+)
+from oracles import (
     dirichlet_log_density,
     integrate_on_simplex,
+    random_interior_params,
+    reference_log_dirichlet,
 )
-from oracles import random_interior_params, reference_log_dirichlet
 
 
 class TestSimplexPoint:

@@ -11,10 +11,14 @@ This module makes the limit statements checkable at desk scale: limits are
 replaced by trend checks over a fixed index schedule, each computed
 exactly.  Every f and likelihood L is a `Polynomial`, so E_n(f) and the
 posterior ratios E_n(f L) / E_n(L) are sums of Dirichlet moments, and a
-slab mass is the Beta mass of an interval of one coordinate.  Only the slab
-of a monomial with two or more positive exponents on k >= 3 coordinates is
-summed on a lattice grid.  `delta_set_mass` and `posterior_ratio` are plain
-grid sums, kept as the tests' oracles.
+slab mass is the Beta mass of an interval of one coordinate.  What depends
+only on the document (the slab interval ends, the stacked exponent rows) is
+found once per call; each index then reads one ladder of log ascending
+factorials, serving E_n(f) and every likelihood's numerator and normalizer,
+and the Beta CDFs at those ends.  Only the slab of a monomial with two or
+more positive exponents on k >= 3 coordinates is summed on a lattice grid.
+`delta_set_mass` and `posterior_ratio` are plain grid sums, kept as the
+tests' oracles.
 """
 
 from __future__ import annotations
@@ -205,17 +209,6 @@ def posterior_ratio(
 # Exact values: Dirichlet moments and Beta CDFs.
 
 
-def _expected_ratio(params: DirichletParams, f_row: np.ndarray, likelihood: Polynomial) -> float:
-    """E(theta^f_row L) / E(L), each a log-space sum of Dirichlet moments; raises
-    DegenerateRatioError when E(L) < 1e-300, where L is numerically zero under the prior."""
-    rows = likelihood.exponents
-    logs = log_moments(params, np.vstack((rows, rows + f_row))) + np.tile(likelihood.log_coeffs, 2)
-    log_normalizer = np.logaddexp.reduce(logs[: len(rows)])
-    if log_normalizer < math.log(_UNDERFLOW_FLOOR):
-        raise _underflow(math.exp(log_normalizer))
-    return math.exp(np.logaddexp.reduce(logs[len(rows) :]) - log_normalizer)
-
-
 def _beta_cdf(x: float, a: float, b: float) -> float:
     """The regularised incomplete beta I_x(a, b), P(X <= x) for X ~ Beta(a, b).
 
@@ -262,24 +255,16 @@ def _crossing(f_at: Callable[[float], float], level: float, inside: float, outsi
             outside = mid
 
 
-def _exact_mass(params: DirichletParams, f_row: np.ndarray, slab: DeltaSet) -> float:
-    """Prior mass of the slab of f = theta^f_row, where f is a function x^p (1 - x)^q of
-    one coordinate x: theta_0 when k = 2, else the one coordinate f depends on.
-
-    x is Beta with the Dirichlet's parameters split at x, and {f >= level} is
-    an interval of x around the peak p / (p + q), found by bisection.
-    """
-    level, alpha = slab.level, params.alpha
-    if not 0.0 < level < _peak(f_row):
-        return 1.0  # delta reaches the peak: the slab is the whole simplex
-    if len(f_row) == 2:
-        (p, q), (a, b) = f_row, alpha
-    else:
-        (i,) = np.flatnonzero(f_row)
-        p, q, a, b = f_row[i], 0, alpha[i], alpha[f_row == 0].sum()
-    lo, hi = (_crossing(lambda x: x**p * (1.0 - x) ** q, level, p / (p + q), end) for end in (0, 1))
-    inside = _beta_cdf(hi, a, b) - _beta_cdf(lo, a, b)
-    return inside if slab.mode == MAX_SIDE else 1.0 - inside
+def _level_interval(p: int, q: int, level: float, peak: float) -> tuple[float, float]:
+    """Ends of {x in [0, 1] : x^p (1 - x)^q >= level}, an interval around the peak p / (p + q)
+    found by bisection: all of [0, 1] when level <= 0, massless when level >= peak."""
+    if level <= 0.0:
+        return 0.0, 1.0
+    if level >= peak:
+        return 0.0, 0.0
+    top = p / (p + q)
+    lo, hi = (_crossing(lambda x: x**p * (1.0 - x) ** q, level, top, end) for end in (0, 1))
+    return lo, hi
 
 
 def verify_theorem1(
@@ -295,35 +280,60 @@ def verify_theorem1(
     For each index n in the schedule, reports E_n(f), the mass of the
     near-extremal slabs at the given deltas, and the posterior ratio under
     each supplied likelihood; returns one report per likelihood, in order.
-    All are exact, apart from the slab masses of a monomial f with two or
-    more positive exponents on k >= 3 coordinates: those are sums over one
-    clamp-to-epsilon lattice grid of `grid_resolution`, built on first use.
     The verdict flag records whether the final ratio lands within 0.01 of
     the extremum.  The sequence's target must be an extremizer of f: the
     side is the min side when f vanishes at the target, else the max side.
+
+    Per call: each slab's ends on the coordinate x = theta_i that reads
+    f = x^p (1 - x)^q (i = 0 when k = 2), and the exponent rows [f; L_1;
+    L_1 + f; L_2; L_2 + f; ...].  Per index: one `log_moments` ladder over
+    those rows, giving E_n(f) and every E_n(f L) / E_n(L), and the Beta
+    CDFs of x ~ Beta(alpha_i, sum of the rest) at the ends.  Only a monomial
+    f with two or more positive exponents on k >= 3 coordinates has its
+    masses summed, on one lattice grid of `grid_resolution` per call.  The
+    first index, and in it the first likelihood, whose E_n(L) is below
+    1e-300 raises DegenerateRatioError.
     """
     f_row = _monomial(f)
+    peak = _peak(f_row)
     side = MIN_SIDE if (sequence.target.coords[f_row > 0] == 0.0).any() else MAX_SIDE
-    extremum = _peak(f_row) if side == MAX_SIDE else 0.0
+    extremum = peak if side == MAX_SIDE else 0.0
     slabs = [DeltaSet(f, float(d), mode=side) for d in deltas]
     mass = BETA_TAIL if np.count_nonzero(f_row) == 1 else GRID if len(f_row) > 2 else BETA_INTERVAL
-    grid = None
+    i = 0 if len(f_row) == 2 else int(np.flatnonzero(f_row)[0])
+    rest = np.arange(len(f_row)) != i
+    grid, ends = None, []
+    if mass != GRID:
+        ends = [_level_interval(f_row[i], f_row[rest].sum(), slab.level, peak) for slab in slabs]
+    elif slabs:
+        grid = SimplexGrid(k=len(f_row), resolution=grid_resolution)
+        log_points = np.log(grid.points)  # clamped: every coordinate is positive
+        members = [slab.mask(f.values(grid.points)) for slab in slabs]
+    blocks = [np.vstack((L.exponents, L.exponents + f_row)) for L in likelihoods]
+    stack = np.vstack([f_row[None], *blocks])
+    starts = np.cumsum([1] + [len(block) for block in blocks])
+    log_coeffs = [np.tile(L.log_coeffs, 2) for L in likelihoods]
     rows = [[] for _ in likelihoods]
     for n in map(int, schedule):
         params = sequence.generator(n)
-        if mass != GRID or not slabs:
-            masses = tuple(_exact_mass(params, f_row, slab) for slab in slabs)
+        if grid is None:
+            a, b = params.alpha[i], params.alpha[rest].sum()
+            inside = (_beta_cdf(hi, a, b) - _beta_cdf(lo, a, b) for lo, hi in ends)
+            masses = tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
         else:
-            if grid is None:
-                grid = SimplexGrid(k=len(f_row), resolution=grid_resolution)
-                log_points = np.log(grid.points)  # clamped: every coordinate is positive
-                members = [slab.mask(f.values(grid.points)) for slab in slabs]
             log_density = log_points @ (params.alpha - 1.0)
             density = np.exp(log_density - log_density.max())
             masses = tuple(float(density[m].sum() / density.sum()) for m in members)
-        expectation = math.exp(log_moments(params, f_row[None, :])[0])
-        for likelihood, out in zip(likelihoods, rows):
-            out.append(TrendRow(n, expectation, masses, _expected_ratio(params, f_row, likelihood)))
+        logs = log_moments(params, stack)
+        expectation = math.exp(logs[0])
+        for start, coeffs, out in zip(starts, log_coeffs, rows):
+            terms = logs[start : start + len(coeffs)] + coeffs
+            half = len(coeffs) // 2
+            log_normalizer = np.logaddexp.reduce(terms[:half])
+            if log_normalizer < math.log(_UNDERFLOW_FLOOR):
+                raise _underflow(math.exp(log_normalizer))
+            ratio = math.exp(np.logaddexp.reduce(terms[half:]) - log_normalizer)
+            out.append(TrendRow(n, expectation, masses, ratio))
     deltas = tuple(slab.delta for slab in slabs)
     methods = {"expectation": MOMENT, "mass": mass, "ratio": MOMENT}
     reports = []

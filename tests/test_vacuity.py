@@ -435,6 +435,102 @@ class TestSharedDensity:
         }
 
 
+TREND_NAMES = ["theorem-a1-concentration", "theorem1-escape-contrast", "theorem1-monomial-vacuity"]
+
+
+def _assert_underflow_of(error, s, t, row):
+    """The DegenerateRatioError text names the sum E[theta^row], to 1e-9 relative."""
+    head, tail = "posterior normalizer underflowed (sum ", (
+        "); the likelihood is numerically zero where the prior has mass"
+    )
+    text = str(error)
+    assert text.startswith(head) and text.endswith(tail)
+    value = float(text[len(head) : -len(tail)])
+    assert value == pytest.approx(float(dirichlet_moment(s, t, row)), rel=1e-9)
+
+
+class TestPerDocumentWork:
+    """What depends only on the document is found once per call; each index
+    does only the work that needs its own Dirichlet parameters."""
+
+    @pytest.mark.parametrize(
+        "target, function, method",
+        [
+            ([1.0, 0.0, 0.0], {"kind": "coordinate", "index": 0}, vacuity.BETA_TAIL),
+            ([0.5, 0.5], {"kind": "monomial", "exponents": [1, 1]}, vacuity.BETA_INTERVAL),
+            ([0.5, 0.5, 0.0], {"kind": "monomial", "exponents": [1, 1, 0]}, vacuity.GRID),
+        ],
+    )
+    def test_no_deltas_under_every_mass_method(self, target, function, method):
+        doc = {
+            "name": "no-deltas",
+            "kind": "verify-theorem1",
+            "target": target,
+            "function": function,
+            "likelihood": {"kind": "constant"},
+            "schedule": [10, 20],
+            "deltas": [],
+            "grid_resolution": 60,
+        }
+        report = run_scenario(Scenario.from_dict(doc))
+        assert [row["mass"] for row in report["results"]["main"]["rows"]] == [[], []]
+        assert report["provenance"]["methods"]["mass"] == method
+        assert "grid" not in report["provenance"]
+
+    @pytest.mark.parametrize("name", TREND_NAMES)
+    def test_rows_do_not_depend_on_the_schedule(self, name):
+        doc = bundled_scenarios()[name]
+        assert len(doc["schedule"]) == 3
+        whole = run_scenario(Scenario.from_dict(doc))["results"]
+        for j, n in enumerate(doc["schedule"]):
+            alone = run_scenario(Scenario.from_dict(dict(doc, schedule=[n])))["results"]
+            for key in ("main", "contrast"):
+                if whole[key] is None:
+                    assert alone[key] is None
+                    continue
+                assert alone[key]["rows"] == [whole[key]["rows"][j]]
+
+    @pytest.mark.parametrize("name", TREND_NAMES)
+    def test_document_work_is_done_once_per_call(self, name, monkeypatch):
+        counts = {"_crossing": 0, "log_moments": 0}
+        for attr in counts:
+            original = getattr(vacuity, attr)
+
+            def counting(*args, _attr=attr, _original=original):
+                counts[_attr] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(vacuity, attr, counting)
+        doc = bundled_scenarios()[name]
+        crossings = []
+        for schedule in ([10], [10, 100, 1000], [10, 100, 1000], list(range(10, 210, 10))):
+            counts.update({"_crossing": 0, "log_moments": 0})
+            run_scenario(Scenario.from_dict(dict(doc, schedule=schedule)))
+            assert counts["log_moments"] == len(schedule)
+            crossings.append(counts["_crossing"])
+        # the same bisections whatever the schedule length, and again on a repeated
+        # call: nothing is kept between calls
+        assert crossings == [2 * len(doc["deltas"])] * 4
+
+    def test_contrast_underflow_alone_raises(self):
+        # the main normalizer is about 1e-292, the contrast's about 1e-304
+        seq = canonical_concentrating_sequence(VERTEX_10)
+        params = seq.generator(10)
+        likelihoods = [monomial_likelihood([480, 480]), monomial_likelihood([500, 500])]
+        with pytest.raises(DegenerateRatioError) as raised:
+            verify_theorem1(F_COORD, likelihoods, seq, [10])
+        _assert_underflow_of(raised.value, params.s, params.t.coords, [500, 500])
+
+    def test_main_underflow_is_reported_first(self):
+        seq = canonical_concentrating_sequence(VERTEX_10)
+        params = seq.generator(10)
+        likelihoods = [monomial_likelihood([496, 496]), monomial_likelihood([500, 500])]
+        with pytest.raises(DegenerateRatioError) as raised:
+            verify_theorem1(F_COORD, likelihoods, seq, [10])
+        # both normalizers are below 1e-300 (about 3e-302 and 1e-304): the main one is named
+        _assert_underflow_of(raised.value, params.s, params.t.coords, [496, 496])
+
+
 def _x_polynomial(terms: dict) -> list[Fraction]:
     """Ascending coefficients in x = theta_0 of a k = 2 likelihood sum_e c_e theta^e."""
     n = sum(next(iter(terms)))

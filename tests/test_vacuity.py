@@ -435,7 +435,11 @@ class TestSharedDensity:
         }
 
 
-TREND_NAMES = ["theorem-a1-concentration", "theorem1-escape-contrast", "theorem1-monomial-vacuity"]
+TREND_NAMES = [
+    name
+    for name, doc in bundled_scenarios().items()
+    if doc["kind"] in ("verify-theorem1", "theorem-a1a2")
+]
 
 
 def _assert_underflow_of(error, s, t, row):
@@ -446,7 +450,7 @@ def _assert_underflow_of(error, s, t, row):
     text = str(error)
     assert text.startswith(head) and text.endswith(tail)
     value = float(text[len(head) : -len(tail)])
-    assert value == pytest.approx(float(dirichlet_moment(s, t, row)), rel=1e-9)
+    assert value == pytest.approx(float(dirichlet_moment(s, t, row)), rel=1e-9, abs=0.0)
 
 
 class TestPerDocumentWork:
@@ -512,23 +516,18 @@ class TestPerDocumentWork:
         # call: nothing is kept between calls
         assert crossings == [2 * len(doc["deltas"])] * 4
 
-    def test_contrast_underflow_alone_raises(self):
-        # the main normalizer is about 1e-292, the contrast's about 1e-304
+    @pytest.mark.parametrize(
+        "main, named",
+        # normalizers at n = 10: [480, 480] ~1e-292, [496, 496] ~3e-302, [500, 500] ~1e-304
+        [([480, 480], [500, 500]), ([496, 496], [496, 496])],
+    )
+    def test_underflow_names_the_first_degenerate_likelihood(self, main, named):
         seq = canonical_concentrating_sequence(VERTEX_10)
         params = seq.generator(10)
-        likelihoods = [monomial_likelihood([480, 480]), monomial_likelihood([500, 500])]
+        likelihoods = [monomial_likelihood(main), monomial_likelihood([500, 500])]
         with pytest.raises(DegenerateRatioError) as raised:
             verify_theorem1(F_COORD, likelihoods, seq, [10])
-        _assert_underflow_of(raised.value, params.s, params.t.coords, [500, 500])
-
-    def test_main_underflow_is_reported_first(self):
-        seq = canonical_concentrating_sequence(VERTEX_10)
-        params = seq.generator(10)
-        likelihoods = [monomial_likelihood([496, 496]), monomial_likelihood([500, 500])]
-        with pytest.raises(DegenerateRatioError) as raised:
-            verify_theorem1(F_COORD, likelihoods, seq, [10])
-        # both normalizers are below 1e-300 (about 3e-302 and 1e-304): the main one is named
-        _assert_underflow_of(raised.value, params.s, params.t.coords, [496, 496])
+        _assert_underflow_of(raised.value, params.s, params.t.coords, named)
 
 
 def _x_polynomial(terms: dict) -> list[Fraction]:

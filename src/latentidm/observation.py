@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -91,25 +91,43 @@ class EmissionMatrix:
 
 @dataclass(frozen=True)
 class ManifestDataset:
-    """An ordered sequence of observations, each an (emission, row) pair."""
+    """An ordered sequence of observations, each an (emission, row) pair.
+
+    `row_entries` stacks the observed emission rows, one per observation:
+    row_entries[i, j] = P(observation i | hidden outcome j).  The row check
+    here, the weight pass and `vacuity_diagnosis` all read it.
+    """
 
     observations: tuple[tuple[EmissionMatrix, int], ...]
     k: int
+    row_entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         obs = tuple(self.observations)
         object.__setattr__(self, "observations", obs)
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        rows, mismatch = [], None
         for i, (emission, row) in enumerate(obs):
             if emission.k != self.k:
-                raise ValueError(f"observation {i}: emission has k={emission.k}, expected {self.k}")
+                mismatch = f"observation {i}: emission has k={emission.k}, expected {self.k}"
+                break
             if not 0 <= row < emission.manifest_count:
-                raise ValueError(f"observation {i}: row {row} out of range")
-            if not np.any(emission.entries[row, :] != 0.0):
-                raise ValueError(
-                    f"observation {i}: row {row} has probability zero under every hidden outcome"
-                )
+                mismatch = f"observation {i}: row {row} out of range"
+                break
+            rows.append(emission.entries[row])
+        entries = np.array(rows).reshape(len(rows), self.k)
+        # a zero row before the first mismatch is the first failing observation
+        impossible = np.flatnonzero(~entries.any(axis=1))
+        if len(impossible):
+            i = int(impossible[0])
+            raise ValueError(
+                f"observation {i}: row {obs[i][1]} has probability zero under every hidden outcome"
+            )
+        if mismatch:
+            raise ValueError(mismatch)
+        entries.setflags(write=False)
+        object.__setattr__(self, "row_entries", entries)
 
     @property
     def n(self) -> int:
@@ -236,8 +254,7 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     log_w = np.full(size + 1, -np.inf)
     log_w[0] = 0.0  # the zero vector
     terms = np.empty((k, size))
-    for emission, row in data.observations:
-        lam = emission.entries[row]
+    for lam in data.row_entries.tolist():
         allowed = [j for j in range(k) if lam[j] != 0.0]
         rows = terms[: len(allowed)]
         for r, j in enumerate(allowed):
@@ -281,43 +298,61 @@ class SearchSpec:
     refinement_passes: int = 0
 
 
-def _envelope_limit(support: Sequence[Sequence[int]], j: int, upper: bool, s: float):
-    """(value, descriptor) of an open side that attains its conjugate envelope, else None.
+def _envelope_limits(counts: np.ndarray, sides: Sequence[tuple[int, bool]], s: float) -> list:
+    """(value, descriptor) of each open side (j, upper) that attains its envelope, else None.
 
     Every conjugate fraction (a_j + s t_j)/(n + s) lies below (A + s)/(n + s)
     and above B/(n + s), with A and B the largest and smallest a_j of the
-    support.  The upper reaches its envelope iff, as every coordinate but j
-    vanishes, the surviving face holds only vectors with a_j = A; the lower
-    reaches its envelope iff, for some vanishing set containing j, it holds
-    only vectors with a_j = B.  Both are decided on the exact support, with
-    equal rates (the straight path to the vertex, or t_j alone vanishing)
-    tried first.  Plain Python: most runs stop at those first checks.
+    support `counts` (one row per vector).  The upper reaches its envelope
+    iff, as every coordinate but j vanishes, the surviving face holds only
+    vectors with a_j = A; the lower reaches its envelope iff, for some
+    vanishing set containing j, it holds only vectors with a_j = B.  Both
+    are decided on the exact support.  The equal-rate checks come first,
+    for every side at once in one array pass: on the straight path to the
+    vertex the vectors with the fewest nonzeros off column j survive, and
+    with t_j alone vanishing all of them do, so the lower needs a_j
+    constant.  Only a side that fails its check goes on to the faces with
+    unequal rates (`strata.faces`).
     """
-    n, k = sum(support[0]), len(support[0])
-    column = [a[j] for a in support]
-    if upper:
-        target = max(column)
-        value = (target + s) / (n + s)
-        others = tuple(h for h in range(k) if h != j)
-        spread = [sum(a[h] > 0 for h in others) for a in support]
-        least = min(spread)
-        if all(c == target for c, w in zip(column, spread) if w == least):
-            return value, BoundaryLimit(j, 1.0)
-        candidates = [others]
-    else:
-        target = min(column)
-        value = target / (n + s)
-        if all(c == target for c in column):
-            return value, BoundaryLimit(j, 0.0)
-        candidates = [z for size in range(2, k) for z in itertools.combinations(range(k), size)]
-        candidates = [z for z in candidates if j in z]
-    from . import strata  # on first use: the equal-rate checks above settle most sides
+    n, k = sum(counts[0].tolist()), counts.shape[1]
+    highest, lowest = counts.max(axis=0), counts.min(axis=0)
+    present = counts > 0
+    spread = present.sum(axis=1, keepdims=True) - present  # nonzeros off each column
+    fewest = spread == spread.min(axis=0)
+    straight = ~(fewest & (counts != highest)).any(axis=0)
+    highest, lowest, straight = highest.tolist(), lowest.tolist(), straight.tolist()
+    limits = []
+    for j, upper in sides:
+        if upper:
+            target, value = highest[j], (highest[j] + s) / (n + s)
+            if straight[j]:
+                limits.append((value, BoundaryLimit(j, 1.0)))
+                continue
+            candidates = [tuple(h for h in range(k) if h != j)]
+        else:
+            target, value = lowest[j], lowest[j] / (n + s)
+            if target == highest[j]:
+                limits.append((value, BoundaryLimit(j, 0.0)))
+                continue
+            candidates = [
+                z for size in range(2, k) for z in itertools.combinations(range(k), size) if j in z
+            ]
+        limits.append(_face_limit(counts, j, target, candidates, value))
+    return limits
 
-    counts = np.array(support)
+
+def _face_limit(counts: np.ndarray, j: int, target: int, candidates, value: float):
+    """(value, stratum) of the first exposed face whose members all have a_j = target, else None.
+
+    The vanishing sets `candidates` are tried in order, each face of one set
+    with the rates that expose it.
+    """
+    from . import strata  # on first use: the equal-rate checks settle most sides
+
     for vanishing in candidates:
         for rates, members in strata.faces(counts[:, vanishing] > 0):
             if (counts[members, j] == target).all():
-                rest = np.isin(np.arange(k), vanishing, invert=True)
+                rest = np.isin(np.arange(counts.shape[1]), vanishing, invert=True)
                 limit = SimplexPoint(rest / rest.sum())
                 return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
     return None
@@ -337,7 +372,7 @@ def outcome_bounds(
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
     A side left open is next checked against its conjugate envelope on the
-    exact support (`_envelope_limit`), the keys of the dataset's log-space
+    exact support (`_envelope_limits`), the keys of the dataset's log-space
     weight pass.  Only the sides that do not attain it are searched
     (`strata.search`), over the weights of that same pass.  So when the
     diagnosis settles every side no weights are computed, and the n cap
@@ -368,8 +403,7 @@ def outcome_bounds(
         return tuple(found[j] for j in outcomes)
 
     counts, log_w = data.weight_pass
-    support = counts.tolist()
-    settled = {side: _envelope_limit(support, *side, s) for side in sides}
+    settled = dict(zip(sides, _envelope_limits(counts, sides, s)))
     searched = [side for side, limit in settled.items() if limit is None]
     if searched:
         from . import strata  # on first use: most scenarios never search
@@ -403,14 +437,15 @@ def vacuity_diagnosis(data: ManifestDataset) -> VacuityDiagnosis:
     set; other near-ignorance sets are only covered by the trend checks of
     the vacuity lab.
     """
-    rows = [emission.entries[row, :] for emission, row in data.observations]
+    zero = (data.row_entries == 0.0).tolist()
+    certifying = [row.count(True) == data.k - 1 for row in zero]
     per_outcome = []
     for j in range(data.k):
-        upper_witnesses = tuple(i for i, lam in enumerate(rows) if lam[j] == 0.0)
+        upper_witnesses = tuple(i for i, row in enumerate(zero) if row[j])
         lower_witnesses = tuple(
             i
-            for i, lam in enumerate(rows)
-            if lam[j] != 0.0 and all(lam[r] == 0.0 for r in range(data.k) if r != j)
+            for i, (row, certifies) in enumerate(zip(zero, certifying))
+            if certifies and not row[j]
         )
         per_outcome.append(
             OutcomeDiagnosis(

@@ -6,8 +6,10 @@ matrix evaluation, explicit enumeration or a plain-Python dict pass instead
 of the vectorised weight pass, Beta moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
 arithmetic, instead of the log-space fixed-prior value, a multistart over
-softmax prior means instead of the stratum search, and plain 1-D midpoint
-quadrature instead of the simplex grid.  The trend lab's exact values are
+softmax prior means instead of the stratum search, per-vector and per-row
+Python loops instead of the array passes of the envelope checks and the
+learnability diagnosis, and plain 1-D midpoint quadrature instead of the
+simplex grid.  The trend lab's exact values are
 checked against exact-rational Dirichlet-moment sums over an exactly
 expanded likelihood, binomial sums for Beta CDFs with integer parameters,
 exact-rational bisection for level-set ends, and a substituted 1-D
@@ -22,7 +24,16 @@ from typing import Callable
 
 import numpy as np
 
-from latentidm import BinaryChannel, DirichletParams, ManifestDataset, SimplexGrid, SimplexPoint
+from latentidm import (
+    BinaryChannel,
+    BoundaryLimit,
+    DirichletParams,
+    ManifestDataset,
+    SimplexGrid,
+    SimplexPoint,
+    strata,
+)
+from latentidm.idm import BoundaryStratum
 from latentidm.simplex import _dirichlet_log_density_matrix
 
 
@@ -82,6 +93,63 @@ def dict_log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
         states = nxt
     keys = sorted(states)
     return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
+
+
+def envelope_limit(support, j: int, upper: bool, s: float):
+    """(value, descriptor) of side (j, upper) if it attains its conjugate envelope, else None.
+
+    The rule of `observation._envelope_limits`, one side at a time in plain
+    Python over the support as a list of count tuples: the upper needs every
+    vector with the fewest nonzeros off column j to have a_j = A, the lower
+    needs a_j constant; a side that fails goes on to the faces with unequal
+    rates, on the same vanishing sets in the same order.
+    """
+    n, k = sum(support[0]), len(support[0])
+    column = [a[j] for a in support]
+    if upper:
+        target = max(column)
+        value = (target + s) / (n + s)
+        others = tuple(h for h in range(k) if h != j)
+        spread = [sum(a[h] > 0 for h in others) for a in support]
+        least = min(spread)
+        if all(c == target for c, w in zip(column, spread) if w == least):
+            return value, BoundaryLimit(j, 1.0)
+        candidates = [others]
+    else:
+        target = min(column)
+        value = target / (n + s)
+        if all(c == target for c in column):
+            return value, BoundaryLimit(j, 0.0)
+        candidates = [z for size in range(2, k) for z in itertools.combinations(range(k), size)]
+        candidates = [z for z in candidates if j in z]
+    counts = np.array(support)
+    for vanishing in candidates:
+        for rates, members in strata.faces(counts[:, vanishing] > 0):
+            if (counts[members, j] == target).all():
+                rest = np.isin(np.arange(k), vanishing, invert=True)
+                limit = SimplexPoint(rest / rest.sum())
+                return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
+    return None
+
+
+def diagnosis_witnesses(data: ManifestDataset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(upper witnesses, lower witnesses) of each outcome, one observed row at a time.
+
+    An upper witness is an observation whose row has lambda_{hj} = 0; a lower
+    witness one whose row has lambda_{hj} != 0 and lambda_{hr} = 0 for every
+    r != j.
+    """
+    rows = [emission.entries[row, :] for emission, row in data.observations]
+    witnesses = []
+    for j in range(data.k):
+        upper = tuple(i for i, lam in enumerate(rows) if lam[j] == 0.0)
+        lower = tuple(
+            i
+            for i, lam in enumerate(rows)
+            if lam[j] != 0.0 and all(lam[r] == 0.0 for r in range(data.k) if r != j)
+        )
+        witnesses.append((upper, lower))
+    return witnesses
 
 
 def log_ascending_factorial(x: float, a: int) -> float:

@@ -117,7 +117,7 @@ def test_criterion_2_posterior_predictive_oracle_equivalence():
         brute = brute_frequency_weights(data)
         assert set(dp) == set(brute)
         for key, w in brute.items():
-            assert dp[key] == pytest.approx(w, rel=1e-12)
+            assert dp[key] == pytest.approx(w, rel=1e-12, abs=0.0)
 
         # predictive value against the integration oracle
         dens = grid_density(prior)

@@ -22,6 +22,7 @@ from latentidm import manifest, observation, strata
 from latentidm.runner import Scenario, run_scenario
 from oracles import (
     brute_frequency_weights,
+    diagnosis_witnesses,
     dirichlet_log_density,
     exact_predictive,
     latent_likelihood,
@@ -114,6 +115,26 @@ class TestManifestDataset:
         with pytest.raises(ValueError, match="observation 1: row 1"):
             ManifestDataset.from_rows(emission, [0, 1])
 
+    def test_names_the_first_failing_observation(self):
+        # observation 2 is impossible and observation 5 has the wrong k: the zero row is
+        # named, as if each observation were checked in turn
+        emission = EmissionMatrix([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]])
+        obs = [(emission, row) for row in (0, 2, 1, 0, 2)] + [(EmissionMatrix.identity(3), 0)]
+        zero_row = "^observation 2: row 1 has probability zero under every hidden outcome$"
+        with pytest.raises(ValueError, match=zero_row):
+            ManifestDataset(tuple(obs), k=2)
+        # a bad row before the zero row is named instead
+        obs[1] = (emission, 3)
+        with pytest.raises(ValueError, match="^observation 1: row 3 out of range$"):
+            ManifestDataset(tuple(obs), k=2)
+
+    def test_row_entries_stack_the_observed_rows(self):
+        emission = EmissionMatrix([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]])
+        data = ManifestDataset(((emission, 2), (IDENTITY2, 1), (emission, 0)), k=2)
+        assert data.row_entries.tolist() == [[0.5, 0.0], [0.0, 1.0], [0.5, 1.0]]
+        assert not data.row_entries.flags.writeable
+        assert ManifestDataset((), k=3).row_entries.shape == (0, 3)
+
 
 class TestManifestGivenLatent:
     def test_identity_exact_match(self):
@@ -173,7 +194,7 @@ class TestLatentLikelihood:
                     manifest_given_latent(data, x) * np.prod(theta ** np.bincount(x, minlength=k))
                     for x in itertools.product(range(k), repeat=data.n)
                 )
-                assert direct == pytest.approx(total, rel=1e-12)
+                assert direct == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 class TestFrequencyWeights:
@@ -197,7 +218,7 @@ class TestFrequencyWeights:
             brute = brute_frequency_weights(data)
             assert set(dp) == set(brute)
             for key, w in brute.items():
-                assert dp[key] == pytest.approx(w, rel=1e-12)
+                assert dp[key] == pytest.approx(w, rel=1e-12, abs=0.0)
 
     def test_weights_sum_to_assignment_total(self):
         # factorized likelihood equals sum_a W(a) * prod theta^a
@@ -210,7 +231,7 @@ class TestFrequencyWeights:
             via_weights = sum(
                 w * np.prod(theta ** np.asarray(fv.counts)) for fv, w in weights.items()
             )
-            assert via_weights == pytest.approx(latent_likelihood(data, theta), rel=1e-12)
+            assert via_weights == pytest.approx(latent_likelihood(data, theta), rel=1e-12, abs=0.0)
 
     def test_size_cap(self):
         data = ManifestDataset.from_rows(IDENTITY2, [0] * 21)
@@ -516,6 +537,17 @@ class TestVacuityDiagnosis:
         # the unobserved row 1 would have excluded outcome 0
         other = ManifestDataset.from_rows(emission, [1])
         assert vacuity_diagnosis(other)[0].upper_strictly_below_one
+
+    def test_witnesses_match_the_per_row_rule(self):
+        # zero, tiny and moderate entries, every observation with its own matrix
+        rng = np.random.default_rng(53)
+        for trial in range(80):
+            k = 2 + trial % 3
+            data = tiny_entry_dataset(rng, k, int(rng.integers(0, 9)))
+            diagnosis = vacuity_diagnosis(data)
+            found = [(d.upper_witnesses, d.lower_witnesses) for d in diagnosis.per_outcome]
+            assert found == diagnosis_witnesses(data)
+            assert all(type(i) is int for pair in found for witnesses in pair for i in witnesses)
 
     def test_flags_agree_with_grid_bounds(self):
         # threshold 1e-6 agreement between the combinatorial flags and the

@@ -32,6 +32,7 @@ from latentidm.observation import log_weights
 from oracles import (
     brute_frequency_weights,
     dict_log_weights,
+    envelope_limit,
     predictive_at_log_t,
     predictive_extremes,
 )
@@ -198,6 +199,11 @@ class TestFaces:
         assert strata._positive_solution([(1, -1)], [(1, 0)], 2) == (1, 1)
 
 
+def envelope(support, j: int, upper: bool, s: float = 2.0):
+    """`observation._envelope_limits` of the single side (j, upper)."""
+    return observation._envelope_limits(np.array(support), [(j, upper)], s)[0]
+
+
 class TestEnvelope:
     @pytest.mark.parametrize("k", [2, 3])
     def test_identity_channel_equals_standard_idm(self, k):
@@ -216,13 +222,13 @@ class TestEnvelope:
     def test_upper_on_the_straight_path(self):
         # outcome 0, n = 3, A = 1: with t_1, t_2 vanishing alike, (1, 0, 1) and (1, 1, 0) survive
         support = [(0, 2, 1), (1, 0, 1), (1, 1, 0)]
-        assert observation._envelope_limit(support, 0, True, 2.0) == (0.6, BoundaryLimit(0, 1.0))
+        assert envelope(support, 0, True) == (0.6, BoundaryLimit(0, 1.0))
 
     def test_upper_with_unequal_rates(self):
         # the straight path keeps (0, 0, 2) too, whose a_0 = 0 < A = 1; letting t_2
         # vanish faster than t_1 leaves (1, 1, 0) alone
         support = [(0, 0, 2), (1, 1, 0)]
-        value, where = observation._envelope_limit(support, 0, True, 2.0)
+        value, where = envelope(support, 0, True)
         assert (value, where.vanishing, where.limit) == (0.75, (1, 2), SimplexPoint([1, 0, 0]))
         assert where.rates[0] < where.rates[1]
 
@@ -230,14 +236,33 @@ class TestEnvelope:
         # every a_0 >= 1, but a_0 is not constant: t_0 alone vanishing keeps both
         # vectors; with t_2 vanishing too, only (1, 2, 0) survives, and a_0 = 1 = B
         support = [(1, 2, 0), (2, 0, 1)]
-        value, where = observation._envelope_limit(support, 0, False, 2.0)
+        value, where = envelope(support, 0, False)
         assert value == 1 / (3 + 2.0)
         assert isinstance(where, BoundaryStratum) and where.vanishing == (0, 2)
         assert where.limit == SimplexPoint([0, 1, 0])
 
     def test_unattained_envelope_is_left_to_the_search(self):
         support = [(0, 1, 1), (0, 2, 0), (1, 1, 0)]
-        assert observation._envelope_limit(support, 0, True, 2.0) is None
+        assert envelope(support, 0, True) is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        k=st.integers(2, 4),
+        n=st.integers(1, 12),
+        s=st.sampled_from([0.5, 2.0, 5.0]),
+    )
+    def test_every_side_matches_the_per_vector_rule(self, seed, k, n, s):
+        # all 2k sides in one call, against the plain-Python rule one side at a time:
+        # the same value (a Python float), the same descriptor, or None for the same sides
+        counts, _ = log_weights(channel_with_zeros(seed, k, n))
+        sides = [(j, upper) for j in range(k) for upper in (False, True)]
+        limits = observation._envelope_limits(counts, sides, s)
+        for (j, upper), limit in zip(sides, limits, strict=True):
+            expected = envelope_limit(counts.tolist(), j, upper, s)
+            assert limit == expected
+            if limit is not None:
+                assert type(limit[0]) is float
 
 
 # A k=4, n=2 channel whose upper for outcome 2 the 1e-6-clamped lattice of the

@@ -19,6 +19,7 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from . import __version__
@@ -488,8 +489,45 @@ def run_scenario(scenario: Scenario) -> dict:
 
 
 def report_to_doc(report: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing newline.
+
+    The text of `json.dumps(report, indent=2, sort_keys=True)`, written by
+    one recursive function: json's indenting encoder is a set of nested
+    closures that leaves a reference cycle per call, which lingers until the
+    next garbage collection.
+    """
+    parts: list[str] = []
+    _write_doc(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_doc(value, newline: str, parts: list[str]) -> None:
+    """Append `value` to `parts` as the indenting encoder writes it after `newline`."""
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            # json writes a non-string key as the quoted text of its value
+            name = key if isinstance(key, str) else json.dumps(key)
+            parts.append(separator + encode_basestring_ascii(name) + ": ")
+            _write_doc(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_doc(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, float) and math.isfinite(value):
+        parts.append(float.__repr__(value))
+    else:
+        parts.append(json.dumps(value))
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:

@@ -1,7 +1,10 @@
+import gc
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentidm import runner
 from latentidm.cli import EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
@@ -439,3 +442,39 @@ class TestFormats:
         assert main(["run", "section5-direct-manifest", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["results"]["level"] == "manifest"
         assert not [p for p in os.listdir(tmp_path) if "tmp" in p]
+
+    def test_doc_format_is_the_indenting_json_encoder(self):
+        # every bundled report, timing included, as json.dumps writes it
+        for doc in bundled_scenarios().values():
+            report = run_scenario(Scenario.from_dict(doc))
+            assert report_to_doc(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.text(),
+            lambda children: st.lists(children, max_size=3)
+            | st.tuples(children, children)
+            | st.dictionaries(st.text(), children, max_size=3)
+            | st.dictionaries(st.integers(), children, max_size=3),
+            max_leaves=12,
+        )
+    )
+    def test_doc_format_matches_json_on_any_value(self, value):
+        # non-finite floats, non-ASCII text, tuples, empty containers and non-string keys
+        expected = json.dumps({"value": value}, indent=2, sort_keys=True) + "\n"
+        assert report_to_doc({"value": value}) == expected
+
+    def test_doc_format_leaves_no_cyclic_garbage(self):
+        report = run_scenario(Scenario.from_dict(PREDICT_DOC))
+        gc.collect()
+        gc.disable()
+        try:
+            report_to_doc(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -23,13 +23,17 @@ program therefore aggregates ordered assignments into frequency weights
 W(a), after which no further multiplicity factor is needed.  The library
 runs it once per dataset, vectorised in log space (`log_weights`), and the
 bounds, the fixed-prior values and `frequency_weights` all read that one
-pass.  The same pass without the size cap (`likelihood_terms`) is the
-coefficient map of a channel likelihood in the trend lab.  Brute-force
-enumeration and a dict pass are kept as test oracles.
+pass.  Its states are ordered by grade, the sum of the first k - 1 counts,
+so each observation updates only the prefix of states it can reach; that
+index depends only on (k, n) and is built once per pair.  The same pass
+without the size cap (`likelihood_terms`) is the coefficient map of a
+channel likelihood in the trend lab.  Brute-force enumeration, a dict pass
+and the lexicographic pass this one replaced are kept as test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -192,7 +196,7 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
 
     W(a) = sum over ordered hidden assignments with frequencies a of
     P(observations | assignment): the exponentials of `log_weights`, whose
-    forward pass costs O(n * binomial(n+k-1, k-1) * k) instead of the k^n
+    graded forward pass costs O(k * binomial(n+k, k)) instead of the k^n
     enumeration.  Frequency vectors whose weight rounds to 0.0 are omitted.
     """
     counts, log_w = log_weights(data)
@@ -200,29 +204,46 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(tuple(a)): w for a, w in weights if w != 0.0}
 
 
-def _state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The states of `likelihood_terms`, in lexicographic order, and their predecessors.
+@functools.lru_cache(maxsize=32)
+def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[int, ...]]:
+    """The states of `likelihood_terms` in graded order, built once per (k, n).
 
     A state is a vector of the first k - 1 counts with sum <= n (the k-th is
-    the step minus their sum).  predecessors[j][i] is the state one x_j
-    before state i, or len(states), an extra -inf slot, when count j is 0;
-    x_k leaves the state as is, and a state whose sum exceeds the step is
-    unreached, so it reads -inf as well.
+    the step minus their sum); its grade is that sum.  States are ordered by
+    grade, lexicographically within a grade, so after i observations the
+    reachable states, those of grade <= i, are the prefix of length
+    ends[i - 1].  predecessors[j][i] is the state one x_j before state i
+    (j < k - 1), which has one grade less and so lies in the previous
+    prefix, or len(states), an extra -inf slot, when count j is 0; x_k
+    leaves the state as is.  rank[i] is the graded position of the i-th
+    state in lexicographic order, and counts holds the full count vectors
+    (the k-th at step n) in that order.  The arrays are read-only: the
+    cache hands the same ones to every dataset of this (k, n).
     """
-    # each prefix extends by each count that keeps the sum <= n
-    heads = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(k - 1):
-        room = n + 1 - heads.sum(axis=1)
+    # (grade, first k - 2 counts) in lexicographic order, each prefix extended by every
+    # count that keeps their sum <= the grade; the (k - 1)-th is the grade minus that sum
+    grade = np.arange(n + 1)
+    heads = np.zeros((n + 1, 0), dtype=np.int64)
+    for _ in range(k - 2):
+        room = grade + 1 - heads.sum(axis=1)
         last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
         heads = np.column_stack((np.repeat(heads, room, axis=0), last))
-    size = len(heads)
+        grade = np.repeat(grade, room)
+    counts = np.column_stack((heads, grade - heads.sum(axis=1), n - grade))
+    heads, size = counts[:, :-1], len(counts)
     # a position table over the counts plus one, in base n + 2: a count of -1 lands on a
-    # slot that is no state, and every such slot holds `size`
+    # slot that is no state, and every such slot holds `size`; codes sort lexicographically
     strides = np.array([(n + 2) ** (k - 2 - j) for j in range(k - 1)], dtype=np.int64)
     codes = (heads + 1) @ strides
     position = np.full((n + 2) ** (k - 1), size, dtype=np.int64)
     position[codes] = np.arange(size)
-    return heads, [position[codes - stride] for stride in strides] + [np.arange(size)]
+    predecessors = tuple(position[codes - stride] for stride in strides)
+    rank = np.argsort(codes)
+    counts = counts[rank]
+    for array in (counts, rank, *predecessors):
+        array.setflags(write=False)
+    ends = tuple(math.comb(i + k - 1, k - 1) for i in range(1, n + 1))
+    return counts, predecessors, rank, ends
 
 
 def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -241,28 +262,33 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     are its exponent rows and log coefficients.  A forward pass in log
     space, so no weight underflows however small the entries are: a vector
     is kept iff some hidden assignment with its frequencies meets only
-    nonzero emission entries.  Each observation gathers log W at the
-    predecessors (`_state_index`) under every outcome its row allows, adds
-    their log emission entries and combines the rows pairwise with
-    `np.logaddexp`.  Unreached states stay -inf; the finite ones after the
-    last step are the support, already sorted.  This is the library's one
-    weight pass; it has no size cap of its own.
+    nonzero emission entries.  Observation i updates only the states it
+    can reach, the prefix of grade <= i of the graded index
+    (`_state_index`): it gathers log W at their predecessors under every
+    outcome its row allows (x_k's is the prefix itself), adds their log
+    emission entries and combines the rows pairwise with `np.logaddexp`.
+    That is C(n+k, k) - 1 state updates in all, against n * C(n+k-1, k-1)
+    over every state.  Unreached states stay -inf; after the last step the
+    index's permutation puts log W back in lexicographic order, and the
+    finite entries are the support.  This is the library's one weight pass;
+    it has no size cap of its own.
     """
     k, n = data.k, data.n
-    heads, predecessors = _state_index(k, n)
-    size = len(heads)
+    counts, predecessors, rank, ends = _state_index(k, n)
+    size = len(rank)
     log_w = np.full(size + 1, -np.inf)
     log_w[0] = 0.0  # the zero vector
     terms = np.empty((k, size))
-    for lam in data.row_entries.tolist():
+    for m, lam in zip(ends, data.row_entries.tolist()):
         allowed = [j for j in range(k) if lam[j] != 0.0]
-        rows = terms[: len(allowed)]
+        rows = terms[: len(allowed), :m]
         for r, j in enumerate(allowed):
-            np.add(log_w[predecessors[j]], math.log(lam[j]), out=rows[r])
-        np.logaddexp.reduce(rows, axis=0, out=log_w[:size])
-    reached = np.flatnonzero(log_w[:size] > -np.inf)
-    heads = heads[reached]
-    return np.column_stack((heads, n - heads.sum(axis=1))), log_w[reached]
+            source = log_w[:m] if j == k - 1 else log_w[predecessors[j][:m]]
+            np.add(source, math.log(lam[j]), out=rows[r])
+        np.logaddexp.reduce(rows, axis=0, out=log_w[:m])
+    log_w = log_w[rank]
+    reached = np.flatnonzero(log_w > -np.inf)
+    return counts[reached], log_w[reached]
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:

@@ -3,7 +3,9 @@
 Everything here recomputes expected values through a different route than
 the library code under test: a scalar density loop instead of the package's
 matrix evaluation, explicit enumeration or a plain-Python dict pass instead
-of the vectorised weight pass, Beta moments instead of the frequency-weight
+of the vectorised weight pass, the lexicographic pass over every state
+instead of the graded one (whose results must match it bit for bit), Beta
+moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
 arithmetic, instead of the log-space fixed-prior value, a multistart over
 softmax prior means instead of the stratum search, per-vector and per-row
@@ -93,6 +95,66 @@ def dict_log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
         states = nxt
     keys = sorted(states)
     return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
+
+
+def lexicographic_state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The states of `lexicographic_likelihood_terms`, lexicographically, and their predecessors.
+
+    A state is a vector of the first k - 1 counts with sum <= n (the k-th is
+    the step minus their sum).  predecessors[j][i] is the state one x_j
+    before state i, or len(states), an extra -inf slot, when count j is 0;
+    x_k leaves the state as is, and a state whose sum exceeds the step is
+    unreached, so it reads -inf as well.
+    """
+    # each prefix extends by each count that keeps the sum <= n
+    heads = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k - 1):
+        room = n + 1 - heads.sum(axis=1)
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        heads = np.column_stack((np.repeat(heads, room, axis=0), last))
+    size = len(heads)
+    # a position table over the counts plus one, in base n + 2: a count of -1 lands on a
+    # slot that is no state, and every such slot holds `size`
+    strides = np.array([(n + 2) ** (k - 2 - j) for j in range(k - 1)], dtype=np.int64)
+    codes = (heads + 1) @ strides
+    position = np.full((n + 2) ** (k - 1), size, dtype=np.int64)
+    position[codes] = np.arange(size)
+    return heads, [position[codes - stride] for stride in strides] + [np.arange(size)]
+
+
+def lexicographic_likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The support of W, in sorted order, and log W(a) of each of its vectors.
+
+    The pass `observation.likelihood_terms` ran before its graded index:
+    every step updates every state.  The graded pass computes each value by
+    the same elementwise operations in the same order, so the two agree
+    bit for bit.
+
+    The likelihood of the observed sequence is sum_a W(a) theta^a, so these
+    are its exponent rows and log coefficients.  A forward pass in log
+    space, so no weight underflows however small the entries are: a vector
+    is kept iff some hidden assignment with its frequencies meets only
+    nonzero emission entries.  Each observation gathers log W at the
+    predecessors (`lexicographic_state_index`) under every outcome its row
+    allows, adds their log emission entries and combines the rows pairwise
+    with `np.logaddexp`.  Unreached states stay -inf; the finite ones after
+    the last step are the support, already sorted.
+    """
+    k, n = data.k, data.n
+    heads, predecessors = lexicographic_state_index(k, n)
+    size = len(heads)
+    log_w = np.full(size + 1, -np.inf)
+    log_w[0] = 0.0  # the zero vector
+    terms = np.empty((k, size))
+    for lam in data.row_entries.tolist():
+        allowed = [j for j in range(k) if lam[j] != 0.0]
+        rows = terms[: len(allowed)]
+        for r, j in enumerate(allowed):
+            np.add(log_w[predecessors[j]], math.log(lam[j]), out=rows[r])
+        np.logaddexp.reduce(rows, axis=0, out=log_w[:size])
+    reached = np.flatnonzero(log_w[:size] > -np.inf)
+    heads = heads[reached]
+    return np.column_stack((heads, n - heads.sum(axis=1))), log_w[reached]
 
 
 def envelope_limit(support, j: int, upper: bool, s: float):

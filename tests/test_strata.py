@@ -28,11 +28,12 @@ from latentidm import (
 )
 from latentidm import observation, strata
 from latentidm.idm import BoundaryStratum
-from latentidm.observation import log_weights
+from latentidm.observation import likelihood_terms, log_weights
 from oracles import (
     brute_frequency_weights,
     dict_log_weights,
     envelope_limit,
+    lexicographic_likelihood_terms,
     predictive_at_log_t,
     predictive_extremes,
 )
@@ -108,14 +109,14 @@ ENTRIES = st.sampled_from([0.0, 0.0, 1e-300, 1e-200, 1e-150, 0.05, 0.3, 1.0])
 
 
 @st.composite
-def tiny_channels(draw) -> ManifestDataset:
-    """k in {2, 3, 4}, n <= 8, 2-4 manifest rows of structural zeros and tiny entries."""
+def tiny_channels(draw, min_n: int = 0, max_n: int = 8) -> ManifestDataset:
+    """k in {2, 3, 4}, min_n <= n <= max_n, 2-4 rows of structural zeros and tiny entries."""
     k = draw(st.integers(2, 4))
     rows = draw(st.integers(2, 4))
     raw = np.array(draw(st.lists(ENTRIES, min_size=rows * k, max_size=rows * k))).reshape(rows, k)
     raw[0, raw.sum(axis=0) == 0.0] = 1.0
     observable = np.flatnonzero(raw.sum(axis=1) > 0.0).tolist()
-    observed = draw(st.lists(st.sampled_from(observable), max_size=8))
+    observed = draw(st.lists(st.sampled_from(observable), min_size=min_n, max_size=max_n))
     return ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), observed)
 
 
@@ -140,12 +141,35 @@ def assert_matches_dict_pass(data: ManifestDataset) -> np.ndarray:
 
 
 class TestVectorisedWeightPass:
-    """The vectorised pass against the plain-Python dict pass it replaced."""
+    """The vectorised pass against the plain-Python dict pass and the lexicographic pass."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=tiny_channels())
     def test_matches_the_dict_pass(self, data):
         assert_matches_dict_pass(data)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.integers(0, 20).flatmap(lambda n: tiny_channels(min_n=n, max_n=n)))
+    def test_bit_identical_to_the_lexicographic_pass(self, data):
+        counts, log_w = likelihood_terms(data)
+        oracle_counts, oracle_log_w = lexicographic_likelihood_terms(data)
+        assert counts.dtype == oracle_counts.dtype == np.int64
+        assert np.array_equal(counts, oracle_counts)
+        assert np.array_equal(log_w, oracle_log_w)
+
+    def test_index_is_built_once_per_shape(self):
+        observation._state_index.cache_clear()
+        counts, _ = log_weights(workload_shaped(zeros=False))
+        log_weights(workload_shaped(zeros=True))
+        info = observation._state_index.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        index_counts, predecessors, rank, ends = observation._state_index(4, 20)
+        assert len(ends) == 20 and ends[-1] == len(rank) == 1771
+        for array in (index_counts, rank, *predecessors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # the pass hands out its own copy of the support, not the cached rows
+        assert counts.flags.writeable and not np.shares_memory(counts, index_counts)
 
     @pytest.mark.parametrize("zeros, support", [(False, 1771), (True, 671)])
     def test_workload_shaped_supports(self, zeros, support):
@@ -158,7 +182,9 @@ class TestVectorisedWeightPass:
         assert log_w.tolist() == [0.0]
 
     def test_peak_memory(self):
+        # a cold call: the state index is built inside the traced window
         data = workload_shaped(zeros=False)
+        observation._state_index.cache_clear()
         tracemalloc.start()
         try:
             log_weights(data)

@@ -526,6 +526,14 @@ def _write_doc(value, newline: str, parts: list[str]) -> None:
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, float) and math.isfinite(value):
         parts.append(float.__repr__(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
     else:
         parts.append(json.dumps(value))
 

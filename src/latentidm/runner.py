@@ -66,6 +66,8 @@ SCENARIO_DIR_ENV = "LATENTIDM_SCENARIO_DIR"
 _CHANNEL_PRESET = re.compile(r"^binary-channel\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\)$")
 _DEFAULT_SCHEDULE = (10, 100, 1000)
 _DEFAULT_TREND_GRID_RESOLUTION = 2000
+# the moment ladders of a trend document hold ~24 bytes per unit of its largest exponent
+_MAX_EXPONENT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,10 @@ def _exponents(spec: dict, k: int, name: str) -> list[int]:
     exponents = _integers(spec.get("exponents", []), name)
     if len(exponents) != k:
         raise ScenarioError(f"field '{name}': needs one exponent per coordinate, k={k}")
+    if max(exponents) > _MAX_EXPONENT:
+        raise SizeCapError(
+            f"field '{name}': exponents capped at <= {_MAX_EXPONENT}; got {max(exponents)}"
+        )
     return exponents
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from latentidm.runner import (
     report_to_table,
     run_scenario,
 )
-from latentidm.errors import ScenarioError
+from latentidm.errors import ScenarioError, SizeCapError
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -373,6 +374,37 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_DEGENERATE
         assert "posterior normalizer underflowed (sum 0.0); " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("function.exponents", {"function": {"kind": "monomial", "exponents": [10**9, 0]}}),
+            ("likelihood.exponents", {"likelihood": {"kind": "monomial", "exponents": [0, 10**9]}}),
+            (
+                "contrast_likelihood.exponents",
+                {"contrast_likelihood": {"kind": "monomial", "exponents": [0, 10**9]}},
+            ),
+        ],
+    )
+    def test_huge_exponent_is_exit_2_before_any_ladder(self, tmp_path, capsys, field, change):
+        # a ladder for 10**9 would ask for ~24 GB; the cap rejects it while parsing
+        path = write_scenario(tmp_path, dict(TREND_DOC, **change))
+        tracemalloc.start()
+        try:
+            code = main(["run", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SIZE_CAP
+        assert peak < 2**20
+        assert f"field '{field}': exponents capped at <= 10000000" in capsys.readouterr().err
+
+    def test_exponent_cap_is_inclusive(self):
+        at_cap = dict(TREND_DOC, likelihood={"kind": "monomial", "exponents": [0, 10**7]})
+        Scenario.from_dict(at_cap)  # parses; only running it builds the ladder
+        past = dict(TREND_DOC, likelihood={"kind": "monomial", "exponents": [0, 10**7 + 1]})
+        with pytest.raises(SizeCapError, match="'likelihood.exponents'"):
+            Scenario.from_dict(past)
 
     def test_list_contains_bundled_names(self, capsys):
         assert main(["list"]) == EXIT_OK

@@ -232,13 +232,14 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     counts = np.column_stack((heads, grade - heads.sum(axis=1), n - grade))
     heads, size = counts[:, :-1], len(counts)
     # a position table over the counts plus one, in base n + 2: a count of -1 lands on a
-    # slot that is no state, and every such slot holds `size`; codes sort lexicographically
+    # slot that is no state, and every such slot holds `size`; the slots of states, in
+    # code order, are the states in lexicographic order
     strides = np.array([(n + 2) ** (k - 2 - j) for j in range(k - 1)], dtype=np.int64)
     codes = (heads + 1) @ strides
     position = np.full((n + 2) ** (k - 1), size, dtype=np.int64)
     position[codes] = np.arange(size)
     predecessors = tuple(position[codes - stride] for stride in strides)
-    rank = np.argsort(codes)
+    rank = position[np.flatnonzero(position - size)]
     counts = counts[rank]
     for array in (counts, rank, *predecessors):
         array.setflags(write=False)

@@ -20,15 +20,15 @@ The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
 probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
-W(a), after which no further multiplicity factor is needed.  The library
-runs it once per dataset, vectorised in log space (`log_weights`), and the
-bounds, the fixed-prior values and `frequency_weights` all read that one
-pass.  Its states are ordered by grade, the sum of the first k - 1 counts,
-so each observation updates only the prefix of states it can reach; that
-index depends only on (k, n) and is built once per pair.  The same pass
-without the size cap (`likelihood_terms`) is the coefficient map of a
-channel likelihood in the trend lab.  Brute-force enumeration, a dict pass
-and the lexicographic pass this one replaced are kept as test oracles.
+W(a), after which no further multiplicity factor is needed.  It runs in log
+space over each observation's emission row, all a dataset keeps
+(`likelihood_terms`); a dataset runs it at most once, under the size cap,
+as its cached `weight_pass`, which the bounds, the fixed-prior values and
+`frequency_weights` all read.  Its states are ordered by grade, the sum of
+the first k - 1 counts, so each observation updates only the states it can
+reach; that index is built once per (k, n).  Uncapped, the same pass is a
+channel likelihood's coefficient map in the trend lab.  Brute-force
+enumeration, a dict pass and a lexicographic pass are test oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,81 +93,87 @@ class EmissionMatrix:
         return EmissionMatrix(np.eye(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifestDataset:
-    """An ordered sequence of observations, each an (emission, row) pair.
+    """An ordered sequence of observations, built from an iterable of (emission, row) pairs.
 
-    `row_entries` stacks the observed emission rows, one per observation:
-    row_entries[i, j] = P(observation i | hidden outcome j).  The row check
-    here, the weight pass and `vacuity_diagnosis` all read it.
+    An observation enters the likelihood only through its emission row, so
+    that is all a dataset keeps: row_entries[i, j] = P(observation i | hidden
+    outcome j), read-only.  The weight pass and `vacuity_diagnosis` read it.
     """
 
-    observations: tuple[tuple[EmissionMatrix, int], ...]
     k: int
-    row_entries: np.ndarray = field(init=False, repr=False, compare=False)
+    row_entries: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
-        if self.k < 2:
+    def __init__(self, observations: Iterable[tuple[EmissionMatrix, int]], k: int) -> None:
+        if k < 2:
             raise ValueError("k must be >= 2")
-        rows, mismatch = [], None
-        for i, (emission, row) in enumerate(obs):
-            if emission.k != self.k:
-                mismatch = f"observation {i}: emission has k={emission.k}, expected {self.k}"
+        rows, labels, mismatch = [], [], None
+        for i, (emission, row) in enumerate(observations):
+            if emission.k != k:
+                mismatch = f"observation {i}: emission has k={emission.k}, expected {k}"
                 break
             if not 0 <= row < emission.manifest_count:
                 mismatch = f"observation {i}: row {row} out of range"
                 break
             rows.append(emission.entries[row])
-        entries = np.array(rows).reshape(len(rows), self.k)
+            labels.append(row)
+        entries = np.array(rows).reshape(len(rows), k)
         # a zero row before the first mismatch is the first failing observation
         impossible = np.flatnonzero(~entries.any(axis=1))
         if len(impossible):
             i = int(impossible[0])
             raise ValueError(
-                f"observation {i}: row {obs[i][1]} has probability zero under every hidden outcome"
+                f"observation {i}: row {labels[i]} has probability zero under every hidden outcome"
             )
         if mismatch:
             raise ValueError(mismatch)
         entries.setflags(write=False)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "row_entries", entries)
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return len(self.row_entries)
 
     @cached_property
     def weight_pass(self) -> tuple[np.ndarray, np.ndarray]:
-        """`log_weights` of this dataset, computed on first use and shared by every consumer."""
-        return log_weights(self)
+        """`likelihood_terms` under the n <= 20, k <= 4 cap, run on first use for every consumer."""
+        if self.n > DP_MAX_N or self.k > DP_MAX_K:
+            raise SizeCapError(
+                f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; "
+                f"got n={self.n}, k={self.k}"
+            )
+        return likelihood_terms(self)
 
     @staticmethod
     def from_rows(emission: EmissionMatrix, rows: Sequence[int]) -> "ManifestDataset":
         """Shorthand for one emission matrix shared by every index."""
-        return ManifestDataset(tuple((emission, int(r)) for r in rows), k=emission.k)
+        return ManifestDataset(((emission, int(r)) for r in rows), k=emission.k)
 
 
 @dataclass(frozen=True)
 class OutcomeDiagnosis:
-    """Learnability flags for one hidden outcome, with witnessing indices."""
+    """The witnessing indices of one hidden outcome's learnability, and the flags they decide."""
 
     outcome: int
-    upper_strictly_below_one: bool
     upper_witnesses: tuple[int, ...]
-    lower_strictly_above_zero: bool
     lower_witnesses: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.upper_strictly_below_one != bool(self.upper_witnesses):
-            raise ValueError("upper flag must mirror its witness list")
-        if self.lower_strictly_above_zero != bool(self.lower_witnesses):
-            raise ValueError("lower flag must mirror its witness list")
+    @property
+    def upper_strictly_below_one(self) -> bool:
+        """True when some observed row rules the outcome out, so the upper moves off 1."""
+        return bool(self.upper_witnesses)
+
+    @property
+    def lower_strictly_above_zero(self) -> bool:
+        """True when some observed row certifies the outcome, so the lower moves off 0."""
+        return bool(self.lower_witnesses)
 
     @property
     def vacuous(self) -> bool:
         """True when neither bound can move off its analytic limit, 0 or 1."""
-        return not (self.upper_strictly_below_one or self.lower_strictly_above_zero)
+        return not (self.upper_witnesses or self.lower_witnesses)
 
 
 @dataclass(frozen=True)
@@ -183,23 +189,15 @@ class VacuityDiagnosis:
         return self.per_outcome[j]
 
 
-def _check_size(data: ManifestDataset) -> None:
-    if data.n > DP_MAX_N or data.k > DP_MAX_K:
-        raise SizeCapError(
-            f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; "
-            f"got n={data.n}, k={data.k}"
-        )
-
-
 def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     """Total observation probability per hidden frequency vector.
 
     W(a) = sum over ordered hidden assignments with frequencies a of
-    P(observations | assignment): the exponentials of `log_weights`, whose
-    graded forward pass costs O(k * binomial(n+k, k)) instead of the k^n
+    P(observations | assignment): the exponentials of the cached `weight_pass`,
+    whose graded forward pass costs O(k * binomial(n+k, k)) instead of the k^n
     enumeration.  Frequency vectors whose weight rounds to 0.0 are omitted.
     """
-    counts, log_w = log_weights(data)
+    counts, log_w = data.weight_pass
     weights = zip(counts.tolist(), map(math.exp, log_w.tolist()))
     return {FrequencyVector(tuple(a)): w for a, w in weights if w != 0.0}
 
@@ -247,15 +245,6 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     return counts, predecessors, rank, ends
 
 
-def log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
-    """`likelihood_terms` under the n <= 20, k <= 4 cap of the bounds and fixed-prior values.
-
-    A dataset runs it at most once, through `ManifestDataset.weight_pass`.
-    """
-    _check_size(data)
-    return likelihood_terms(data)
-
-
 def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     """The support of W, in sorted order, and log W(a) of each of its vectors.
 
@@ -272,7 +261,8 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     over every state.  Unreached states stay -inf; after the last step the
     index's permutation puts log W back in lexicographic order, and the
     finite entries are the support.  This is the library's one weight pass;
-    it has no size cap of its own.
+    its one capped entry is `ManifestDataset.weight_pass`, and only a trend
+    `channel` likelihood calls it uncapped.
     """
     k, n = data.k, data.n
     counts, predecessors, rank, ends = _state_index(k, n)
@@ -474,13 +464,5 @@ def vacuity_diagnosis(data: ManifestDataset) -> VacuityDiagnosis:
             for i, (row, certifies) in enumerate(zip(zero, certifying))
             if certifies and not row[j]
         )
-        per_outcome.append(
-            OutcomeDiagnosis(
-                outcome=j,
-                upper_strictly_below_one=bool(upper_witnesses),
-                upper_witnesses=upper_witnesses,
-                lower_strictly_above_zero=bool(lower_witnesses),
-                lower_witnesses=lower_witnesses,
-            )
-        )
+        per_outcome.append(OutcomeDiagnosis(j, upper_witnesses, lower_witnesses))
     return VacuityDiagnosis(per_outcome=tuple(per_outcome))

@@ -48,6 +48,7 @@ from .simplex import GRID_MAX_K, DirichletParams, SimplexPoint, lattice_size
 # Unused here; perfbench/spans.py wraps `runner.SimplexGrid` by name.
 from .simplex import SimplexGrid  # noqa: F401
 from .vacuity import (
+    GRID,
     ConcentratingSequence,
     Polynomial,
     TrendReport,
@@ -56,6 +57,7 @@ from .vacuity import (
     coordinate_function,
     dataset_likelihood,
     fixed_strength_concentrating_sequence,
+    mass_method,
     monomial_function,
     monomial_likelihood,
     verify_theorem1,
@@ -167,9 +169,8 @@ def _emission(spec, k: int, name: str) -> EmissionMatrix:
     )
 
 
-def _dataset(doc: dict) -> ManifestDataset:
+def _dataset(doc: dict, k: int) -> ManifestDataset:
     model = _object(_require(doc, "model"), "model")
-    k = _integer(doc.get("k", 2), "k", minimum=2)
     observations = _integers(_require(doc, "observations"), "observations")
     if "emissions" in model:
         specs = _list(model["emissions"], "model.emissions")
@@ -181,7 +182,7 @@ def _dataset(doc: dict) -> ManifestDataset:
     else:
         raise ScenarioError("field 'model': needs 'emission' or 'emissions'")
     with _field("observations"):
-        return ManifestDataset(tuple(zip(emissions, observations)), k=k)
+        return ManifestDataset(zip(emissions, observations), k=k)
 
 
 def _exponents(spec: dict, k: int, name: str) -> list[int]:
@@ -327,15 +328,16 @@ def _trend_provenance(report: TrendReport) -> dict:
 
 
 def _parse_predict(doc: dict):
-    data = _dataset(doc)
+    k = _integer(doc.get("k", 2), "k", minimum=2)
+    if k > DP_MAX_K:
+        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={k}")
+    data = _dataset(doc, k)
     hyper = _object(_require(doc, "hyper"), "hyper")
     s = _positive(hyper.get("s"), "hyper.s")
     if "search" in doc:
         raise ScenarioError(
             "field 'search': not accepted; predictive bounds are exact and take no search settings"
         )
-    if data.k > DP_MAX_K:
-        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
     outcomes = _integers(doc.get("outcomes", list(range(data.k))), "outcomes")
     if any(j >= data.k for j in outcomes):
         raise ScenarioError(f"field 'outcomes': every entry must be below k={data.k}")
@@ -361,7 +363,7 @@ def _parse_predict(doc: dict):
 
 
 def _parse_diagnose(doc: dict):
-    data = _dataset(doc)
+    data = _dataset(doc, _integer(doc.get("k", 2), "k", minimum=2))
 
     def run() -> tuple[dict, dict]:
         diagnosis = vacuity_diagnosis(data)
@@ -386,8 +388,6 @@ def _parse_trend(doc: dict):
     with _field("target"):
         target = SimplexPoint(_require(doc, "target"))
     k = target.k
-    if k > GRID_MAX_K:
-        raise ScenarioError(f"field 'target': grids hold k <= {GRID_MAX_K} coordinates, got {k}")
     f = _function(_object(_require(doc, "function"), "function"), k)
     likelihoods = [_likelihood(_require(doc, "likelihood"), k, "likelihood")]
     if "contrast_likelihood" in doc:
@@ -398,13 +398,18 @@ def _parse_trend(doc: dict):
     if not schedule:
         raise ScenarioError("field 'schedule': needs at least one index")
     deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
-    # used only by the slab masses of a monomial with two or more positive
-    # exponents on k >= 3 coordinates; checked here for every document alike
+    # type-checked for every document, sized only for the ones whose slab masses
+    # are summed on a grid
     resolution = _integer(
         doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION), "grid_resolution", minimum=2
     )
-    with _field("grid_resolution"):
-        lattice_size(k, resolution)
+    if mass_method(f) == GRID:
+        if k > GRID_MAX_K:
+            raise ScenarioError(
+                f"field 'target': grids hold k <= {GRID_MAX_K} coordinates, got {k}"
+            )
+        with _field("grid_resolution"):
+            lattice_size(k, resolution)
 
     def run() -> tuple[dict, dict]:
         main, *contrast = verify_theorem1(

@@ -54,8 +54,8 @@ def manifest_given_latent(data: ManifestDataset, assignment) -> float:
     if len(assignment) != data.n:
         raise ValueError(f"assignment length {len(assignment)} != dataset size {data.n}")
     prob = 1.0
-    for (emission, row), j in zip(data.observations, assignment):
-        prob *= emission.entries[row, j]
+    for lam, j in zip(data.row_entries, assignment):
+        prob *= lam[j]
     return prob
 
 
@@ -80,8 +80,7 @@ def dict_log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     log1p(exp(-|d|)), so no weight underflows however small the entries are.
     """
     states: dict[tuple[int, ...], float] = {(0,) * data.k: 0.0}
-    for emission, row in data.observations:
-        lam = emission.entries[row]
+    for lam in data.row_entries:
         logs = [(j, math.log(lam[j])) for j in range(data.k) if lam[j] != 0.0]
         nxt: dict[tuple[int, ...], float] = {}
         for counts, log_w in states.items():
@@ -201,7 +200,7 @@ def diagnosis_witnesses(data: ManifestDataset) -> list[tuple[tuple[int, ...], tu
     witness one whose row has lambda_{hj} != 0 and lambda_{hr} = 0 for every
     r != j.
     """
-    rows = [emission.entries[row, :] for emission, row in data.observations]
+    rows = list(data.row_entries)
     witnesses = []
     for j in range(data.k):
         upper = tuple(i for i, lam in enumerate(rows) if lam[j] == 0.0)
@@ -251,7 +250,7 @@ def exact_predictive(data: ManifestDataset, s: float, t) -> tuple[Fraction, ...]
     alpha = [s * Fraction(x) for x in t]
     numerators = [Fraction(0)] * data.k
     total = Fraction(0)
-    rows = [[Fraction(float(x)) for x in emission.entries[row]] for emission, row in data.observations]
+    rows = [[Fraction(float(x)) for x in lam] for lam in data.row_entries]
     for assignment in itertools.product(range(data.k), repeat=data.n):
         term = math.prod((lam[j] for lam, j in zip(rows, assignment)), start=Fraction(1))
         counts = [assignment.count(h) for h in range(data.k)]
@@ -425,8 +424,8 @@ def latent_likelihood(data: ManifestDataset, theta) -> float | np.ndarray:
     if pts.shape[1] != data.k:
         raise ValueError(f"theta must have k={data.k} coordinates")
     acc = np.ones(pts.shape[0])
-    for emission, row in data.observations:
-        acc = acc * (pts @ emission.entries[row, :])
+    for lam in data.row_entries:
+        acc = acc * (pts @ lam)
     return float(acc[0]) if single else acc
 
 
@@ -504,8 +503,8 @@ def expanded_likelihood(data: ManifestDataset) -> dict[tuple[int, ...], Fraction
     """The likelihood prod_i sum_j lambda_{h_i j} theta_j of `data`, expanded exactly:
     exponent vector -> coefficient, with every entry at its exact binary value."""
     terms = {(0,) * data.k: Fraction(1)}
-    for emission, row in data.observations:
-        lam = [Fraction(float(x)) for x in emission.entries[row]]
+    for row in data.row_entries:
+        lam = [Fraction(float(x)) for x in row]
         step: dict[tuple[int, ...], Fraction] = {}
         for e, c in terms.items():
             for j, l_j in enumerate(lam):

@@ -62,6 +62,10 @@ SCALED_BETA_DOC = {
     "hyper": {"s": 2.0},
 }
 
+# monomials with two positive exponents on k >= 3 coordinates: their slab masses are grid sums
+GRID_FUNCTION_4 = {"kind": "monomial", "exponents": [1, 1, 0, 0]}
+GRID_FUNCTION_7 = {"kind": "monomial", "exponents": [1, 1, 0, 0, 0, 0, 0]}
+
 CHANNEL_LIKELIHOOD = {"kind": "channel", "eps1": 0.1, "eps2": 0.1, "observations": [0]}
 
 # (field the error must name, document): each of these used to end in a
@@ -117,8 +121,13 @@ BAD_DOCUMENTS = [
             "hyper": "s",
         },
     ),
-    ("target", dict(TREND_DOC, target=[1.0] + [0.0] * 6, schedule=[6])),
+    # grid documents keep their refusals; a coordinate's slab masses need no grid
+    ("target", dict(TREND_DOC, target=[1.0] + [0.0] * 6, function=GRID_FUNCTION_7, schedule=[6])),
     ("search", dict(PREDICT_DOC, k=4, observations=[0, 1], search={"resolution": 1000})),
+    (
+        "grid_resolution",
+        dict(TREND_DOC, target=[1.0, 0.0, 0.0, 0.0], function=GRID_FUNCTION_4, grid_resolution=2000),
+    ),
 ]
 
 
@@ -318,6 +327,23 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_SIZE_CAP
         assert "k <= 4" in capsys.readouterr().err
+
+    def test_k_cap_comes_before_the_emission_is_built(self):
+        # a k x k identity at k = 3000 is 72 MB; the cap is read from `k` alone
+        doc = dict(PREDICT_DOC, k=3000, observations=[0, 1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="k <= 4; got k=3000"):
+                Scenario.from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(SizeCapError, match="got k=100000000"):
+            Scenario.from_dict(dict(doc, k=100_000_000))
+        # so a bad model past the cap is a size-cap error too
+        with pytest.raises(SizeCapError):
+            Scenario.from_dict(dict(doc, k=5, model={"emission": "no-such-preset"}))
 
     def test_scaled_beta_fixed_t1_past_size_cap_is_exit_2(self, tmp_path, capsys):
         doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 21}, fixed_t1=0.5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,23 @@ class TestManifestDataset:
         obs[1] = (emission, 3)
         with pytest.raises(ValueError, match="^observation 1: row 3 out of range$"):
             ManifestDataset(tuple(obs), k=2)
+
+    def test_one_shot_pairs_build_the_same_dataset(self):
+        # the pairs are read once: a generator gives what a tuple gives, errors included
+        emission = EmissionMatrix([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]])
+        pairs = [(emission, 2), (IDENTITY2, 1), (emission, 0)]
+        built = ManifestDataset(iter(pairs), k=2)
+        data = ManifestDataset(tuple(pairs), k=2)
+        assert np.array_equal(built.row_entries, data.row_entries) and built.n == data.n == 3
+        for bad, message in [
+            ((EmissionMatrix.identity(3), 0), "^observation 1: emission has k=3, expected 2$"),
+            ((emission, 3), "^observation 1: row 3 out of range$"),
+            ((emission, 1), "^observation 1: row 1 has probability zero under every hidden outcome$"),
+        ]:
+            bad_pairs = [pairs[0], bad, pairs[2]]
+            for observations in (tuple(bad_pairs), (pair for pair in bad_pairs)):
+                with pytest.raises(ValueError, match=message):
+                    ManifestDataset(observations, k=2)
 
     def test_row_entries_stack_the_observed_rows(self):
         emission = EmissionMatrix([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]])
@@ -396,7 +415,7 @@ class TestSearchSkipping:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["log_weights", "frequency_weights"])
+        counts = count_calls(monkeypatch, ["likelihood_terms", "frequency_weights"])
         return count_calls(monkeypatch, ["search"], strata, counts)
 
     def test_all_positive_dataset_does_no_search(self, calls):
@@ -423,14 +442,14 @@ class TestSearchSkipping:
         assert b.argmin_t == BoundaryLimit(0, 0.0) and b.lower == 0.0
         assert 0.0 < b.upper < (2 + 2.0) / (3 + 2.0)
         assert searched == [[(0, True)]]
-        assert calls == {"log_weights": 1, "frequency_weights": 0, "search": 1}
+        assert calls == {"likelihood_terms": 1, "frequency_weights": 0, "search": 1}
 
     def test_two_open_sides_refine_both(self, calls):
         # an identity channel attains every envelope: exact, from the support alone
         data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
         for j, b in enumerate(outcome_bounds(data, 2.0, range(2))):
             assert b == standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), j)
-        assert calls == {"log_weights": 1, "frequency_weights": 0, "search": 0}
+        assert calls == {"likelihood_terms": 1, "frequency_weights": 0, "search": 0}
 
 
 def structural_zero_dataset(rng, k, n):
@@ -454,7 +473,8 @@ class TestSharedOutcomes:
             assert together == tuple(predictive_bounds(data, 2.0, j) for j in outcomes)
 
     def test_predict_run_computes_each_shared_step_once(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["frequency_weights", "log_weights", "vacuity_diagnosis"])
+        names = ["frequency_weights", "likelihood_terms", "vacuity_diagnosis"]
+        counts = count_calls(monkeypatch, names)
         doc = {
             "name": "k4-open",
             "kind": "predict",
@@ -468,11 +488,11 @@ class TestSharedOutcomes:
         assert all(b["argmax_t"] == {"limit": {"coordinate": b["outcome"], "value": 1.0}} for b in bounds)
         # every side attains its envelope on the support of the one weight pass,
         # and at_t reads the weights of that same pass
-        assert counts == {"frequency_weights": 0, "log_weights": 1, "vacuity_diagnosis": 1}
+        assert counts == {"frequency_weights": 0, "likelihood_terms": 1, "vacuity_diagnosis": 1}
 
     def test_searched_predict_run_shares_its_weight_pass(self, monkeypatch):
         # outcome 0's upper misses its envelope, so the search and at_t both need weights
-        counts = count_calls(monkeypatch, ["frequency_weights", "log_weights"])
+        counts = count_calls(monkeypatch, ["frequency_weights", "likelihood_terms"])
         count_calls(monkeypatch, ["search"], strata, counts)
         doc = {
             "name": "searched",
@@ -482,12 +502,21 @@ class TestSharedOutcomes:
             "hyper": {"s": 2.0, "t": [0.3, 0.7]},
         }
         run_scenario(Scenario.from_dict(doc))
-        assert counts == {"frequency_weights": 0, "log_weights": 1, "search": 1}
+        assert counts == {"frequency_weights": 0, "likelihood_terms": 1, "search": 1}
+
+    def test_frequency_weights_read_the_cached_pass(self, monkeypatch):
+        counts = count_calls(monkeypatch, ["likelihood_terms"])
+        data = structural_zero_dataset(np.random.default_rng(8), 3, 5)
+        counts_w, log_w = data.weight_pass
+        weights = frequency_weights(data)
+        assert counts == {"likelihood_terms": 1}
+        assert {fv.counts for fv in weights} == {tuple(a) for a in counts_w.tolist()}
+        assert list(weights.values()) == [math.exp(w) for w in log_w.tolist()]
 
     def test_scaled_beta_mean_makes_one_weight_pass(self, monkeypatch):
-        counts = count_calls(monkeypatch, ["frequency_weights", "log_weights"])
+        counts = count_calls(monkeypatch, ["frequency_weights", "likelihood_terms"])
         manifest.scaled_beta_posterior_mean(CHANNEL, 2, 3, 2.0, 0.3)
-        assert counts == {"frequency_weights": 0, "log_weights": 1}
+        assert counts == {"frequency_weights": 0, "likelihood_terms": 1}
 
 
 class TestPredictiveKernel:

@@ -28,7 +28,7 @@ from latentidm import (
 )
 from latentidm import observation, strata
 from latentidm.idm import BoundaryStratum
-from latentidm.observation import likelihood_terms, log_weights
+from latentidm.observation import likelihood_terms
 from oracles import (
     brute_frequency_weights,
     dict_log_weights,
@@ -69,7 +69,7 @@ def value_along(data: ManifestDataset, s: float, where, eps: float) -> np.ndarra
 
 
 def support_of(data: ManifestDataset) -> list[tuple[int, ...]]:
-    counts, _ = log_weights(data)
+    counts, _ = data.weight_pass
     return [tuple(a) for a in counts.tolist()]
 
 
@@ -92,16 +92,16 @@ class TestFrequencySupport:
         rng = np.random.default_rng(6)
         for trial in range(10):
             data = channel_with_zeros(int(rng.integers(2**31)), 3, int(rng.integers(1, 7)))
-            counts, log_w = log_weights(data)
+            counts, log_w = data.weight_pass
             brute = brute_frequency_weights(data)
             assert [tuple(a) for a in counts.tolist()] == sorted(brute)
             assert np.allclose(log_w, [np.log(brute[tuple(a)]) for a in counts.tolist()], rtol=1e-12)
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError, match="n <= 20"):
-            log_weights(ManifestDataset.from_rows(EmissionMatrix.identity(2), [0] * 21))
+            ManifestDataset.from_rows(EmissionMatrix.identity(2), [0] * 21).weight_pass
         with pytest.raises(SizeCapError, match="k <= 4"):
-            log_weights(ManifestDataset.from_rows(EmissionMatrix.identity(5), [0]))
+            ManifestDataset.from_rows(EmissionMatrix.identity(5), [0]).weight_pass
 
 
 # zeros, entries at or below 1e-150 whose products underflow, and moderate entries
@@ -132,7 +132,7 @@ def workload_shaped(zeros: bool, seed: int = 0) -> ManifestDataset:
 
 def assert_matches_dict_pass(data: ManifestDataset) -> np.ndarray:
     """Same int64 counts in the same order as the dict pass, log W within 1e-12; returns the counts."""
-    counts, log_w = log_weights(data)
+    counts, log_w = data.weight_pass
     oracle_counts, oracle_log_w = dict_log_weights(data)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, oracle_counts)
@@ -159,8 +159,8 @@ class TestVectorisedWeightPass:
 
     def test_index_is_built_once_per_shape(self):
         observation._state_index.cache_clear()
-        counts, _ = log_weights(workload_shaped(zeros=False))
-        log_weights(workload_shaped(zeros=True))
+        counts, _ = workload_shaped(zeros=False).weight_pass
+        workload_shaped(zeros=True).weight_pass
         info = observation._state_index.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         index_counts, predecessors, rank, ends = observation._state_index(4, 20)
@@ -177,7 +177,7 @@ class TestVectorisedWeightPass:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_empty_dataset(self, k):
-        counts, log_w = log_weights(ManifestDataset((), k=k))
+        counts, log_w = ManifestDataset((), k=k).weight_pass
         assert counts.tolist() == [[0] * k]
         assert log_w.tolist() == [0.0]
 
@@ -187,7 +187,7 @@ class TestVectorisedWeightPass:
         observation._state_index.cache_clear()
         tracemalloc.start()
         try:
-            log_weights(data)
+            data.weight_pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,7 +281,7 @@ class TestEnvelope:
     def test_every_side_matches_the_per_vector_rule(self, seed, k, n, s):
         # all 2k sides in one call, against the plain-Python rule one side at a time:
         # the same value (a Python float), the same descriptor, or None for the same sides
-        counts, _ = log_weights(channel_with_zeros(seed, k, n))
+        counts, _ = channel_with_zeros(seed, k, n).weight_pass
         sides = [(j, upper) for j in range(k) for upper in (False, True)]
         limits = observation._envelope_limits(counts, sides, s)
         for (j, upper), limit in zip(sides, limits, strict=True):

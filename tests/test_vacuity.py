@@ -377,6 +377,28 @@ class TestSharedDensity:
                         expected = beta_tail_quadrature(1.0 - delta, alpha[0], alpha[1])
                     assert abs(mass - expected) <= 1e-12, (row.n, delta)
 
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_coordinate_documents_past_the_grid_cap(self, k):
+        # default fields, so grid_resolution 2000: a coordinate's slabs are Beta tails, so
+        # no lattice is sized; on the canonical family theta_0 ~ Beta(n - k + 1, k - 1)
+        doc = {
+            "name": f"k{k}-coordinate",
+            "kind": "verify-theorem1",
+            "target": [1.0] + [0.0] * (k - 1),
+            "function": {"kind": "coordinate", "index": 0},
+            "likelihood": {"kind": "constant"},
+        }
+        report = run_scenario(Scenario.from_dict(doc))
+        assert report["provenance"]["methods"]["mass"] == vacuity.BETA_TAIL
+        main = report["results"]["main"]
+        assert [row["n"] for row in main["rows"]] == [10, 100, 1000]
+        for row in main["rows"]:
+            n = row["n"]
+            assert abs(row["expectation"] - (n - k + 1) / n) <= 1e-12
+            for delta, mass in zip([0.1, 0.01], row["mass"]):
+                expected = 1 - beta_cdf_binomial(1.0 - delta, n - k + 1, k - 1)
+                assert abs(mass - float(expected)) <= 1e-12, (n, delta)
+
     def test_bundled_catalog_builds_no_grid(self, monkeypatch):
         built = []
         original = SimplexGrid

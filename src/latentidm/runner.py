@@ -68,8 +68,10 @@ SCENARIO_DIR_ENV = "LATENTIDM_SCENARIO_DIR"
 _CHANNEL_PRESET = re.compile(r"^binary-channel\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\)$")
 _DEFAULT_SCHEDULE = (10, 100, 1000)
 _DEFAULT_TREND_GRID_RESOLUTION = 2000
-# the moment ladders of a trend document hold ~24 bytes per unit of its largest exponent
+# A trend's moment ladders (idm.log_rising) grow with k x (largest exponent + 1): each
+# exponent is capped, and so is that product, at the most a k <= 6 document can reach.
 _MAX_EXPONENT = 10_000_000
+_MAX_LADDER = GRID_MAX_K * (_MAX_EXPONENT + 1)
 
 
 @dataclass(frozen=True)
@@ -392,6 +394,12 @@ def _parse_trend(doc: dict):
     likelihoods = [_likelihood(_require(doc, "likelihood"), k, "likelihood")]
     if "contrast_likelihood" in doc:
         likelihoods.append(_likelihood(doc["contrast_likelihood"], k, "contrast_likelihood"))
+    largest = max(int(p.exponents.max()) for p in (f, *likelihoods))
+    if k * (largest + 1) > _MAX_LADDER:
+        raise SizeCapError(
+            f"field 'target': k x (largest exponent + 1) capped at <= {_MAX_LADDER}; "
+            f"got {k} x {largest + 1}"
+        )
     sequence = _sequence(_object(doc.get("sequence", {}), "sequence"), target)
     # The concentrating path t(n) stays on the simplex only for n >= k - 1.
     schedule = _integers(doc.get("schedule", list(_DEFAULT_SCHEDULE)), "schedule", max(2, k - 1))
@@ -403,7 +411,7 @@ def _parse_trend(doc: dict):
     resolution = _integer(
         doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION), "grid_resolution", minimum=2
     )
-    if mass_method(f) == GRID:
+    if mass_method(f.exponents[0]) == GRID:
         if k > GRID_MAX_K:
             raise ScenarioError(
                 f"field 'target': grids hold k <= {GRID_MAX_K} coordinates, got {k}"

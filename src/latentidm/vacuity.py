@@ -267,10 +267,9 @@ def _level_interval(p: int, q: int, level: float, peak: float) -> tuple[float, f
     return lo, hi
 
 
-def mass_method(f: Polynomial) -> str:
-    """How f's slab masses are computed: a Beta tail (one positive exponent), else a Beta
-    interval (k = 2), else a lattice grid."""
-    row = _monomial(f)
+def mass_method(row: np.ndarray) -> str:
+    """How the slab masses of theta^row are computed: a Beta tail (one positive exponent),
+    else a Beta interval (k = 2), else a lattice grid."""
     return BETA_TAIL if np.count_nonzero(row) == 1 else GRID if len(row) > 2 else BETA_INTERVAL
 
 
@@ -306,7 +305,7 @@ def verify_theorem1(
     side = MIN_SIDE if (sequence.target.coords[f_row > 0] == 0.0).any() else MAX_SIDE
     extremum = peak if side == MAX_SIDE else 0.0
     slabs = [DeltaSet(f, float(d), mode=side) for d in deltas]
-    mass = mass_method(f)
+    mass = mass_method(f_row)
     i = 0 if len(f_row) == 2 else int(np.flatnonzero(f_row)[0])
     rest = np.arange(len(f_row)) != i
     grid, ends = None, []

@@ -432,6 +432,57 @@ class TestCliExitCodes:
         with pytest.raises(SizeCapError, match="'likelihood.exponents'"):
             Scenario.from_dict(past)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"likelihood": {"kind": "monomial", "exponents": [0] * 999 + [10**7]}},
+            {
+                "function": {"kind": "monomial", "exponents": [10**7] + [0] * 999},
+                "likelihood": {"kind": "constant"},
+            },
+        ],
+    )
+    def test_many_coordinates_and_a_huge_exponent_is_exit_2_before_any_ladder(
+        self, tmp_path, capsys, change
+    ):
+        # each exponent is under its cap, but a 1000 x (10**7 + 1) ladder is ~80 GB
+        doc = dict(TREND_DOC, target=[1.0] + [0.0] * 999, schedule=[1000], **change)
+        path = write_scenario(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            code = main(["run", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SIZE_CAP
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert "field 'target': k x (largest exponent + 1) capped at <= 60000006" in err
+        assert "got 1000 x 10000001" in err
+
+    def test_ladder_cap_admits_every_document_of_at_most_six_coordinates(self):
+        # k = 6 with every exponent at its cap sits on the ladder cap exactly
+        grid_doc = dict(
+            TREND_DOC,
+            target=[1 / 6] * 6,
+            function={"kind": "monomial", "exponents": [10**7] * 6},
+            likelihood={"kind": "monomial", "exponents": [10**7] * 6},
+            schedule=[6],
+            grid_resolution=2,
+        )
+        Scenario.from_dict(grid_doc)  # parses; only running it builds the ladders
+        seven = dict(
+            TREND_DOC,
+            target=[1.0] + [0.0] * 6,
+            likelihood={"kind": "monomial", "exponents": [0] * 6 + [10**7]},
+            schedule=[6],
+        )
+        with pytest.raises(SizeCapError, match="got 7 x 10000001"):
+            Scenario.from_dict(seven)
+        # many coordinates with small exponents stay within it
+        wide = dict(TREND_DOC, target=[1.0] + [0.0] * 999, schedule=[1000])
+        Scenario.from_dict(wide)
+
     def test_list_contains_bundled_names(self, capsys):
         assert main(["list"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -68,8 +68,7 @@ SCENARIO_DIR_ENV = "LATENTIDM_SCENARIO_DIR"
 _CHANNEL_PRESET = re.compile(r"^binary-channel\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\)$")
 _DEFAULT_SCHEDULE = (10, 100, 1000)
 _DEFAULT_TREND_GRID_RESOLUTION = 2000
-# A trend's moment ladders (idm.log_rising) grow with k x (largest exponent + 1): each
-# exponent is capped, and so is that product, at the most a k <= 6 document can reach.
+# caps on a trend's moment ladders (idm.log_rising), which grow with k x (largest exponent + 1)
 _MAX_EXPONENT = 10_000_000
 _MAX_LADDER = GRID_MAX_K * (_MAX_EXPONENT + 1)
 
@@ -406,8 +405,7 @@ def _parse_trend(doc: dict):
     if not schedule:
         raise ScenarioError("field 'schedule': needs at least one index")
     deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
-    # type-checked for every document, sized only for the ones whose slab masses
-    # are summed on a grid
+    # type-checked for every document, sized only for the ones whose slab masses are grid sums
     resolution = _integer(
         doc.get("grid_resolution", _DEFAULT_TREND_GRID_RESOLUTION), "grid_resolution", minimum=2
     )

@@ -3,8 +3,7 @@
 Subcommands: `run` executes one scenario (bundled name or file path) and
 writes its report; `list` prints the scenario catalog; `selftest` re-runs
 every bundled scenario against the assertion manifest.  Exit codes: 0
-success, 1 parse/validation failure, 2 size cap exceeded, 3 numerical
-degeneracy.
+success, 1 parse/validation failure, 2 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import DegenerateRatioError, ScenarioError, SizeCapError
+from .errors import ScenarioError, SizeCapError
 from .runner import (
     SCENARIO_DIR_ENV,
     Scenario,
@@ -31,12 +30,7 @@ from .runner import (
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SIZE_CAP = 2
-EXIT_DEGENERATE = 3
-_EXIT_CODES = {
-    ScenarioError: EXIT_INVALID,
-    SizeCapError: EXIT_SIZE_CAP,
-    DegenerateRatioError: EXIT_DEGENERATE,
-}
+_EXIT_CODES = {ScenarioError: EXIT_INVALID, SizeCapError: EXIT_SIZE_CAP}
 
 _DESCRIPTIONS = {
     "example4-medical-test": "noisy binary channel, bounds stay (0, 1): no learning",

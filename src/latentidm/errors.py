@@ -5,9 +5,5 @@ class SizeCapError(ValueError):
     """A combinatorial computation would exceed its configured size cap."""
 
 
-class DegenerateRatioError(ArithmeticError):
-    """A posterior ratio's denominator underflowed; the result is meaningless."""
-
-
 class ScenarioError(ValueError):
     """A scenario document failed validation. The message names the field."""

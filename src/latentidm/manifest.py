@@ -24,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, standard_idm_predictive_bounds
-from .observation import EmissionMatrix, ManifestDataset, posterior_predictive_at_t
+from .observation import (
+    EmissionMatrix,
+    ManifestDataset,
+    check_weight_pass_size,
+    posterior_predictive_at_t,
+)
 from .simplex import DirichletParams, SimplexPoint
 
 # Unused here; perfbench/spans.py wraps `manifest.SimplexGrid` by name.
@@ -78,11 +83,13 @@ def scaled_beta_posterior_mean(
     xi_1 is therefore the predictive probability of a positive next
     observation: sum_j lambda_{0j} P(next hidden = x_j | data), with the
     hidden predictives taken exactly from the frequency-weight pass.  That
-    pass caps `total` at DP_MAX_N (SizeCapError beyond it).
+    pass caps `total` at DP_MAX_N: a larger one raises SizeCapError before
+    any observation is built.
     """
     _validate_counts(positives, total)
     if not 0.0 < t1 < 1.0:
         raise ValueError("t1 must lie strictly in (0, 1)")
+    check_weight_pass_size(total, 2)
     emission = channel.emission()
     data = ManifestDataset.from_rows(emission, [0] * positives + [1] * (total - positives))
     prior = DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))

@@ -57,6 +57,14 @@ DP_MAX_K = 4
 _COLUMN_SUM_TOL = 1e-12
 
 
+def check_weight_pass_size(n: int, k: int) -> None:
+    """Raise SizeCapError for a weight pass past the n <= DP_MAX_N, k <= DP_MAX_K cap."""
+    if n > DP_MAX_N or k > DP_MAX_K:
+        raise SizeCapError(
+            f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; got n={n}, k={k}"
+        )
+
+
 @dataclass(frozen=True)
 class EmissionMatrix:
     """Conditional observation probabilities, one column per hidden outcome.
@@ -139,11 +147,7 @@ class ManifestDataset:
     @cached_property
     def weight_pass(self) -> tuple[np.ndarray, np.ndarray]:
         """`likelihood_terms` under the n <= 20, k <= 4 cap, run on first use for every consumer."""
-        if self.n > DP_MAX_N or self.k > DP_MAX_K:
-            raise SizeCapError(
-                f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; "
-                f"got n={self.n}, k={self.k}"
-            )
+        check_weight_pass_size(self.n, self.k)
         return likelihood_terms(self)
 
     @staticmethod

@@ -71,6 +71,12 @@ _DEFAULT_TREND_GRID_RESOLUTION = 2000
 # caps on a trend's moment ladders (idm.log_rising), which grow with k x (largest exponent + 1)
 _MAX_EXPONENT = 10_000_000
 _MAX_LADDER = GRID_MAX_K * (_MAX_EXPONENT + 1)
+# cap on a trend's prior strength: the fixed-strength `sequence.s`, and every schedule index
+# (the canonical family's strength).  The Beta CDF's continued fraction takes ~1,900 steps at
+# a + b = 10^8 and ~35,000, past its 10,000, at 10^12.
+_MAX_STRENGTH = 100_000_000
+# cap on `diagnose` documents, whose `identity` preset is a k x k matrix: 8 MB at the cap
+_DIAGNOSE_MAX_K = 1000
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,8 @@ def _sequence(spec: dict, target: SimplexPoint) -> ConcentratingSequence:
         return canonical_concentrating_sequence(target)
     if family == "fixed-strength":
         s = _positive(spec.get("s", 2.0), "sequence.s")
+        if s > _MAX_STRENGTH:
+            raise SizeCapError(f"field 'sequence.s': capped at <= {_MAX_STRENGTH}; got {s!r}")
         return fixed_strength_concentrating_sequence(target, s)
     raise ScenarioError(f"field 'sequence.family': unknown family {family!r}")
 
@@ -364,7 +372,10 @@ def _parse_predict(doc: dict):
 
 
 def _parse_diagnose(doc: dict):
-    data = _dataset(doc, _integer(doc.get("k", 2), "k", minimum=2))
+    k = _integer(doc.get("k", 2), "k", minimum=2)
+    if k > _DIAGNOSE_MAX_K:
+        raise SizeCapError(f"field 'k': diagnose capped at k <= {_DIAGNOSE_MAX_K}; got k={k}")
+    data = _dataset(doc, k)
 
     def run() -> tuple[dict, dict]:
         diagnosis = vacuity_diagnosis(data)
@@ -404,6 +415,10 @@ def _parse_trend(doc: dict):
     schedule = _integers(doc.get("schedule", list(_DEFAULT_SCHEDULE)), "schedule", max(2, k - 1))
     if not schedule:
         raise ScenarioError("field 'schedule': needs at least one index")
+    if max(schedule) > _MAX_STRENGTH:
+        raise SizeCapError(
+            f"field 'schedule': indices capped at <= {_MAX_STRENGTH}; got {max(schedule)}"
+        )
     deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
     # type-checked for every document, sized only for the ones whose slab masses are grid sums
     resolution = _integer(

@@ -8,9 +8,9 @@ concentrating sequences for every function it leaves vacuous, so positive
 likelihoods make posterior bounds as vacuous as the prior ones.
 
 This module makes the limit statements checkable at desk scale: limits are
-replaced by trend checks over a fixed index schedule, each computed
-exactly.  Every f and likelihood L is a `Polynomial`, so E_n(f) and the
-posterior ratios E_n(f L) / E_n(L) are sums of Dirichlet moments, and a
+replaced by trend checks over a fixed index schedule, each computed from
+closed forms.  Every f and likelihood L is a `Polynomial`, so E_n(f) and
+the posterior ratios E_n(f L) / E_n(L) are sums of Dirichlet moments, and a
 slab mass is the Beta mass of an interval of one coordinate.  What depends
 only on the document (the slab interval ends, the stacked exponent rows) is
 found once per call; each index then reads one ladder of log ascending
@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateRatioError
 from .idm import FrequencyVector, log_moments, vacuous_prior_upper_predictive
 from .observation import ManifestDataset, likelihood_terms
 from .simplex import (
@@ -49,7 +48,6 @@ BETA_INTERVAL = "beta-interval"
 GRID = "grid"
 
 _TOLERANCE = 0.01
-_UNDERFLOW_FLOOR = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +162,6 @@ class TrendReport:
 # Grid sums: the oracles of the exact values below.
 
 
-def _underflow(denominator: float) -> DegenerateRatioError:
-    return DegenerateRatioError(
-        f"posterior normalizer underflowed (sum {denominator!r}); "
-        "the likelihood is numerically zero where the prior has mass"
-    )
-
-
 def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -> float:
     """Prior probability mass of the near-extremal slab, by filtered grid sums.
 
@@ -182,7 +173,7 @@ def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -
     density = np.exp(_dirichlet_log_density_matrix(params, grid.points))
     total = float(density.sum())
     if total <= 0.0:
-        raise DegenerateRatioError("density mass underflowed on the whole grid")
+        raise FloatingPointError("density mass underflowed on the whole grid")
     return float(density[dset.mask(dset.f.values(grid.points))].sum() / total)
 
 
@@ -194,14 +185,19 @@ def posterior_ratio(
 ) -> float:
     """Posterior expectation of f: grid ratio of integrals of f*L*p and L*p.
 
-    Raises DegenerateRatioError when the denominator underflows (zero, below
-    1e-300, or not finite) rather than silently returning garbage.
+    Raises FloatingPointError when the denominator underflows (zero, below
+    1e-300, or not finite) rather than silently returning garbage: a grid
+    sum, unlike the log-space moments of `verify_theorem1`, loses the
+    likelihood where its float values vanish.
     """
     density = np.exp(_dirichlet_log_density_matrix(params, grid.points))
     weights = likelihood.values(grid.points) * density
     denominator = float(weights.sum())
-    if not np.isfinite(denominator) or denominator < _UNDERFLOW_FLOOR:
-        raise _underflow(denominator)
+    if not np.isfinite(denominator) or denominator < 1e-300:
+        raise FloatingPointError(
+            f"posterior normalizer underflowed (sum {denominator!r}); "
+            "the likelihood is numerically zero where the prior has mass"
+        )
     return float((f.values(grid.points) * weights).sum() / denominator)
 
 
@@ -296,9 +292,11 @@ def verify_theorem1(
     those rows, giving E_n(f) and every E_n(f L) / E_n(L), and the Beta
     CDFs of x ~ Beta(alpha_i, sum of the rest) at the ends.  Only a monomial
     f with two or more positive exponents on k >= 3 coordinates has its
-    masses summed, on one lattice grid of `grid_resolution` per call.  The
-    first index, and in it the first likelihood, whose E_n(L) is below
-    1e-300 raises DegenerateRatioError.
+    masses summed, on one lattice grid of `grid_resolution` per call.
+    Every ratio is exp(log E_n(f L) - log E_n(L)): a Dirichlet moment of a
+    polynomial with positive coefficients is positive, so the ratio is
+    defined at every index, however small E_n(L) is.  Its relative error
+    grows like |L| ln(s + |L|) ulps, |L| the likelihood's largest degree.
     """
     f_row = _monomial(f)
     peak = _peak(f_row)
@@ -335,10 +333,7 @@ def verify_theorem1(
         for start, coeffs, out in zip(starts, log_coeffs, rows):
             terms = logs[start : start + len(coeffs)] + coeffs
             half = len(coeffs) // 2
-            log_normalizer = np.logaddexp.reduce(terms[:half])
-            if log_normalizer < math.log(_UNDERFLOW_FLOOR):
-                raise _underflow(math.exp(log_normalizer))
-            ratio = math.exp(np.logaddexp.reduce(terms[half:]) - log_normalizer)
+            ratio = math.exp(np.logaddexp.reduce(terms[half:]) - np.logaddexp.reduce(terms[:half]))
             out.append(TrendRow(n, expectation, masses, ratio))
     deltas = tuple(slab.delta for slab in slabs)
     methods = {"expectation": MOMENT, "mass": mass, "ratio": MOMENT}

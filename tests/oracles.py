@@ -13,7 +13,8 @@ Python loops instead of the array passes of the envelope checks and the
 learnability diagnosis, and plain 1-D midpoint quadrature instead of the
 simplex grid.  The trend lab's exact values are
 checked against exact-rational Dirichlet-moment sums over an exactly
-expanded likelihood, binomial sums for Beta CDFs with integer parameters,
+expanded likelihood (binomially expanded, for many equal channel
+observations), binomial sums for Beta CDFs with integer parameters,
 exact-rational bisection for level-set ends, and a substituted 1-D
 quadrature for Beta tails whose density diverges; the grid integrator and
 scalar densities here are the brute-force oracles of everything else.
@@ -520,3 +521,30 @@ def moment_ratio(s: float, t, f_exponents, terms: dict) -> Fraction:
     shifted = {tuple(a + b for a, b in zip(e, f_exponents)): c for e, c in terms.items()}
     num = sum(c * dirichlet_moment(s, t, e) for e, c in shifted.items())
     return num / sum(c * dirichlet_moment(s, t, e) for e, c in terms.items())
+
+
+def equal_rows_ratio(a: float, b: float, row, n: int) -> Fraction:
+    """E[x L] / E[L] under Beta(a, b), exactly, for L = (row_0 x + row_1 (1 - x))^n: the
+    likelihood of n observations of one channel row, at the exact binary values of a, b
+    and the row's entries.
+
+    Binomially expanded, every term of L has degree n, so the shared (a + b)^{(n)} cancels
+    and the ratio is sum_j w_j (a + j) / ((a + b + n) sum_j w_j), with
+    w_j = C(n, j) row_0^j row_1^(n - j) a^{(j)} b^{(n - j)}.  With a = A/D, b = B/D,
+    row = (P, Q)/E, the powers of D and E cancel too, so the sums are taken in integers.
+    """
+    (A, d_a), (B, d_b), (P, e_p), (Q, e_q) = (float(x).as_integer_ratio() for x in (a, b, *row))
+    A, B, D = A * d_b, B * d_a, d_a * d_b
+    P, Q = P * e_q, Q * e_p
+    rising_a, rising_b = [1], [1]
+    for j in range(n):
+        rising_a.append(rising_a[-1] * (A + j * D))
+        rising_b.append(rising_b[-1] * (B + j * D))
+    w = [math.comb(n, j) * P**j * Q ** (n - j) * rising_a[j] * rising_b[n - j] for j in range(n + 1)]
+    return Fraction(sum(w_j * (A + j * D) for j, w_j in enumerate(w)), (A + B + n * D) * sum(w))
+
+
+def ratio_tolerance(s: float, degree: int) -> float:
+    """README's relative error bound on a trend ratio under a one-row likelihood theta^l
+    of degree |l| at strength s: 2^-52 (64 + 2 |l| ln(s + |l|))."""
+    return 2.0**-52 * (64 + 2 * degree * math.log(s + degree))

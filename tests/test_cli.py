@@ -2,13 +2,14 @@ import gc
 import json
 import os
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import runner
-from latentidm.cli import EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
+from latentidm import SimplexPoint, canonical_concentrating_sequence, runner
+from latentidm.cli import EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
 from latentidm.runner import (
     Scenario,
     assertion_manifest,
@@ -20,12 +21,23 @@ from latentidm.runner import (
     run_scenario,
 )
 from latentidm.errors import ScenarioError, SizeCapError
+from oracles import ratio_tolerance
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def run_traced(argv) -> tuple[int, int]:
+    """`main(argv)`'s exit code and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def strip_timing(report_text: str) -> str:
@@ -351,6 +363,48 @@ class TestCliExitCodes:
         assert main(["run", path]) == EXIT_SIZE_CAP
         assert "n <= 20" in capsys.readouterr().err
 
+    def test_scaled_beta_fixed_t1_total_is_capped_before_its_dataset(self, tmp_path, capsys):
+        # 10^8 observations would be built, one emission row each, before the weight pass
+        doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 10**8}, fixed_t1=0.5)
+        code, peak = run_traced(["run", write_scenario(tmp_path, doc)])
+        assert code == EXIT_SIZE_CAP
+        assert peak < 2**20
+        assert "n <= 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [3000, 100_000_000])
+    def test_diagnose_k_cap_comes_before_the_emission_is_built(self, tmp_path, capsys, k):
+        # the identity preset is a k x k matrix: 72 MB at k = 3000
+        doc = dict(PREDICT_DOC, kind="diagnose", k=k, observations=[0, 1])
+        code, peak = run_traced(["run", write_scenario(tmp_path, doc)])
+        assert code == EXIT_SIZE_CAP
+        assert peak < 2**20
+        assert f"field 'k': diagnose capped at k <= 1000; got k={k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("sequence.s", {"sequence": {"family": "fixed-strength", "s": 1e30}}),
+            ("schedule", {"schedule": [10, 10**30]}),
+        ],
+    )
+    def test_trend_strength_past_its_cap_is_exit_2(self, tmp_path, capsys, field, change):
+        # either would give the Beta CDF's continued fraction parameters near 10^30,
+        # where it does not converge in its 10,000 steps
+        doc = dict(bundled_scenarios()["theorem1-escape-contrast"], **change)
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_SIZE_CAP
+        assert f"field '{field}': " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sequence", [{"family": "canonical"}, {"family": "fixed-strength", "s": 10**8}]
+    )
+    def test_trend_strength_cap_is_inclusive(self, tmp_path, capsys, sequence):
+        doc = dict(
+            bundled_scenarios()["theorem1-escape-contrast"], sequence=sequence, schedule=[10, 10**8]
+        )
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_OK
+        for row in json.loads(capsys.readouterr().out)["results"]["main"]["rows"]:
+            assert all(0.0 <= value <= 1.0 for value in [row["ratio"], *row["mass"]])
+
     def test_scaled_beta_bounds_take_any_total(self, tmp_path, capsys):
         doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 1200})
         path = write_scenario(tmp_path, doc)
@@ -377,9 +431,21 @@ class TestCliExitCodes:
         assert main(["run", path]) == EXIT_INVALID
         assert f"field '{field}':" in capsys.readouterr().err
 
-    def test_degenerate_ratio_is_exit_3(self, tmp_path, capsys):
+    @staticmethod
+    def _assert_ratios_of_theta1_power(block, e):
+        # f = theta_0 and L = theta_1^e along the canonical family to (1, 0):
+        # the ratio is alpha_0 / (s + e) in closed form, within README's error bound
+        seq = canonical_concentrating_sequence(SimplexPoint([1.0, 0.0]))
+        for row in block["rows"]:
+            params = seq.generator(row["n"])
+            s = Fraction(params.s)
+            exact = s * Fraction(float(params.t.coords[0])) / (s + e)
+            assert abs(Fraction(row["ratio"]) / exact - 1) <= ratio_tolerance(params.s, e)
+
+    def test_tiny_normalizer_ratio_is_exit_0(self, tmp_path, capsys):
+        # E_n(L) is far below the smallest float; its log-space ratio is still defined
         doc = {
-            "name": "degenerate",
+            "name": "tiny-normalizer",
             "kind": "theorem-a1a2",
             "target": [1.0, 0.0],
             "function": {"kind": "coordinate", "index": 0},
@@ -389,17 +455,20 @@ class TestCliExitCodes:
             "deltas": [0.1],
         }
         path = write_scenario(tmp_path, doc)
-        assert main(["run", str(path)]) == EXIT_DEGENERATE
+        assert main(["run", str(path)]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        self._assert_ratios_of_theta1_power(results["main"], 5000000)
 
-    def test_degenerate_contrast_ratio_is_exit_3(self, tmp_path, capsys):
-        # the main likelihood is fine; the contrast's ratio underflows
+    def test_tiny_contrast_normalizer_ratio_is_exit_0(self, tmp_path, capsys):
+        # the contrast's E_n(L) is 0.0 as a float at n = 10, and its ratio is reported
         doc = dict(
             bundled_scenarios()["theorem-a1-concentration"],
             contrast_likelihood={"kind": "monomial", "exponents": [0, 5000]},
         )
         path = write_scenario(tmp_path, doc)
-        assert main(["run", str(path)]) == EXIT_DEGENERATE
-        assert "posterior normalizer underflowed (sum 0.0); " in capsys.readouterr().err
+        assert main(["run", str(path)]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        self._assert_ratios_of_theta1_power(results["contrast"], 5000)
 
     @pytest.mark.parametrize(
         "field, change",

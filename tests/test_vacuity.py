@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -7,13 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentidm import (
     BinaryChannel,
     ConcentratingSequence,
-    DegenerateRatioError,
     DeltaSet,
     DirichletParams,
     EmissionMatrix,
@@ -33,17 +33,20 @@ from latentidm import (
     verify_theorem1,
 )
 from latentidm import runner, vacuity
+from latentidm.cli import EXIT_OK, main
 from latentidm.runner import Scenario, bundled_scenarios, run_scenario
 from latentidm.vacuity import MAX_SIDE, MIN_SIDE
 from oracles import (
     beta_cdf_binomial,
     beta_tail_quadrature,
     dirichlet_moment,
+    equal_rows_ratio,
     expanded_likelihood,
     latent_likelihood,
     moment_ratio,
     monomial_interval,
     polynomial_posterior_ratio,
+    ratio_tolerance,
 )
 
 GRID = SimplexGrid(k=2, resolution=2000)
@@ -236,7 +239,7 @@ class TestPosteriorRatio:
         params = DirichletParams(2.0, SimplexPoint([0.5, 0.5]))
         # theta_2^(10^12) is 0.0 at every grid point, even at 1 - 1e-9
         zero = monomial_likelihood([0, 10**12])
-        with pytest.raises(DegenerateRatioError):
+        with pytest.raises(FloatingPointError, match="posterior normalizer underflowed"):
             posterior_ratio(params, zero, F_COORD, GRID)
 
 
@@ -464,17 +467,6 @@ TREND_NAMES = [
 ]
 
 
-def _assert_underflow_of(error, s, t, row):
-    """The DegenerateRatioError text names the sum E[theta^row], to 1e-9 relative."""
-    head, tail = "posterior normalizer underflowed (sum ", (
-        "); the likelihood is numerically zero where the prior has mass"
-    )
-    text = str(error)
-    assert text.startswith(head) and text.endswith(tail)
-    value = float(text[len(head) : -len(tail)])
-    assert value == pytest.approx(float(dirichlet_moment(s, t, row)), rel=1e-9, abs=0.0)
-
-
 class TestPerDocumentWork:
     """What depends only on the document is found once per call; each index
     does only the work that needs its own Dirichlet parameters."""
@@ -539,17 +531,18 @@ class TestPerDocumentWork:
         assert crossings == [2 * len(doc["deltas"])] * 4
 
     @pytest.mark.parametrize(
-        "main, named",
+        "main",
         # normalizers at n = 10: [480, 480] ~1e-292, [496, 496] ~3e-302, [500, 500] ~1e-304
-        [([480, 480], [500, 500]), ([496, 496], [496, 496])],
+        [[480, 480], [496, 496]],
     )
-    def test_underflow_names_the_first_degenerate_likelihood(self, main, named):
+    def test_tiny_normalizers_give_exact_ratios(self, main):
         seq = canonical_concentrating_sequence(VERTEX_10)
         params = seq.generator(10)
-        likelihoods = [monomial_likelihood(main), monomial_likelihood([500, 500])]
-        with pytest.raises(DegenerateRatioError) as raised:
-            verify_theorem1(F_COORD, likelihoods, seq, [10])
-        _assert_underflow_of(raised.value, params.s, params.t.coords, named)
+        rows = [main, [500, 500]]
+        reports = verify_theorem1(F_COORD, [monomial_likelihood(r) for r in rows], seq, [10])
+        for report, row in zip(reports, rows):
+            exact = moment_ratio(params.s, params.t.coords, [1, 0], {tuple(row): Fraction(1)})
+            assert abs(report.rows[0].posterior_ratio - float(exact)) <= 1e-12
 
 
 def _x_polynomial(terms: dict) -> list[Fraction]:
@@ -615,6 +608,50 @@ class TestExactTrend:
             assert abs(row["ratio"] - float(expected)) <= 1e-12
             grid_value = posterior_ratio(params, dataset_likelihood(data), F_COORD, GRID)
             assert abs(row["ratio"] - grid_value) <= 1e-3
+
+    def test_long_channel_likelihood_is_exit_0_with_exact_ratios(self, tmp_path, capsys):
+        # 360 observations of row 1 through the 0.1/0.1 channel: E_n(L) ~1e-305 at n = 10,
+        # whose ratio is defined and reported like any other
+        channel = {"kind": "channel", "eps1": 0.1, "eps2": 0.1, "observations": [1] * 360}
+        doc = dict(bundled_scenarios()["theorem-a1-concentration"], likelihood=channel)
+        doc.pop("contrast_likelihood")
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["results"]["main"]["rows"]
+        entries = BinaryChannel(0.1, 0.1).emission().entries[1]
+        seq = canonical_concentrating_sequence(VERTEX_10)
+        for row in rows:
+            a, b = seq.generator(row["n"]).alpha
+            assert abs(row["ratio"] - float(equal_rows_ratio(a, b, entries, 360))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(st.integers(0, 10**5), min_size=2, max_size=3).filter(any),
+        index=st.integers(0, 2),
+        vertex=st.integers(0, 2),
+        strength=st.one_of(st.none(), st.floats(1e-3, 1e8)),
+        n=st.integers(2, 10**8),
+    )
+    @example(exponents=[0, 10**7], index=0, vertex=0, strength=2.0, n=1000)
+    def test_one_row_ratio_error_model(self, exponents, index, vertex, strength, n):
+        # f = theta_i and L = theta^l: the ratio is (alpha_i + l_i) / (s + |l|) in closed
+        # form, within README's bound 2^-52 (64 + 2 |l| ln(s + |l|)) relative; the canonical
+        # family (strength None) or the fixed-strength one, at any index up to the cap
+        k, degree = len(exponents), sum(exponents)
+        i = index % k
+        target = SimplexPoint(np.arange(k) == vertex % k)
+        if strength is None:
+            seq = canonical_concentrating_sequence(target)
+        else:
+            seq = fixed_strength_concentrating_sequence(target, strength)
+        likelihood = monomial_likelihood(exponents)
+        (report,) = verify_theorem1(coordinate_function(i, k), [likelihood], seq, [n], deltas=())
+        params = seq.generator(n)
+        s = Fraction(params.s)
+        exact = (s * Fraction(float(params.t.coords[i])) + exponents[i]) / (s + degree)
+        error = abs(Fraction(report.rows[0].posterior_ratio) / exact - 1)
+        assert error <= ratio_tolerance(params.s, degree)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -13,11 +13,15 @@ and 0**0 is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .simplex import DirichletParams, SimplexPoint
+
+# ladder cells the priors of one `log_moment_blocks` block may share; a block grows past
+# it only to hold one prior
+_BLOCK_CELLS = 1 << 16
 
 
 # Slotted: the weight pass keeps one per support vector, up to 1,771 at k=4, n=20.
@@ -120,33 +124,58 @@ def log_marginal_probability(prior: DirichletParams, freq: FrequencyVector) -> f
     """Log probability of an ordered dataset with the given frequencies (`log_moments`)."""
     if freq.k != prior.k:
         raise ValueError(f"frequency vector has k={freq.k}, prior has k={prior.k}")
-    return float(log_moments(prior, np.array([freq.counts]))[0])
+    return float(log_moments(prior.alpha, prior.s, np.array([freq.counts]))[0])
 
 
-def log_moments(prior: DirichletParams, counts: np.ndarray) -> np.ndarray:
-    """log E[theta^a] under the prior, for each row a of a nonnegative integer matrix.
+def log_moments(alpha: np.ndarray, s: float | np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """log E[theta^a] under Dirichlet(alpha) of strength s, for each row a of a nonnegative
+    integer matrix; a (B, k) stack of alphas with B strengths gives one row per prior.
 
-    E[theta^a] = prod_h (s t_h)^{(a_h)} / s^{(|a|)} is also the probability
+    E[theta^a] = prod_h alpha_h^{(a_h)} / s^{(|a|)} is also the probability
     of an ordered dataset with frequencies a.  Evaluated in log space so
-    ascending factorials cannot overflow; empty products are 1.
+    ascending factorials cannot overflow; empty products are 1.  s is taken
+    as given, not as the sum of alpha, which can differ from it in the last bit.
     """
     sizes = counts.sum(axis=1, keepdims=True)
-    return log_rising(prior.alpha, counts) - log_rising([prior.s], sizes)
+    return log_rising(alpha, counts) - log_rising(np.asarray(s, dtype=float)[..., None], sizes)
+
+
+def log_moment_blocks(
+    prior_at: Callable[[int], DirichletParams], indices: Sequence[int], counts: np.ndarray
+) -> Iterator[tuple[list[DirichletParams], np.ndarray]]:
+    """`log_moments` of counts under prior_at(n) for each n in indices, taken in blocks:
+    yields each block's priors with their (len(block), R) array of log moments.
+
+    A block holds as many priors as fit in `_BLOCK_CELLS` ladder cells, or one.
+    Its priors are made only when it is reached and dropped when the next one
+    is asked for (the yielded list is emptied), so memory is that of one block
+    whatever the number of indices.  A prior's larger ladder is its
+    coordinates' or its strength's (`log_rising`), freed in that order.
+    """
+    cells = max(counts.shape[1] * (int(counts.max()) + 1), int(counts.sum(axis=1).max()) + 1)
+    step = max(1, _BLOCK_CELLS // cells)
+    for j in range(0, len(indices), step):
+        block = [prior_at(n) for n in indices[j : j + step]]
+        yield block, log_moments(
+            np.array([p.alpha for p in block]), np.array([p.s for p in block]), counts
+        )
+        block.clear()  # the caller's reference too: a block's priors go before the next's come
 
 
 def log_rising(alpha: Sequence[float], counts: np.ndarray) -> np.ndarray:
-    """sum_h log (alpha_h)^{(counts[r, h])} for each row r of a nonnegative integer matrix.
+    """sum_h log (alpha_h)^{(counts[r, h])} for each row r of a nonnegative integer matrix;
+    a (B, k) stack of alphas gives a (B, R) array, one row per alpha.
 
-    ladder[h, c] = log (alpha_h)^{(c)} is one cumulative sum of log(alpha_h + j),
-    read by every row; it holds len(alpha) x (largest count + 1) numbers.
+    ladder[..., h, c] = log (alpha_h)^{(c)} is one cumulative sum of log(alpha_h + j),
+    read by every row; it holds alpha.size x (largest count + 1) numbers.
     """
     alpha = np.asarray(alpha, dtype=float)
-    ladder = np.zeros((len(alpha), int(counts.max()) + 1))
-    rungs = ladder[:, 1:]  # filled in place: a huge count costs one ladder, no copies
-    np.add(alpha[:, None], np.arange(rungs.shape[1]), out=rungs)
+    ladder = np.zeros((*alpha.shape, int(counts.max()) + 1))
+    rungs = ladder[..., 1:]  # filled in place: a huge count costs one ladder, no copies
+    np.add(alpha[..., None], np.arange(rungs.shape[-1]), out=rungs)
     np.log(rungs, out=rungs)
-    np.cumsum(rungs, axis=1, out=rungs)
-    return sum(ladder[h, counts[:, h]] for h in range(len(alpha)))
+    np.cumsum(rungs, axis=-1, out=rungs)
+    return sum(ladder[..., h, counts[:, h]] for h in range(alpha.shape[-1]))
 
 
 def posterior_update(

@@ -76,7 +76,10 @@ class EmissionMatrix:
     entries: np.ndarray
 
     def __init__(self, entries) -> None:
-        arr = np.asarray(entries, dtype=float).copy()
+        self._hold(np.array(entries, dtype=float))  # a copy: the caller may change its own
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Check and keep `arr` itself, read-only."""
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError("emission matrix must be 2-D with k >= 2 columns")
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
@@ -98,7 +101,9 @@ class EmissionMatrix:
 
     @staticmethod
     def identity(k: int) -> "EmissionMatrix":
-        return EmissionMatrix(np.eye(k))
+        matrix = object.__new__(EmissionMatrix)
+        matrix._hold(np.eye(k))  # held without a copy: nothing else refers to it
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,7 @@ from .observation import (
     DP_MAX_K,
     EmissionMatrix,
     ManifestDataset,
+    check_weight_pass_size,
     outcome_bounds,
     posterior_predictive_at_t,
     vacuity_diagnosis,
@@ -339,7 +340,7 @@ def _trend_provenance(report: TrendReport) -> dict:
 def _parse_predict(doc: dict):
     k = _integer(doc.get("k", 2), "k", minimum=2)
     if k > DP_MAX_K:
-        raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={k}")
+        raise SizeCapError(f"field 'k': predictive bounds capped at k <= {DP_MAX_K}; got k={k}")
     data = _dataset(doc, k)
     hyper = _object(_require(doc, "hyper"), "hyper")
     s = _positive(hyper.get("s"), "hyper.s")
@@ -450,8 +451,14 @@ def _parse_scaled_beta(doc: dict):
     positives, total = _counts(doc)
     s = _manifest_strength(doc)
     t1 = doc.get("fixed_t1")
-    if t1 is not None and not _positive(t1, "fixed_t1") < 1.0:
-        raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
+    if t1 is not None:
+        if not _positive(t1, "fixed_t1") < 1.0:
+            raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
+        # the fixed-prior value takes one weight pass over `total` observations
+        try:
+            check_weight_pass_size(total, 2)
+        except SizeCapError as exc:
+            raise SizeCapError(f"field 'dataset.total': {exc}") from exc
 
     def run() -> tuple[dict, dict]:
         bounds = scaled_beta_posterior_bounds(channel, positives, total, s)

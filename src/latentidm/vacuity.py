@@ -13,10 +13,11 @@ closed forms.  Every f and likelihood L is a `Polynomial`, so E_n(f) and
 the posterior ratios E_n(f L) / E_n(L) are sums of Dirichlet moments, and a
 slab mass is the Beta mass of an interval of one coordinate.  What depends
 only on the document (the slab interval ends, the stacked exponent rows) is
-found once per call; each index then reads one ladder of log ascending
-factorials, serving E_n(f) and every likelihood's numerator and normalizer,
-and the Beta CDFs at those ends.  Only the slab of a monomial with two or
-more positive exponents on k >= 3 coordinates is summed on a lattice grid.
+found once per call, and so are the moments of every index: E_n(f) and every
+likelihood's numerator and normalizer are read from one stacked ladder of log
+ascending factorials per block of indices.  Each index then evaluates the
+Beta CDFs at those ends.  Only the slab of a monomial with two or more
+positive exponents on k >= 3 coordinates is summed on a lattice grid.
 `delta_set_mass` and `posterior_ratio` are plain grid sums, kept as the
 tests' oracles.
 """
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .idm import FrequencyVector, log_moments, vacuous_prior_upper_predictive
+from .idm import FrequencyVector, log_moment_blocks, vacuous_prior_upper_predictive
 from .observation import ManifestDataset, likelihood_terms
 from .simplex import (
     DirichletParams,
@@ -48,6 +49,8 @@ BETA_INTERVAL = "beta-interval"
 GRID = "grid"
 
 _TOLERANCE = 0.01
+# the Lentz method's stand-in for a zero denominator
+_TINY = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +214,8 @@ def _beta_cdf(x: float, a: float, b: float) -> float:
     Its continued fraction by the modified Lentz method, on the side of the
     mean where it converges fast (Numerical Recipes, 3rd ed., section 6.4).
     The prefactor takes math.lgamma, so the relative error follows the
-    rounding of lgamma(a + b): ~1e-13 for a + b in the hundreds.
+    rounding of lgamma(a + b): ~1e-13 for a + b in the hundreds.  Takes
+    Python floats: NumPy scalars give the same values, slower.
     """
     if x <= 0.0:
         return 0.0
@@ -221,31 +225,31 @@ def _beta_cdf(x: float, a: float, b: float) -> float:
         return 1.0 - _beta_cdf(1.0 - x, b, a)
     front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     front += a * math.log(x) + b * math.log1p(-x)
-    c, d = 1.0, 1.0 / _off_zero(1.0 - (a + b) * x / (a + 1.0))
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    c, d = 1.0, 1.0 / (d if abs(d) > _TINY else _TINY)
     value = d
     for m in range(1, 10_000):
         even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
         odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
-        for term in (even, odd):
-            d = 1.0 / _off_zero(1.0 + term * d)
-            c = _off_zero(1.0 + term / c)
+        for term in (even, odd):  # a denominator within _TINY of 0 becomes _TINY
+            d = 1.0 + term * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + term / c
+            c = c if abs(c) > _TINY else _TINY
             value *= d * c
         if abs(d * c - 1.0) < 1e-15:
             return math.exp(front) * value / a
     raise ArithmeticError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
 
 
-def _off_zero(value: float) -> float:
-    return value if abs(value) > 1e-300 else 1e-300
-
-
-def _crossing(f_at: Callable[[float], float], level: float, inside: float, outside: float) -> float:
-    """Where f crosses `level` between `inside` (f >= level) and `outside`, to one ulp."""
+def _crossing(p: int, q: int, level: float, inside: float, outside: float) -> float:
+    """Where x^p (1 - x)^q crosses `level` between `inside` (where it is >= level) and
+    `outside`, to one ulp."""
     while True:
         mid = 0.5 * (inside + outside)
         if mid in (inside, outside):
             return mid
-        if f_at(mid) >= level:
+        if mid**p * (1.0 - mid) ** q >= level:
             inside = mid
         else:
             outside = mid
@@ -259,8 +263,7 @@ def _level_interval(p: int, q: int, level: float, peak: float) -> tuple[float, f
     if level >= peak:
         return 0.0, 0.0
     top = p / (p + q)
-    lo, hi = (_crossing(lambda x: x**p * (1.0 - x) ** q, level, top, end) for end in (0, 1))
-    return lo, hi
+    return _crossing(p, q, level, top, 0), _crossing(p, q, level, top, 1)
 
 
 def mass_method(row: np.ndarray) -> str:
@@ -287,12 +290,16 @@ def verify_theorem1(
     side is the min side when f vanishes at the target, else the max side.
 
     Per call: each slab's ends on the coordinate x = theta_i that reads
-    f = x^p (1 - x)^q (i = 0 when k = 2), and the exponent rows [f; L_1;
-    L_1 + f; L_2; L_2 + f; ...].  Per index: one `log_moments` ladder over
-    those rows, giving E_n(f) and every E_n(f L) / E_n(L), and the Beta
-    CDFs of x ~ Beta(alpha_i, sum of the rest) at the ends.  Only a monomial
-    f with two or more positive exponents on k >= 3 coordinates has its
-    masses summed, on one lattice grid of `grid_resolution` per call.
+    f = x^p (1 - x)^q (i = 0 when k = 2), the exponent rows [f; L_1;
+    L_1 + f; L_2; L_2 + f; ...].  Per block of indices (`log_moment_blocks`,
+    which bounds a block's ladder cells and makes its Dirichlet parameters
+    only when it is reached): one stacked ladder over those rows, giving
+    E_n(f) and every E_n(f L) / E_n(L) of each index in it.  Per index: the
+    Beta CDFs of x ~ Beta(alpha_i, sum of the rest) at the ends.  Only
+    per-index scalars outlive a block, and no value depends on the other
+    indices of the schedule.  Only a monomial f with two or more positive
+    exponents on k >= 3 coordinates has its masses summed, on one lattice
+    grid of `grid_resolution` per call.
     Every ratio is exp(log E_n(f L) - log E_n(L)): a Dirichlet moment of a
     polynomial with positive coefficients is positive, so the ratio is
     defined at every index, however small E_n(L) is.  Its relative error
@@ -306,9 +313,11 @@ def verify_theorem1(
     mass = mass_method(f_row)
     i = 0 if len(f_row) == 2 else int(np.flatnonzero(f_row)[0])
     rest = np.arange(len(f_row)) != i
+    schedule = [int(n) for n in schedule]
     grid, ends = None, []
     if mass != GRID:
-        ends = [_level_interval(f_row[i], f_row[rest].sum(), slab.level, peak) for slab in slabs]
+        power, rest_power = int(f_row[i]), int(f_row[rest].sum())
+        ends = [_level_interval(power, rest_power, slab.level, peak) for slab in slabs]
     elif slabs:
         grid = SimplexGrid(k=len(f_row), resolution=grid_resolution)
         log_points = np.log(grid.points)  # clamped: every coordinate is positive
@@ -317,32 +326,35 @@ def verify_theorem1(
     stack = np.vstack([f_row[None], *blocks])
     starts = np.cumsum([1] + [len(block) for block in blocks])
     log_coeffs = [np.tile(L.log_coeffs, 2) for L in likelihoods]
-    rows = [[] for _ in likelihoods]
-    for n in map(int, schedule):
-        params = sequence.generator(n)
+
+    def slab_masses(params: DirichletParams) -> tuple[float, ...]:
         if grid is None:
-            a, b = params.alpha[i], params.alpha[rest].sum()
+            a, b = float(params.alpha[i]), float(params.alpha[rest].sum())
             inside = (_beta_cdf(hi, a, b) - _beta_cdf(lo, a, b) for lo, hi in ends)
-            masses = tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
-        else:
-            log_density = log_points @ (params.alpha - 1.0)
-            density = np.exp(log_density - log_density.max())
-            masses = tuple(float(density[m].sum() / density.sum()) for m in members)
-        logs = log_moments(params, stack)
-        expectation = math.exp(logs[0])
-        for start, coeffs, out in zip(starts, log_coeffs, rows):
-            terms = logs[start : start + len(coeffs)] + coeffs
+            return tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
+        log_density = log_points @ (params.alpha - 1.0)
+        density = np.exp(log_density - log_density.max())
+        return tuple(float(density[m].sum() / density.sum()) for m in members)
+
+    masses, expectations, log_ratios = [], [], [[] for _ in likelihoods]
+    for block, logs in log_moment_blocks(sequence.generator, schedule, stack):
+        masses += map(slab_masses, block)
+        expectations += logs[:, 0].tolist()
+        for start, coeffs, out in zip(starts, log_coeffs, log_ratios):
+            terms = logs[:, start : start + len(coeffs)] + coeffs
             half = len(coeffs) // 2
-            ratio = math.exp(np.logaddexp.reduce(terms[half:]) - np.logaddexp.reduce(terms[:half]))
-            out.append(TrendRow(n, expectation, masses, ratio))
+            top = np.logaddexp.reduce(terms[:, half:], axis=1)
+            out += (top - np.logaddexp.reduce(terms[:, :half], axis=1)).tolist()
+    expectations = [math.exp(e) for e in expectations]
     deltas = tuple(slab.delta for slab in slabs)
     methods = {"expectation": MOMENT, "mass": mass, "ratio": MOMENT}
     reports = []
-    for out in rows:
-        gap = abs(out[-1].posterior_ratio - extremum)
+    for out in log_ratios:
+        rows = tuple(map(TrendRow, schedule, expectations, masses, map(math.exp, out)))
+        gap = abs(rows[-1].posterior_ratio - extremum)
         reached = gap <= _TOLERANCE
         reports.append(
-            TrendReport(side, extremum, deltas, tuple(out), _TOLERANCE, gap, reached, methods, grid)
+            TrendReport(side, extremum, deltas, rows, _TOLERANCE, gap, reached, methods, grid)
         )
     return tuple(reports)
 

@@ -371,6 +371,32 @@ class TestCliExitCodes:
         assert peak < 2**20
         assert "n <= 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("k", dict(PREDICT_DOC, k=5)),
+            (
+                "dataset.total",
+                dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 21}, fixed_t1=0.5),
+            ),
+        ],
+    )
+    def test_size_cap_names_its_field(self, tmp_path, capsys, field, doc):
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_SIZE_CAP
+        err = capsys.readouterr().err
+        assert f"field '{field}': " in err
+        assert "Traceback" not in err
+        # refused while parsing, before any run
+        with pytest.raises(SizeCapError, match=f"field '{field}'"):
+            Scenario.from_dict(doc)
+
+    def test_identity_emission_is_held_once(self, tmp_path, capsys):
+        # the k = 1000 identity is 8 MB (7.6 MiB); a second copy would double it
+        doc = dict(PREDICT_DOC, kind="diagnose", k=1000, observations=[0, 1, 2])
+        code, peak = run_traced(["run", write_scenario(tmp_path, doc)])
+        assert code == EXIT_OK
+        assert peak < 9 * 2**20
+
     @pytest.mark.parametrize("k", [3000, 100_000_000])
     def test_diagnose_k_cap_comes_before_the_emission_is_built(self, tmp_path, capsys, k):
         # the identity preset is a k x k matrix: 72 MB at k = 3000

@@ -91,6 +91,21 @@ class TestEmissionMatrix:
         em = EmissionMatrix([[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]])
         assert em.manifest_count == 3
 
+    def test_entries_are_a_read_only_copy(self):
+        given = np.array([[0.9, 0.3], [0.1, 0.7]])
+        for entries in (given, given.tolist()):
+            em = EmissionMatrix(entries)
+            assert not np.shares_memory(em.entries, given)
+            assert not em.entries.flags.writeable
+            assert np.array_equal(em.entries, given)
+        given[0, 0] = 0.5
+        assert em.entries[0, 0] == 0.9
+        identity = EmissionMatrix.identity(3)
+        assert np.array_equal(identity.entries, np.eye(3))
+        assert not identity.entries.flags.writeable
+        with pytest.raises(ValueError, match="k >= 2"):
+            EmissionMatrix.identity(1)
+
 
 class TestManifestDataset:
     def test_from_rows(self):

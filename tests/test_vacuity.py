@@ -4,6 +4,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +34,7 @@ from latentidm import (
     posterior_ratio,
     verify_theorem1,
 )
-from latentidm import runner, vacuity
+from latentidm import idm, runner, vacuity
 from latentidm.cli import EXIT_OK, main
 from latentidm.runner import Scenario, bundled_scenarios, run_scenario
 from latentidm.vacuity import MAX_SIDE, MIN_SIDE
@@ -467,6 +469,41 @@ TREND_NAMES = [
 ]
 
 
+def per_index_rows(f, likelihoods, seq, schedule, deltas, side):
+    """Each likelihood's rows, computed one index at a time as a plain loop would:
+    a ladder over that index's 1-D alpha, a 1-D `np.logaddexp.reduce` per side and
+    the Beta parameters as NumPy scalars.  Beta-mass documents only."""
+
+    def log_rising(alpha, counts):
+        ladder = np.zeros((len(alpha), int(counts.max()) + 1))
+        ladder[:, 1:] = np.cumsum(np.log(alpha[:, None] + np.arange(counts.max())), axis=1)
+        return sum(ladder[h, counts[:, h]] for h in range(len(alpha)))
+
+    f_row = f.exponents[0]
+    i = 0 if len(f_row) == 2 else int(np.flatnonzero(f_row)[0])
+    rest = np.arange(len(f_row)) != i
+    peak = vacuity._peak(f_row)
+    levels = [DeltaSet(f, d, mode=side).level for d in deltas]
+    ends = [vacuity._level_interval(f_row[i], f_row[rest].sum(), v, peak) for v in levels]
+    rows = [[] for _ in likelihoods]
+    for n in schedule:
+        params = seq.generator(n)
+        a, b = params.alpha[i], params.alpha[rest].sum()
+        inside = [vacuity._beta_cdf(hi, a, b) - vacuity._beta_cdf(lo, a, b) for lo, hi in ends]
+        masses = tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
+
+        def log_moment(exponents):
+            sizes = exponents.sum(axis=1, keepdims=True)
+            return log_rising(params.alpha, exponents) - log_rising(np.array([params.s]), sizes)
+
+        expectation = math.exp(log_moment(f_row[None])[0])
+        for L, out in zip(likelihoods, rows):
+            top = np.logaddexp.reduce(log_moment(L.exponents + f_row) + L.log_coeffs)
+            bottom = np.logaddexp.reduce(log_moment(L.exponents) + L.log_coeffs)
+            out.append(vacuity.TrendRow(n, expectation, masses, math.exp(top - bottom)))
+    return [tuple(out) for out in rows]
+
+
 class TestPerDocumentWork:
     """What depends only on the document is found once per call; each index
     does only the work that needs its own Dirichlet parameters."""
@@ -511,24 +548,134 @@ class TestPerDocumentWork:
     @pytest.mark.parametrize("name", TREND_NAMES)
     def test_document_work_is_done_once_per_call(self, name, monkeypatch):
         counts = {"_crossing": 0, "log_moments": 0}
-        for attr in counts:
-            original = getattr(vacuity, attr)
+        for module, attr in ((vacuity, "_crossing"), (idm, "log_moments")):
+            original = getattr(module, attr)
 
             def counting(*args, _attr=attr, _original=original):
                 counts[_attr] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(vacuity, attr, counting)
+            monkeypatch.setattr(module, attr, counting)
         doc = bundled_scenarios()[name]
         crossings = []
         for schedule in ([10], [10, 100, 1000], [10, 100, 1000], list(range(10, 210, 10))):
             counts.update({"_crossing": 0, "log_moments": 0})
             run_scenario(Scenario.from_dict(dict(doc, schedule=schedule)))
-            assert counts["log_moments"] == len(schedule)
+            # the bundled ladders are small: every index shares one block
+            assert counts["log_moments"] == 1
             crossings.append(counts["_crossing"])
         # the same bisections whatever the schedule length, and again on a repeated
         # call: nothing is kept between calls
         assert crossings == [2 * len(doc["deltas"])] * 4
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_each_row_equals_its_index_run_alone(self, data):
+        k = data.draw(st.sampled_from([2, 3]))
+        shapes = ["coordinate", "power", "monomial"][: 3 if k == 2 else 2]
+        shape = data.draw(st.sampled_from(shapes))
+        if shape == "coordinate":
+            f = coordinate_function(data.draw(st.integers(0, k - 1)), k)
+        elif shape == "power":
+            exponent = data.draw(st.integers(1, 5))
+            f = monomial_function((np.arange(k) == data.draw(st.integers(0, k - 1))) * exponent)
+        else:
+            f = monomial_function(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2)))
+
+        def likelihood():
+            kind = data.draw(st.sampled_from(["constant", "coordinate", "monomial", "channel"]))
+            if kind == "constant":
+                return constant_likelihood(k)
+            if kind == "coordinate":
+                return coordinate_function(data.draw(st.integers(0, k - 1)), k)
+            if kind == "monomial":
+                exponents = st.lists(st.integers(0, 80), min_size=k, max_size=k)
+                return monomial_likelihood(data.draw(exponents))
+            # two manifest rows, one column per hidden outcome, every entry positive
+            columns = data.draw(st.lists(st.sampled_from([0.05, 0.3, 0.6]), min_size=k, max_size=k))
+            emission = EmissionMatrix(np.array([[x, 1.0 - x] for x in columns]).T)
+            rows = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+            return dataset_likelihood(ManifestDataset.from_rows(emission, rows))
+
+        likelihoods = [likelihood() for _ in range(data.draw(st.integers(1, 2)))]
+        f_row = f.exponents[0]
+        if data.draw(st.booleans()):  # max side: aim at the peak of f
+            target = SimplexPoint(f_row / f_row.sum())
+        else:  # min side: a vertex where f vanishes
+            target = SimplexPoint(np.arange(k) == (int(np.argmax(f_row)) + 1) % k)
+        if data.draw(st.booleans()):
+            seq = canonical_concentrating_sequence(target)
+        else:
+            strength = data.draw(st.sampled_from([0.5, 2.0]))
+            seq = fixed_strength_concentrating_sequence(target, strength)
+        indices = data.draw(st.lists(st.integers(3, 3000), min_size=1, max_size=4))
+        schedule = data.draw(st.lists(st.sampled_from(indices), min_size=1, max_size=8))
+        deltas = data.draw(st.lists(st.sampled_from([0.2, 0.1, 0.01]), max_size=2))
+        # a budget of one cell puts every index in a block of its own
+        budget = data.draw(st.sampled_from([idm._BLOCK_CELLS, 1, 200]))
+        with unittest.mock.patch.object(idm, "_BLOCK_CELLS", budget):
+            whole = verify_theorem1(f, likelihoods, seq, schedule, deltas)
+        for j, n in enumerate(schedule):
+            alone = verify_theorem1(f, likelihoods, seq, [n], deltas)
+            for whole_report, alone_report in zip(whole, alone, strict=True):
+                assert alone_report.rows[0] == whole_report.rows[j]
+        side = whole[0].side
+        for report, row in zip(whole, per_index_rows(f, likelihoods, seq, schedule, deltas, side)):
+            assert report.rows == row
+
+    def test_ladder_memory_does_not_grow_with_k_times_the_schedule(self):
+        # one index's ladders and Dirichlet parameters are a few 10^5 bytes each at
+        # k = 20,000, so every index takes a block of its own; holding the whole
+        # schedule's parameters at once would add ~160 KB per index and copy
+        k = 20_000
+        doc = {
+            "name": "wide-coordinate",
+            "kind": "verify-theorem1",
+            "target": [1.0] + [0.0] * (k - 1),
+            "function": {"kind": "coordinate", "index": 0},
+            "likelihood": {"kind": "coordinate", "index": 1},
+            "deltas": [0.1],
+        }
+        peaks = []
+        for schedule in ([k], list(range(k, k + 8))):
+            scenario = Scenario.from_dict(dict(doc, schedule=schedule))
+            tracemalloc.start()
+            try:
+                run_scenario(scenario)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_ladder_memory_does_not_grow_with_the_schedule(self, monkeypatch):
+        # one index's ladders hold ~2 x 10^6 cells each, past the block budget, so every
+        # index takes a block of its own and the peak stays that of one index
+        block_sizes = []
+        original = idm.log_moments
+
+        def counting(alphas, strengths, counts):
+            block_sizes.append(len(strengths))
+            return original(alphas, strengths, counts)
+
+        monkeypatch.setattr(idm, "log_moments", counting)
+        doc = {
+            "name": "long-ladders",
+            "kind": "verify-theorem1",
+            "target": [1.0, 0.0],
+            "function": {"kind": "coordinate", "index": 0},
+            "likelihood": {"kind": "monomial", "exponents": [10**6, 10**6]},
+        }
+        peaks = []
+        for schedule in ([10], list(range(10, 90, 10))):
+            scenario = Scenario.from_dict(dict(doc, schedule=schedule))
+            tracemalloc.start()
+            try:
+                run_scenario(scenario)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert block_sizes == [1] * 9
+        assert peaks[1] <= 1.05 * peaks[0]
 
     @pytest.mark.parametrize(
         "main",

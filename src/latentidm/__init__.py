@@ -31,13 +31,7 @@ from .observation import (
     predictive_bounds,
     vacuity_diagnosis,
 )
-from .simplex import (
-    CLAMP_TO_EPSILON,
-    INCLUDE_BOUNDARY,
-    DirichletParams,
-    SimplexGrid,
-    SimplexPoint,
-)
+from .simplex import DirichletParams, SimplexGrid, SimplexPoint
 from .vacuity import (
     ConcentratingSequence,
     DeltaSet,
@@ -61,13 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryChannel",
     "BoundaryLimit",
-    "CLAMP_TO_EPSILON",
     "ConcentratingSequence",
     "DeltaSet",
     "DirichletParams",
     "EmissionMatrix",
     "FrequencyVector",
-    "INCLUDE_BOUNDARY",
     "ManifestDataset",
     "NaiveReconstruction",
     "OutcomeDiagnosis",

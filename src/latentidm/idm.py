@@ -65,9 +65,6 @@ class BoundaryLimit:
         if self.value not in (0.0, 1.0):
             raise ValueError("boundary limits are t_j -> 0 or t_j -> 1")
 
-    def __str__(self) -> str:
-        return f"t[{self.coordinate}]->{self.value:g}"
-
 
 @dataclass(frozen=True)
 class BoundaryStratum:
@@ -86,12 +83,6 @@ class BoundaryStratum:
     rates: tuple[int, ...]
     multipliers: tuple[float, ...]
     limit: SimplexPoint
-
-    def __str__(self) -> str:
-        terms = ", ".join(
-            f"t[{h}]~{c:.6g}*eps^{r}" for h, r, c in zip(self.vanishing, self.rates, self.multipliers)
-        )
-        return f"{terms} toward {self.limit!r}"
 
 
 @dataclass(frozen=True)

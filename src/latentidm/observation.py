@@ -34,7 +34,6 @@ enumeration, a dict pass and a lexicographic pass are test oracles.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -43,8 +42,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SizeCapError
-from .idm import BoundaryLimit, BoundaryStratum, FrequencyVector, PredictiveBounds, log_rising
-from .simplex import DirichletParams, SimplexPoint
+from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, log_rising
+from .simplex import DirichletParams
 
 # Unused here; perfbench/spans.py wraps `observation.log_marginal_probability`
 # and `observation.SimplexGrid` by name.
@@ -53,6 +52,9 @@ from .simplex import SimplexGrid  # noqa: F401
 
 DP_MAX_N = 20
 DP_MAX_K = 4
+# slots of a state index's position table, (n + 2)^(k - 1): 32 MiB of int64 at the cap, which
+# every k <= 4, n <= 20 pass and every k = 2 pass of up to 4,194,302 observations meet
+INDEX_MAX_SLOTS = 1 << 22
 
 _COLUMN_SUM_TOL = 1e-12
 
@@ -225,8 +227,17 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     leaves the state as is.  rank[i] is the graded position of the i-th
     state in lexicographic order, and counts holds the full count vectors
     (the k-th at step n) in that order.  The arrays are read-only: the
-    cache hands the same ones to every dataset of this (k, n).
+    cache hands the same ones to every dataset of this (k, n).  Both sizes
+    are checked from (k, n) before anything is built: past INDEX_MAX_SLOTS
+    table slots it raises SizeCapError.  The table is the larger, since
+    C(n + k - 1, k - 1) <= (n + 1)^(k - 1).
     """
+    states, slots = math.comb(n + k - 1, k - 1), (n + 2) ** (k - 1)
+    if slots > INDEX_MAX_SLOTS:
+        raise SizeCapError(
+            f"weight-pass index capped at {INDEX_MAX_SLOTS:,} table slots; k={k}, n={n} "
+            f"needs {states:,} states and {slots:,} slots"
+        )
     # (grade, first k - 2 counts) in lexicographic order, each prefix extended by every
     # count that keeps their sum <= the grade; the (k - 1)-th is the grade minus that sum
     grade = np.arange(n + 1)
@@ -270,8 +281,9 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     over every state.  Unreached states stay -inf; after the last step the
     index's permutation puts log W back in lexicographic order, and the
     finite entries are the support.  This is the library's one weight pass;
-    its one capped entry is `ManifestDataset.weight_pass`, and only a trend
-    `channel` likelihood calls it uncapped.
+    its one entry under the n <= 20 cap is `ManifestDataset.weight_pass`,
+    and only a trend `channel` likelihood calls it without that cap, under
+    the index's own (`_state_index`).
     """
     k, n = data.k, data.n
     counts, predecessors, rank, ends = _state_index(k, n)
@@ -325,22 +337,19 @@ class SearchSpec:
 
 
 def _envelope_limits(counts: np.ndarray, sides: Sequence[tuple[int, bool]], s: float) -> list:
-    """(value, descriptor) of each open side (j, upper) that attains its envelope, else None.
+    """(value, descriptor) of each open side (j, upper) that an equal-rate path settles, else None.
 
     Every conjugate fraction (a_j + s t_j)/(n + s) lies below (A + s)/(n + s)
     and above B/(n + s), with A and B the largest and smallest a_j of the
-    support `counts` (one row per vector).  The upper reaches its envelope
-    iff, as every coordinate but j vanishes, the surviving face holds only
-    vectors with a_j = A; the lower reaches its envelope iff, for some
-    vanishing set containing j, it holds only vectors with a_j = B.  Both
-    are decided on the exact support.  The equal-rate checks come first,
+    support `counts` (one row per vector).  These are the equal-rate checks,
     for every side at once in one array pass: on the straight path to the
-    vertex the vectors with the fewest nonzeros off column j survive, and
-    with t_j alone vanishing all of them do, so the lower needs a_j
-    constant.  Only a side that fails its check goes on to the faces with
-    unequal rates (`strata.faces`).
+    vertex the vectors with the fewest nonzeros off column j survive, so
+    the upper reaches its envelope if all of them have a_j = A; with t_j
+    alone vanishing all vectors survive, so the lower reaches its envelope
+    if a_j is constant.  A side that fails its check goes on to
+    `strata.search`, which tries the faces with unequal rates first.
     """
-    n, k = sum(counts[0].tolist()), counts.shape[1]
+    n = sum(counts[0].tolist())
     highest, lowest = counts.max(axis=0), counts.min(axis=0)
     present = counts > 0
     spread = present.sum(axis=1, keepdims=True) - present  # nonzeros off each column
@@ -349,39 +358,13 @@ def _envelope_limits(counts: np.ndarray, sides: Sequence[tuple[int, bool]], s: f
     highest, lowest, straight = highest.tolist(), lowest.tolist(), straight.tolist()
     limits = []
     for j, upper in sides:
-        if upper:
-            target, value = highest[j], (highest[j] + s) / (n + s)
-            if straight[j]:
-                limits.append((value, BoundaryLimit(j, 1.0)))
-                continue
-            candidates = [tuple(h for h in range(k) if h != j)]
+        if upper and straight[j]:
+            limits.append(((highest[j] + s) / (n + s), BoundaryLimit(j, 1.0)))
+        elif not upper and lowest[j] == highest[j]:
+            limits.append((lowest[j] / (n + s), BoundaryLimit(j, 0.0)))
         else:
-            target, value = lowest[j], lowest[j] / (n + s)
-            if target == highest[j]:
-                limits.append((value, BoundaryLimit(j, 0.0)))
-                continue
-            candidates = [
-                z for size in range(2, k) for z in itertools.combinations(range(k), size) if j in z
-            ]
-        limits.append(_face_limit(counts, j, target, candidates, value))
+            limits.append(None)
     return limits
-
-
-def _face_limit(counts: np.ndarray, j: int, target: int, candidates, value: float):
-    """(value, stratum) of the first exposed face whose members all have a_j = target, else None.
-
-    The vanishing sets `candidates` are tried in order, each face of one set
-    with the rates that expose it.
-    """
-    from . import strata  # on first use: the equal-rate checks settle most sides
-
-    for vanishing in candidates:
-        for rates, members in strata.faces(counts[:, vanishing] > 0):
-            if (counts[members, j] == target).all():
-                rest = np.isin(np.arange(counts.shape[1]), vanishing, invert=True)
-                limit = SimplexPoint(rest / rest.sum())
-                return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
-    return None
 
 
 def outcome_bounds(
@@ -398,10 +381,11 @@ def outcome_bounds(
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
     A side left open is next checked against its conjugate envelope on the
-    exact support (`_envelope_limits`), the keys of the dataset's log-space
-    weight pass.  Only the sides that do not attain it are searched
-    (`strata.search`), over the weights of that same pass.  So when the
-    diagnosis settles every side no weights are computed, and the n cap
+    exact support, the keys of the dataset's log-space weight pass: first
+    on the equal-rate paths (`_envelope_limits`), then, for the sides that
+    fail there, on the faces with unequal rates and, failing those, by the
+    search (`strata.search`), over the weights of that same pass.  So when
+    the diagnosis settles every side no weights are computed, and the n cap
     applies only to open sides.  Returns one entry per listed outcome, in
     order.
     """
@@ -432,7 +416,7 @@ def outcome_bounds(
     settled = dict(zip(sides, _envelope_limits(counts, sides, s)))
     searched = [side for side, limit in settled.items() if limit is None]
     if searched:
-        from . import strata  # on first use: most scenarios never search
+        from . import strata  # on first use: the equal-rate checks settle most sides
 
         settled.update(zip(searched, strata.search(counts, log_w, s, searched)))
     for (j, upper), (value, where) in settled.items():

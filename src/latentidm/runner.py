@@ -97,7 +97,9 @@ class Scenario:
     @staticmethod
     def from_dict(doc: Any) -> "Scenario":
         if not isinstance(doc, dict):
-            raise ScenarioError("scenario document must be a JSON object")
+            raise ScenarioError(
+                f"field 'scenario': the document must be a JSON object, got {type(doc).__name__}"
+            )
         name = doc.get("name")
         if not isinstance(name, str) or not name:
             raise ScenarioError("field 'name': required non-empty string")
@@ -237,7 +239,10 @@ def _likelihood(spec, k: int, name: str) -> Polynomial:
             emission = BinaryChannel(eps1, eps2).emission()
         with _field(f"{name}.observations"):
             data = ManifestDataset.from_rows(emission, rows)
-        return dataset_likelihood(data)
+        try:
+            return dataset_likelihood(data)
+        except SizeCapError as exc:  # the weight-pass index cap
+            raise SizeCapError(f"field '{name}.observations': {exc}") from exc
     raise ScenarioError(f"field '{name}.kind': unknown kind {kind!r}")
 
 
@@ -279,7 +284,7 @@ def _manifest_strength(doc: dict) -> float:
 # uses, and returns that run; a run returns its results and provenance.
 
 
-def _describe_extremizer(value) -> dict:
+def _describe_extremizer(value: BoundaryLimit | BoundaryStratum | SimplexPoint) -> dict:
     if isinstance(value, BoundaryLimit):
         return {"limit": {"coordinate": value.coordinate, "value": value.value}}
     if isinstance(value, BoundaryStratum):
@@ -291,9 +296,7 @@ def _describe_extremizer(value) -> dict:
                 "limit": list(value.limit.coords),
             }
         }
-    if isinstance(value, SimplexPoint):
-        return {"point": list(value.coords)}
-    return {"unknown": None}
+    return {"point": list(value.coords)}
 
 
 def _bounds_payload(bounds: PredictiveBounds, **extra) -> dict:

@@ -1,32 +1,19 @@
-"""Geometry and measure on the probability simplex.
+"""Geometry on the probability simplex.
 
-Points, Dirichlet parameters, regular lattice grids, and the Dirichlet log
-density on a grid.  Grid sums are the validation oracles of the closed
-forms in this repository, so their measure convention is fixed once, here:
-
-    All integrals are taken with respect to Lebesgue measure on the simplex
-    projected onto its first k-1 coordinates.  The total measure of the
-    k-simplex under this convention is 1/(k-1)!, and Dirichlet densities as
-    evaluated by :func:`_dirichlet_log_density_matrix` integrate to exactly 1.
-
-The alternative convention (surface measure of the simplex embedded in R^k,
-total measure sqrt(k)/(k-1)!) differs only by the constant factor sqrt(k).
-Every downstream use of a grid is a ratio of two sums over the same grid,
-so the choice is contract-irrelevant as long as it is consistent; the
-projected convention is used because it makes densities normalize to 1.
+Points, Dirichlet parameters and the regular lattice grid.  The lattice is
+clamped away from the boundary, so a log density is finite at every point;
+grid sums are ratios of two sums over one lattice, so no measure convention
+or normalising constant enters them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-INCLUDE_BOUNDARY = "include-boundary"
-CLAMP_TO_EPSILON = "clamp-to-epsilon"
-
-DEFAULT_EPS_CLAMP = 1e-9
 GRID_MAX_K = 6
 
 _SUM_TOL = 1e-12
@@ -65,9 +52,6 @@ class SimplexPoint:
 
     def __getitem__(self, i: int) -> float:
         return float(self.coords[i])
-
-    def __iter__(self):
-        return iter(self.coords.tolist())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplexPoint) and np.array_equal(self.coords, other.coords)
@@ -141,19 +125,19 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Regular lattice grid on the k-simplex: points (i_1/m, ..., i_k/m).
+    """Regular lattice grid on the k-simplex: points (i_1/m, ..., i_k/m), clamped.
 
-    The point count is binomial(m+k-1, k-1).  Under the clamp-to-epsilon
-    boundary policy each point p is replaced by (1 - k*eps)*p + eps, which
-    keeps the coordinate sum at 1 exactly while bounding every coordinate
-    below by eps.  Densities with negative exponents must never be
-    evaluated at boundary points, so clamping is the default.
+    The point count is binomial(m+k-1, k-1).  Each point p is replaced by
+    (1 - k*eps)*p + eps, which keeps the coordinate sum at 1 exactly while
+    bounding every coordinate below by eps, so a density with negative
+    exponents is never evaluated at a boundary point.
     """
+
+    boundary_policy: ClassVar[str] = "clamp-to-epsilon"
+    eps_clamp: ClassVar[float] = 1e-9
 
     k: int
     resolution: int
-    boundary_policy: str = CLAMP_TO_EPSILON
-    eps_clamp: float = DEFAULT_EPS_CLAMP
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -161,48 +145,12 @@ class SimplexGrid:
             raise ValueError(f"grid dimension k must be in [2, {GRID_MAX_K}], got {self.k}")
         if self.resolution < 1:
             raise ValueError("grid resolution must be a positive integer")
-        if self.boundary_policy not in (INCLUDE_BOUNDARY, CLAMP_TO_EPSILON):
-            raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
-        if self.boundary_policy == CLAMP_TO_EPSILON:
-            if not (0.0 < self.eps_clamp < 1.0 / self.k):
-                raise ValueError("eps_clamp must satisfy 0 < eps_clamp < 1/k")
         lattice_size(self.k, self.resolution)
         pts = _compositions(self.resolution, self.k).astype(float) / self.resolution
-        if self.boundary_policy == CLAMP_TO_EPSILON:
-            pts = pts * (1.0 - self.k * self.eps_clamp) + self.eps_clamp
+        pts = pts * (1.0 - self.k * self.eps_clamp) + self.eps_clamp
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
     def point_count(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def simplex_volume(self) -> float:
-        """Total measure of the simplex under the projected-coordinate convention."""
-        return 1.0 / math.factorial(self.k - 1)
-
-
-def _dirichlet_log_density_matrix(params: DirichletParams, points: np.ndarray) -> np.ndarray:
-    """Log density at each row of an (N, k) point matrix.
-
-    Rows with a zero coordinate get -inf when the matching exponent is
-    positive and a zero contribution when the exponent is zero; a zero
-    coordinate against a negative exponent is a domain error (the density
-    diverges there).
-    """
-    exponents = params.alpha - 1.0
-    log_norm = math.lgamma(params.s) - sum(math.lgamma(a) for a in params.alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(points)
-        terms = exponents[None, :] * logs
-    zero_mask = points == 0.0
-    if np.any(zero_mask):
-        bad = zero_mask & (exponents[None, :] < 0.0)
-        if np.any(bad):
-            raise ValueError(
-                "density diverges: zero coordinate where the exponent s*t_i - 1 is negative"
-            )
-        # 0 * log(0) is taken as 0 (the coordinate's factor is theta^0 = 1).
-        terms = np.where(zero_mask & (exponents[None, :] == 0.0), 0.0, terms)
-    return log_norm + terms.sum(axis=1)

@@ -13,12 +13,16 @@ interior and the strata, and every stratum value is a limit of attained
 values.
 
 `observation` imports this module on first use, and passes it the support
-and log weights of the dataset's one weight pass: most scenarios settle
-every side from the zero pattern and the envelope, and never need it.
+and log weights of the dataset's one weight pass, with the sides that its
+zero pattern and its equal-rate envelope checks leave open: most scenarios
+settle every side there, and never need it.  Here a side is first checked
+against its envelope on the faces with unequal rates (`face_limits`), and
+only then searched; both steps find the faces of each vanishing set once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -103,13 +107,59 @@ def faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return faces
 
 
-def _strata(counts: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
+def _faces_by_set(counts: np.ndarray):
+    """`faces` of the support's patterns over each vanishing set, found once per set."""
+    return functools.cache(lambda vanishing: faces(counts[:, vanishing] > 0))
+
+
+def face_limits(counts: np.ndarray, sides, s: float, faces_of) -> list:
+    """(value, stratum) of each side (j, upper) that a face with unequal rates settles, else None.
+
+    As in `observation._envelope_limits`, the envelope is (A + s)/(n + s) for
+    the upper and B/(n + s) for the lower, with A and B the largest and
+    smallest a_j of the support `counts`.  The upper attains it iff, as every
+    coordinate but j vanishes, some exposed face holds only vectors with
+    a_j = A; the lower iff, for some vanishing set of 2 to k - 1 coordinates
+    containing j, one holds only vectors with a_j = B.  The vanishing sets
+    are tried in that order, each face of one set with the rates that expose
+    it.  `faces_of` maps a vanishing set to its faces (`_faces_by_set`).
+    """
+    n, k = sum(counts[0].tolist()), counts.shape[1]
+    limits = []
+    for j, upper in sides:
+        if upper:
+            target = int(counts[:, j].max())
+            value = (target + s) / (n + s)
+            candidates = [tuple(h for h in range(k) if h != j)]
+        else:
+            target = int(counts[:, j].min())
+            value = target / (n + s)
+            candidates = [
+                z for size in range(2, k) for z in itertools.combinations(range(k), size) if j in z
+            ]
+        stratum = _face_limit(counts, j, target, candidates, faces_of)
+        limits.append(None if stratum is None else (value, stratum))
+    return limits
+
+
+def _face_limit(counts: np.ndarray, j: int, target: int, candidates, faces_of):
+    """The stratum of the first exposed face whose members all have a_j = target, else None."""
+    for vanishing in candidates:
+        for rates, members in faces_of(vanishing):
+            if (counts[members, j] == target).all():
+                rest = np.isin(np.arange(counts.shape[1]), vanishing, invert=True)
+                limit = SimplexPoint(rest / rest.sum())
+                return BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
+    return None
+
+
+def _strata(counts: np.ndarray, faces_of) -> list[tuple[tuple, tuple, np.ndarray]]:
     """(vanishing coordinates, rates, member mask) of every stratum of the support, interior first."""
     k = counts.shape[1]
     strata = [((), (), np.ones(len(counts), dtype=bool))]
     for size in range(1, k):
         for vanishing in itertools.combinations(range(k), size):
-            strata += [(vanishing, r, members) for r, members in faces(counts[:, vanishing] > 0)]
+            strata += [(vanishing, r, members) for r, members in faces_of(vanishing)]
     return strata
 
 
@@ -218,7 +268,22 @@ def _newton(evaluate, theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
 
 
 def search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[int, bool]]):
-    """(value, extremizer) of each (outcome, upper) side over the interior and every stratum.
+    """(value, extremizer) of each (outcome, upper) side: its envelope where a face with unequal
+    rates attains it (`face_limits`), else its best value over the interior and every stratum.
+
+    The faces of each vanishing set are found once per call, for both steps.
+    """
+    faces_of = _faces_by_set(counts)
+    found = face_limits(counts, sides, s, faces_of)
+    rest = [side for side, limit in zip(sides, found) if limit is None]
+    if rest:
+        searched = iter(_multistart(counts, log_w, s, rest, _strata(counts, faces_of)))
+        found = [limit or next(searched) for limit in found]
+    return found
+
+
+def _multistart(counts: np.ndarray, log_w: np.ndarray, s: float, sides, strata) -> list:
+    """(value, extremizer) of each side over the interior and the given strata.
 
     Each side screens `_SEEDS` seeded starts on every stratum.  A stratum
     whose own envelope cannot beat the best screened value of its side is
@@ -230,7 +295,6 @@ def search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[in
     """
     k = counts.shape[1]
     n = int(counts[0].sum())
-    strata = _strata(counts)
     free = np.array([np.isin(np.arange(k), z, invert=True) for z, _, _ in strata])
     members = np.array([m for _, _, m in strata])
     side_outcome = np.array([j for j, _ in sides])

@@ -19,7 +19,8 @@ ascending factorials per block of indices.  Each index then evaluates the
 Beta CDFs at those ends.  Only the slab of a monomial with two or more
 positive exponents on k >= 3 coordinates is summed on a lattice grid.
 `delta_set_mass` and `posterior_ratio` are plain grid sums, kept as the
-tests' oracles.
+tests' oracles.  Every grid sum weighs the lattice points by one
+unnormalised density, `lattice_density`.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ import numpy as np
 
 from .idm import FrequencyVector, log_moment_blocks, vacuous_prior_upper_predictive
 from .observation import ManifestDataset, likelihood_terms
-from .simplex import (
-    DirichletParams,
-    SimplexGrid,
-    SimplexPoint,
-    _dirichlet_log_density_matrix,
-)
+from .simplex import DirichletParams, SimplexGrid, SimplexPoint
 
 MAX_SIDE = "max-side"
 MIN_SIDE = "min-side"
@@ -165,6 +161,18 @@ class TrendReport:
 # Grid sums: the oracles of the exact values below.
 
 
+def lattice_density(params: DirichletParams, log_points: np.ndarray) -> np.ndarray:
+    """The Dirichlet density at the clamped lattice points with logs `log_points`, up to a factor.
+
+    exp((alpha - 1) . log theta), shifted by its maximum so the largest value
+    is 1: the normalising constant cancels in every ratio of two sums over
+    one lattice, and the shift keeps the sums away from overflow and
+    underflow.
+    """
+    log_density = log_points @ (params.alpha - 1.0)
+    return np.exp(log_density - log_density.max())
+
+
 def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -> float:
     """Prior probability mass of the near-extremal slab, by filtered grid sums.
 
@@ -173,11 +181,8 @@ def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -
     full sum removes the shared discretization bias, so the result always
     lies in [0, 1].
     """
-    density = np.exp(_dirichlet_log_density_matrix(params, grid.points))
-    total = float(density.sum())
-    if total <= 0.0:
-        raise FloatingPointError("density mass underflowed on the whole grid")
-    return float(density[dset.mask(dset.f.values(grid.points))].sum() / total)
+    density = lattice_density(params, np.log(grid.points))
+    return float(density[dset.mask(dset.f.values(grid.points))].sum() / density.sum())
 
 
 def posterior_ratio(
@@ -193,8 +198,7 @@ def posterior_ratio(
     sum, unlike the log-space moments of `verify_theorem1`, loses the
     likelihood where its float values vanish.
     """
-    density = np.exp(_dirichlet_log_density_matrix(params, grid.points))
-    weights = likelihood.values(grid.points) * density
+    weights = likelihood.values(grid.points) * lattice_density(params, np.log(grid.points))
     denominator = float(weights.sum())
     if not np.isfinite(denominator) or denominator < 1e-300:
         raise FloatingPointError(
@@ -332,8 +336,7 @@ def verify_theorem1(
             a, b = float(params.alpha[i]), float(params.alpha[rest].sum())
             inside = (_beta_cdf(hi, a, b) - _beta_cdf(lo, a, b) for lo, hi in ends)
             return tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
-        log_density = log_points @ (params.alpha - 1.0)
-        density = np.exp(log_density - log_density.max())
+        density = lattice_density(params, log_points)
         return tuple(float(density[m].sum() / density.sum()) for m in members)
 
     masses, expectations, log_ratios = [], [], [[] for _ in likelihoods]

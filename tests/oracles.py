@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes expected values through a different route than
-the library code under test: a scalar density loop instead of the package's
-matrix evaluation, explicit enumeration or a plain-Python dict pass instead
-of the vectorised weight pass, the lexicographic pass over every state
+the library code under test: a normalised density at one point at a time
+instead of the package's unnormalised lattice density, explicit
+enumeration or a plain-Python dict pass instead of the vectorised weight
+pass, the lexicographic pass over every state
 instead of the graded one (whose results must match it bit for bit), Beta
 moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
@@ -37,7 +38,6 @@ from latentidm import (
     strata,
 )
 from latentidm.idm import BoundaryStratum
-from latentidm.simplex import _dirichlet_log_density_matrix
 
 
 def reference_log_dirichlet(params: DirichletParams, coords) -> float:
@@ -160,11 +160,12 @@ def lexicographic_likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, n
 def envelope_limit(support, j: int, upper: bool, s: float):
     """(value, descriptor) of side (j, upper) if it attains its conjugate envelope, else None.
 
-    The rule of `observation._envelope_limits`, one side at a time in plain
-    Python over the support as a list of count tuples: the upper needs every
-    vector with the fewest nonzeros off column j to have a_j = A, the lower
-    needs a_j constant; a side that fails goes on to the faces with unequal
-    rates, on the same vanishing sets in the same order.
+    The rule of `observation._envelope_limits` and then `strata.face_limits`,
+    one side at a time in plain Python over the support as a list of count
+    tuples: the upper needs every vector with the fewest nonzeros off column
+    j to have a_j = A, the lower needs a_j constant; a side that fails goes
+    on to the faces with unequal rates, on the same vanishing sets in the
+    same order.
     """
     n, k = sum(support[0]), len(support[0])
     column = [a[j] for a in support]
@@ -386,15 +387,43 @@ SimplexFunction = Callable[[np.ndarray], float]
 def integrate_on_simplex(f: SimplexFunction, grid: SimplexGrid) -> float:
     """Riemann-type grid approximation of the integral of f over the simplex.
 
-    Returns (simplex volume / point count) * sum of f over the grid points,
-    with the measure convention documented in `latentidm.simplex`.  f is
-    called once per point with a length-k coordinate array.  Evaluation
-    failures of f propagate.
+    Returns (simplex volume / point count) * sum of f over the grid points.
+    The measure is Lebesgue measure on the simplex projected onto its first
+    k-1 coordinates: the simplex has total measure 1/(k-1)!, and the
+    Dirichlet densities of `dirichlet_log_density` integrate to exactly 1.
+    (Surface measure of the simplex embedded in R^k differs only by the
+    constant factor sqrt(k).)  f is called once per point with a length-k
+    coordinate array.  Evaluation failures of f propagate.
     """
     if grid.resolution < 2:
         raise ValueError("integration requires grid resolution m >= 2")
     values = np.fromiter((f(p) for p in grid.points), dtype=float, count=grid.point_count)
-    return float(grid.simplex_volume * values.mean())
+    return float(1.0 / math.factorial(grid.k - 1) * values.mean())
+
+
+def _dirichlet_log_density_matrix(params: DirichletParams, points: np.ndarray) -> np.ndarray:
+    """Log density at each row of an (N, k) point matrix.
+
+    Rows with a zero coordinate get -inf when the matching exponent is
+    positive and a zero contribution when the exponent is zero; a zero
+    coordinate against a negative exponent is a domain error (the density
+    diverges there).
+    """
+    exponents = params.alpha - 1.0
+    log_norm = math.lgamma(params.s) - sum(math.lgamma(a) for a in params.alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(points)
+        terms = exponents[None, :] * logs
+    zero_mask = points == 0.0
+    if np.any(zero_mask):
+        bad = zero_mask & (exponents[None, :] < 0.0)
+        if np.any(bad):
+            raise ValueError(
+                "density diverges: zero coordinate where the exponent s*t_i - 1 is negative"
+            )
+        # 0 * log(0) is taken as 0 (the coordinate's factor is theta^0 = 1).
+        terms = np.where(zero_mask & (exponents[None, :] == 0.0), 0.0, terms)
+    return log_norm + terms.sum(axis=1)
 
 
 def dirichlet_log_density(params: DirichletParams, theta) -> float:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import SimplexPoint, canonical_concentrating_sequence, runner
+from latentidm import SimplexPoint, canonical_concentrating_sequence, cli, observation, runner
 from latentidm.cli import EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
 from latentidm.runner import (
     Scenario,
@@ -140,6 +140,16 @@ BAD_DOCUMENTS = [
         "grid_resolution",
         dict(TREND_DOC, target=[1.0, 0.0, 0.0, 0.0], function=GRID_FUNCTION_4, grid_resolution=2000),
     ),
+    # refusals of malformed structure, unknown kinds and out-of-range counts
+    ("scenario", [PREDICT_DOC]),
+    ("observations", dict(PREDICT_DOC, observations=0)),
+    ("model.emissions", dict(PREDICT_DOC, model={"emissions": ["identity"]})),
+    ("model", dict(PREDICT_DOC, model={})),
+    ("function.kind", dict(TREND_DOC, function={"kind": "spline"})),
+    ("likelihood.kind", dict(TREND_DOC, likelihood={"kind": "spline"})),
+    ("sequence.family", dict(TREND_DOC, sequence={"family": "harmonic"})),
+    ("dataset", dict(SCALED_BETA_DOC, dataset={"positives": 4, "total": 3})),
+    ("fixed_t1", dict(SCALED_BETA_DOC, fixed_t1=1.0)),
 ]
 
 
@@ -390,6 +400,16 @@ class TestCliExitCodes:
         with pytest.raises(SizeCapError, match=f"field '{field}'"):
             Scenario.from_dict(doc)
 
+    def test_channel_likelihood_past_the_index_cap_names_its_field(self, monkeypatch):
+        # a cap of 10 table slots admits 8 observations of a k = 2 channel, not 9
+        monkeypatch.setattr(observation, "INDEX_MAX_SLOTS", 10)
+        monkeypatch.setattr(observation, "_state_index", observation._state_index.__wrapped__)
+        doc = dict(TREND_DOC, likelihood=dict(CHANNEL_LIKELIHOOD, observations=[0, 1] * 4))
+        Scenario.from_dict(doc)
+        doc = dict(doc, contrast_likelihood=dict(CHANNEL_LIKELIHOOD, observations=[0] * 9))
+        with pytest.raises(SizeCapError, match="field 'contrast_likelihood.observations': "):
+            Scenario.from_dict(doc)
+
     def test_identity_emission_is_held_once(self, tmp_path, capsys):
         # the k = 1000 identity is 8 MB (7.6 MiB); a second copy would double it
         doc = dict(PREDICT_DOC, kind="diagnose", k=1000, observations=[0, 1, 2])
@@ -455,7 +475,8 @@ class TestCliExitCodes:
     def test_bad_document_is_exit_1_naming_field(self, tmp_path, capsys, field, doc):
         path = write_scenario(tmp_path, doc)
         assert main(["run", path]) == EXIT_INVALID
-        assert f"field '{field}':" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"field '{field}':" in err and "Traceback" not in err
 
     @staticmethod
     def _assert_ratios_of_theta1_power(block, e):
@@ -616,6 +637,34 @@ class TestCliExitCodes:
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_reports_every_failure(self, monkeypatch, capsys):
+        # a failing comparison, an unresolvable path and an unknown op in one scenario's
+        # checks, and another scenario whose run raises
+        checked, broken = "example5-standard-idm", "section5-direct-manifest"
+        manifest = assertion_manifest()
+        manifest[checked] = manifest[checked] + [
+            {"path": "bounds.0.lower", "op": "eq", "value": 0.5},
+            {"path": "bounds.9.lower", "op": "eq", "value": 0.4},
+            {"path": "bounds.0.lower", "op": "between", "value": 0.4},
+        ]
+        monkeypatch.setattr(cli, "assertion_manifest", lambda: manifest)
+        original = cli.run_scenario
+
+        def run(scenario):
+            if scenario.name == broken:
+                raise RuntimeError("run blew up")
+            return original(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        assert main(["selftest"]) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert out.count(": FAIL") == 2
+        assert f"{checked}: FAIL (7 checks)" in out and f"{broken}: FAIL" in out
+        assert "  - bounds.0.lower: eq 0.5 failed (actual 0.4)" in out
+        assert "  - bounds.9.lower: unresolvable" in out
+        assert "  - bounds.0.lower: unknown op 'between'" in out
+        assert "  - execution failed: run blew up" in out
 
 
 class TestFormats:

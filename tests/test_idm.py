@@ -159,7 +159,7 @@ class TestStandardBounds:
     def test_bounds_approached_by_grid_sweep(self):
         # sweep (a_j + s t_j)/(n+s) over a clamped t grid, m=2000
         s, counts, j = 2.0, (2, 1), 0
-        grid = SimplexGrid(k=2, resolution=2000, eps_clamp=1e-6)
+        grid = SimplexGrid(k=2, resolution=2000)
         values = (counts[j] + s * grid.points[:, j]) / (sum(counts) + s)
         b = standard_idm_predictive_bounds(s, FrequencyVector(counts), j)
         assert values.min() == pytest.approx(b.lower, abs=2e-3)

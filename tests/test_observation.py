@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from latentidm import (
     SimplexGrid,
     SimplexPoint,
     SizeCapError,
+    dataset_likelihood,
     frequency_weights,
     outcome_bounds,
     posterior_predictive_at_t,
@@ -271,6 +273,28 @@ class TestFrequencyWeights:
         data = ManifestDataset.from_rows(IDENTITY2, [0] * 21)
         with pytest.raises(SizeCapError):
             frequency_weights(data)
+
+    def test_index_cap_refuses_before_building(self):
+        # k = 6, n = 30 would need a 33,554,432-slot position table (268 MB)
+        data = ManifestDataset.from_rows(EmissionMatrix(np.full((2, 6), 0.5)), [0, 1] * 15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="k=6, n=30"):
+                dataset_likelihood(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_index_cap_admits_predict_and_long_channel_shapes(self, monkeypatch):
+        # every k <= 4, n <= 20 pass, and k = 2 passes of 10^6 observations
+        assert (20 + 2) ** (4 - 1) <= observation.INDEX_MAX_SLOTS
+        assert 10**6 + 2 <= observation.INDEX_MAX_SLOTS
+        # the cap admits a table of exactly INDEX_MAX_SLOTS slots (uncached calls)
+        monkeypatch.setattr(observation, "INDEX_MAX_SLOTS", 10)
+        assert len(observation._state_index.__wrapped__(2, 8)[2]) == 9
+        with pytest.raises(SizeCapError):
+            observation._state_index.__wrapped__(2, 9)
 
     def test_empty_dataset(self):
         weights = frequency_weights(ManifestDataset((), k=2))
@@ -540,8 +564,8 @@ class TestPredictiveKernel:
     @pytest.mark.parametrize("k, resolution", [(2, 12), (3, 6), (4, 4)])
     def test_matches_exact_oracle(self, k, resolution):
         rng = np.random.default_rng(60 + k)
-        # the lattice reaches the 1e-6-clamped boundary of the simplex
-        points = SimplexGrid(k=k, resolution=resolution, eps_clamp=1e-6).points
+        # the lattice reaches the 1e-9-clamped boundary of the simplex
+        points = SimplexGrid(k=k, resolution=resolution).points
         for _ in range(4):
             data = structural_zero_dataset(rng, k, int(rng.integers(1, 7)))
             s = float(rng.uniform(0.5, 5.0))

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import (
-    CLAMP_TO_EPSILON,
-    INCLUDE_BOUNDARY,
-    DirichletParams,
-    SimplexGrid,
-    SimplexPoint,
-)
+from latentidm import DirichletParams, SimplexGrid, SimplexPoint
 from oracles import (
     dirichlet_log_density,
     integrate_on_simplex,
@@ -66,36 +60,30 @@ class TestSimplexGrid:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("m", [1, 2, 5, 17, 100])
     def test_point_count_stars_and_bars(self, k, m):
-        grid = SimplexGrid(k=k, resolution=m, boundary_policy=INCLUDE_BOUNDARY)
+        grid = SimplexGrid(k=k, resolution=m)
         assert grid.point_count == math.comb(m + k - 1, k - 1)
 
     def test_points_sum_to_one(self):
-        grid = SimplexGrid(k=3, resolution=40, boundary_policy=INCLUDE_BOUNDARY)
+        grid = SimplexGrid(k=3, resolution=40)
         assert np.max(np.abs(grid.points.sum(axis=1) - 1.0)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
         k=st.integers(min_value=2, max_value=4),
         m=st.integers(min_value=2, max_value=40),
-        eps=st.floats(min_value=1e-12, max_value=1e-3),
     )
-    def test_clamp_policy_invariants(self, k, m, eps):
-        grid = SimplexGrid(k=k, resolution=m, boundary_policy=CLAMP_TO_EPSILON, eps_clamp=eps)
-        assert grid.points.min() >= eps * (1.0 - 1e-15)
+    def test_clamp_policy_invariants(self, k, m):
+        grid = SimplexGrid(k=k, resolution=m)
+        assert grid.points.min() >= SimplexGrid.eps_clamp * (1.0 - 1e-15)
         assert np.max(np.abs(grid.points.sum(axis=1) - 1.0)) <= 1e-12
-
-    def test_simplex_volume_convention(self):
-        # projected-coordinate convention: 1/(k-1)!
-        assert SimplexGrid(k=2, resolution=5).simplex_volume == 1.0
-        assert SimplexGrid(k=3, resolution=5).simplex_volume == 0.5
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             SimplexGrid(k=7, resolution=5)
         with pytest.raises(ValueError):
             SimplexGrid(k=2, resolution=0)
-        with pytest.raises(ValueError):
-            SimplexGrid(k=2, resolution=5, boundary_policy="midpoints")
+        with pytest.raises(TypeError):  # the clamp is fixed: no policy or epsilon to choose
+            SimplexGrid(k=2, resolution=5, boundary_policy="include-boundary")
 
 
 class TestLogDensity:

@@ -7,6 +7,11 @@ cannot overshoot).
 """
 
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -230,6 +235,13 @@ def envelope(support, j: int, upper: bool, s: float = 2.0):
     return observation._envelope_limits(np.array(support), [(j, upper)], s)[0]
 
 
+def face_envelope(support, j: int, upper: bool, s: float = 2.0):
+    """`strata.face_limits` of the single side (j, upper), which failed its equal-rate check."""
+    assert envelope(support, j, upper, s) is None
+    counts = np.array(support)
+    return strata.face_limits(counts, [(j, upper)], s, strata._faces_by_set(counts))[0]
+
+
 class TestEnvelope:
     @pytest.mark.parametrize("k", [2, 3])
     def test_identity_channel_equals_standard_idm(self, k):
@@ -254,7 +266,7 @@ class TestEnvelope:
         # the straight path keeps (0, 0, 2) too, whose a_0 = 0 < A = 1; letting t_2
         # vanish faster than t_1 leaves (1, 1, 0) alone
         support = [(0, 0, 2), (1, 1, 0)]
-        value, where = envelope(support, 0, True)
+        value, where = face_envelope(support, 0, True)
         assert (value, where.vanishing, where.limit) == (0.75, (1, 2), SimplexPoint([1, 0, 0]))
         assert where.rates[0] < where.rates[1]
 
@@ -262,14 +274,14 @@ class TestEnvelope:
         # every a_0 >= 1, but a_0 is not constant: t_0 alone vanishing keeps both
         # vectors; with t_2 vanishing too, only (1, 2, 0) survives, and a_0 = 1 = B
         support = [(1, 2, 0), (2, 0, 1)]
-        value, where = envelope(support, 0, False)
+        value, where = face_envelope(support, 0, False)
         assert value == 1 / (3 + 2.0)
         assert isinstance(where, BoundaryStratum) and where.vanishing == (0, 2)
         assert where.limit == SimplexPoint([0, 1, 0])
 
     def test_unattained_envelope_is_left_to_the_search(self):
         support = [(0, 1, 1), (0, 2, 0), (1, 1, 0)]
-        assert envelope(support, 0, True) is None
+        assert face_envelope(support, 0, True) is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -279,16 +291,53 @@ class TestEnvelope:
         s=st.sampled_from([0.5, 2.0, 5.0]),
     )
     def test_every_side_matches_the_per_vector_rule(self, seed, k, n, s):
-        # all 2k sides in one call, against the plain-Python rule one side at a time:
-        # the same value (a Python float), the same descriptor, or None for the same sides
+        # all 2k sides in one call, the equal-rate pass and then the faces of the sides it
+        # leaves, against the plain-Python rule one side at a time: the same value (a Python
+        # float), the same descriptor, or None for the same sides
         counts, _ = channel_with_zeros(seed, k, n).weight_pass
         sides = [(j, upper) for j in range(k) for upper in (False, True)]
         limits = observation._envelope_limits(counts, sides, s)
+        left = [side for side, limit in zip(sides, limits) if limit is None]
+        on_faces = iter(strata.face_limits(counts, left, s, strata._faces_by_set(counts)))
+        limits = [next(on_faces) if limit is None else limit for limit in limits]
         for (j, upper), limit in zip(sides, limits, strict=True):
             expected = envelope_limit(counts.tolist(), j, upper, s)
             assert limit == expected
             if limit is not None:
                 assert type(limit[0]) is float
+
+
+def test_bundled_and_cyclic_zero_documents_never_import_strata():
+    # the zero pattern and the equal-rate checks settle every side of the bundled catalog
+    # and of a k = 4, n = 20 channel with two nonzeros per column in a cyclic pattern, so
+    # the search module (~0.5 MB of resident memory) is never loaded
+    rng = np.random.default_rng(5)
+    mask = np.eye(4) + np.roll(np.eye(4), 1, axis=0)
+    raw = rng.uniform(0.05, 1.0, size=(4, 4)) * mask
+    doc = {
+        "name": "cyclic-zeros",
+        "kind": "predict",
+        "k": 4,
+        "model": {"emission": (raw / raw.sum(axis=0)).tolist()},
+        "observations": rng.permutation(np.repeat(np.arange(4), 5)).tolist(),
+        "hyper": {"s": 2.0, "t": [0.1, 0.2, 0.3, 0.4]},
+    }
+    script = (
+        "import json, sys\n"
+        "from latentidm.runner import Scenario, bundled_scenarios, run_scenario\n"
+        "for doc in [*bundled_scenarios().values(), json.loads(sys.argv[1])]:\n"
+        "    run_scenario(Scenario.from_dict(doc))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('latentidm.')))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(doc)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.strip()
+    assert "latentidm.observation" in loaded and "latentidm.strata" not in loaded
 
 
 # A k=4, n=2 channel whose upper for outcome 2 the 1e-6-clamped lattice of the
@@ -325,6 +374,23 @@ class TestSearch:
                 for value, where in ((b.lower, b.argmin_t), (b.upper, b.argmax_t)):
                     if not isinstance(where, BoundaryLimit):
                         assert value_along(data, s, where, 1e-40)[j] == pytest.approx(value, abs=1e-12)
+
+    def test_faces_of_each_vanishing_set_are_found_once(self, monkeypatch):
+        # the unequal-rate face checks and the search share the faces of a call: this
+        # k = 4 dataset reaches both, and the search visits all 14 proper vanishing sets
+        calls = []
+        original = strata.faces
+
+        def counted(patterns):
+            calls.append(patterns.shape[1])
+            return original(patterns)
+
+        monkeypatch.setattr(strata, "faces", counted)
+        emission, rows = LATTICE_SHORT
+        data = ManifestDataset.from_rows(EmissionMatrix(emission), rows)
+        outcome_bounds(data, 2.0, range(4))
+        sets = [z for size in (1, 2, 3) for z in itertools.combinations(range(4), size)]
+        assert sorted(calls) == sorted(len(z) for z in sets)
 
     def test_lattice_regression_case(self):
         emission, rows = LATTICE_SHORT

@@ -52,9 +52,10 @@ from .simplex import SimplexGrid  # noqa: F401
 
 DP_MAX_N = 20
 DP_MAX_K = 4
-# slots of a state index's position table, (n + 2)^(k - 1): 32 MiB of int64 at the cap, which
-# every k <= 4, n <= 20 pass and every k = 2 pass of up to 4,194,302 observations meet
-INDEX_MAX_SLOTS = 1 << 22
+# work of a weight pass: its index's position table, (n + 2)^(k - 1) slots (32 MiB of int64 at
+# the cap), and its state updates, C(n + k, k) - 1, each capped.  Every k <= 4, n <= 20 pass
+# and every k = 2 pass of up to 2,894 observations meet both.
+INDEX_MAX_WORK = 1 << 22
 
 _COLUMN_SUM_TOL = 1e-12
 
@@ -227,16 +228,17 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     leaves the state as is.  rank[i] is the graded position of the i-th
     state in lexicographic order, and counts holds the full count vectors
     (the k-th at step n) in that order.  The arrays are read-only: the
-    cache hands the same ones to every dataset of this (k, n).  Both sizes
-    are checked from (k, n) before anything is built: past INDEX_MAX_SLOTS
-    table slots it raises SizeCapError.  The table is the larger, since
+    cache hands the same ones to every dataset of this (k, n).  The work
+    is checked from (k, n) before anything is built: past INDEX_MAX_WORK
+    table slots, or state updates of the pass (`likelihood_terms`), it
+    raises SizeCapError.  The table bounds the index's states too, since
     C(n + k - 1, k - 1) <= (n + 1)^(k - 1).
     """
-    states, slots = math.comb(n + k - 1, k - 1), (n + 2) ** (k - 1)
-    if slots > INDEX_MAX_SLOTS:
+    slots, updates = (n + 2) ** (k - 1), math.comb(n + k, k) - 1
+    if max(slots, updates) > INDEX_MAX_WORK:
         raise SizeCapError(
-            f"weight-pass index capped at {INDEX_MAX_SLOTS:,} table slots; k={k}, n={n} "
-            f"needs {states:,} states and {slots:,} slots"
+            f"weight pass capped at {INDEX_MAX_WORK:,} table slots and state updates; "
+            f"k={k}, n={n} needs {slots:,} slots and {updates:,} updates"
         )
     # (grade, first k - 2 counts) in lexicographic order, each prefix extended by every
     # count that keeps their sum <= the grade; the (k - 1)-th is the grade minus that sum

@@ -362,13 +362,16 @@ def _parse_predict(doc: dict):
             raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
 
     def run() -> tuple[dict, dict]:
-        bounds = outcome_bounds(data, s, outcomes)
+        try:
+            bounds = outcome_bounds(data, s, outcomes)
+            values = None if prior is None else posterior_predictive_at_t(data, prior)
+        except SizeCapError as exc:  # the weight pass caps the number of observations
+            raise SizeCapError(f"field 'observations': {exc}") from exc
         results: dict[str, Any] = {
             "level": "latent",
             "bounds": [_bounds_payload(b, outcome=j) for j, b in zip(outcomes, bounds)],
         }
         if prior is not None:
-            values = posterior_predictive_at_t(data, prior)
             results["at_t"] = {"t": list(prior.t.coords), "values": [values[j] for j in outcomes]}
         return results, {}
 

@@ -110,9 +110,7 @@ def lattice_size(k: int, resolution: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length `parts` summing to `total`."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
+    """All nonnegative integer vectors of length `parts` >= 2 summing to `total`."""
     if parts == 2:
         first = np.arange(total + 1, dtype=np.int64)
         return np.column_stack([first, total - first])

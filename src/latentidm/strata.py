@@ -15,14 +15,15 @@ values.
 `observation` imports this module on first use, and passes it the support
 and log weights of the dataset's one weight pass, with the sides that its
 zero pattern and its equal-rate envelope checks leave open: most scenarios
-settle every side there, and never need it.  Here a side is first checked
-against its envelope on the faces with unequal rates (`face_limits`), and
-only then searched; both steps find the faces of each vanishing set once.
+settle every side there, and never need it.  Here a search call builds its
+table of strata once (`_strata`): the interior, then the exposed faces of
+each vanishing set, found once.  A side is first checked against its
+envelope on the strata with unequal rates (`face_limits`), and only then
+searched (`_multistart`); both steps read that one table.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -107,12 +108,7 @@ def faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return faces
 
 
-def _faces_by_set(counts: np.ndarray):
-    """`faces` of the support's patterns over each vanishing set, found once per set."""
-    return functools.cache(lambda vanishing: faces(counts[:, vanishing] > 0))
-
-
-def face_limits(counts: np.ndarray, sides, s: float, faces_of) -> list:
+def face_limits(counts: np.ndarray, sides, s: float, strata) -> list:
     """(value, stratum) of each side (j, upper) that a face with unequal rates settles, else None.
 
     As in `observation._envelope_limits`, the envelope is (A + s)/(n + s) for
@@ -120,46 +116,42 @@ def face_limits(counts: np.ndarray, sides, s: float, faces_of) -> list:
     smallest a_j of the support `counts`.  The upper attains it iff, as every
     coordinate but j vanishes, some exposed face holds only vectors with
     a_j = A; the lower iff, for some vanishing set of 2 to k - 1 coordinates
-    containing j, one holds only vectors with a_j = B.  The vanishing sets
-    are tried in that order, each face of one set with the rates that expose
-    it.  `faces_of` maps a vanishing set to its faces (`_faces_by_set`).
+    containing j, one holds only vectors with a_j = B.  The table of strata
+    (`_strata`) is scanned in its order, and the first stratum that fits the
+    side and whose members all meet the envelope settles it.
     """
     n, k = sum(counts[0].tolist()), counts.shape[1]
     limits = []
     for j, upper in sides:
-        if upper:
-            target = int(counts[:, j].max())
-            value = (target + s) / (n + s)
-            candidates = [tuple(h for h in range(k) if h != j)]
-        else:
-            target = int(counts[:, j].min())
-            value = target / (n + s)
-            candidates = [
-                z for size in range(2, k) for z in itertools.combinations(range(k), size) if j in z
-            ]
-        stratum = _face_limit(counts, j, target, candidates, faces_of)
-        limits.append(None if stratum is None else (value, stratum))
+        column = counts[:, j]
+        target = int(column.max()) if upper else int(column.min())
+        value = (target + s) / (n + s) if upper else target / (n + s)
+        limit = None
+        for vanishing, rates, members in strata:
+            if upper:
+                fits = len(vanishing) == k - 1 and j not in vanishing
+            else:
+                fits = len(vanishing) >= 2 and j in vanishing
+            if fits and (column[members] == target).all():
+                rest = np.isin(np.arange(k), vanishing, invert=True)
+                where = SimplexPoint(rest / rest.sum())
+                limit = (value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), where))
+                break
+        limits.append(limit)
     return limits
 
 
-def _face_limit(counts: np.ndarray, j: int, target: int, candidates, faces_of):
-    """The stratum of the first exposed face whose members all have a_j = target, else None."""
-    for vanishing in candidates:
-        for rates, members in faces_of(vanishing):
-            if (counts[members, j] == target).all():
-                rest = np.isin(np.arange(counts.shape[1]), vanishing, invert=True)
-                limit = SimplexPoint(rest / rest.sum())
-                return BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
-    return None
+def _strata(counts: np.ndarray) -> list[tuple[tuple, tuple, np.ndarray]]:
+    """(vanishing coordinates, rates, member mask) of every stratum of the support, interior first.
 
-
-def _strata(counts: np.ndarray, faces_of) -> list[tuple[tuple, tuple, np.ndarray]]:
-    """(vanishing coordinates, rates, member mask) of every stratum of the support, interior first."""
+    The vanishing sets come by size, then in lexicographic order, each with
+    its exposed faces (`faces`).
+    """
     k = counts.shape[1]
     strata = [((), (), np.ones(len(counts), dtype=bool))]
     for size in range(1, k):
         for vanishing in itertools.combinations(range(k), size):
-            strata += [(vanishing, r, members) for r, members in faces_of(vanishing)]
+            strata += [(vanishing, r, members) for r, members in faces(counts[:, vanishing] > 0)]
     return strata
 
 
@@ -271,13 +263,13 @@ def search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[in
     """(value, extremizer) of each (outcome, upper) side: its envelope where a face with unequal
     rates attains it (`face_limits`), else its best value over the interior and every stratum.
 
-    The faces of each vanishing set are found once per call, for both steps.
+    The table of strata (`_strata`) is built once per call, and both steps read it.
     """
-    faces_of = _faces_by_set(counts)
-    found = face_limits(counts, sides, s, faces_of)
+    strata = _strata(counts)
+    found = face_limits(counts, sides, s, strata)
     rest = [side for side, limit in zip(sides, found) if limit is None]
     if rest:
-        searched = iter(_multistart(counts, log_w, s, rest, _strata(counts, faces_of)))
+        searched = iter(_multistart(counts, log_w, s, rest, strata))
         found = [limit or next(searched) for limit in found]
     return found
 

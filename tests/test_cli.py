@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import SimplexPoint, canonical_concentrating_sequence, cli, observation, runner
+from latentidm import (
+    BoundaryLimit,
+    PredictiveBounds,
+    SimplexPoint,
+    canonical_concentrating_sequence,
+    cli,
+    observation,
+    runner,
+)
 from latentidm.cli import EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
 from latentidm.runner import (
     Scenario,
@@ -252,6 +260,12 @@ class TestRunScenario:
         assert report["provenance"]["tool_version"]
         assert "timing" in report
 
+    def test_interior_extremizer_is_described_by_its_point(self):
+        bounds = PredictiveBounds(0.25, 0.5, SimplexPoint([0.5, 0.5]), BoundaryLimit(0, 1.0))
+        payload = runner._bounds_payload(bounds, outcome=0)
+        assert payload["argmin_t"] == {"point": [0.5, 0.5]}
+        assert payload["argmax_t"] == {"limit": {"coordinate": 0, "value": 1.0}}
+
     def test_predict_at_t_block(self):
         doc = dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.5, 0.5]})
         report = run_scenario(Scenario.from_dict(doc))
@@ -341,6 +355,39 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_SIZE_CAP
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {
+                "model": {"emission": "binary-channel(0.1,0.2)"},
+                "hyper": {"s": 2.0, "t": [0.5, 0.5]},
+            },
+        ],
+    )
+    def test_observation_count_past_the_weight_pass_cap_names_its_field(
+        self, tmp_path, capsys, changes
+    ):
+        # 21 observations reach the weight pass through an open side (identity channel) or
+        # through the fixed-prior values (`hyper.t`); the cap is met only while running
+        doc = dict(PREDICT_DOC, observations=[0, 1] * 10 + [0], **changes)
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_SIZE_CAP
+        err = capsys.readouterr().err
+        assert "field 'observations': " in err and "n <= 20" in err
+        assert "Traceback" not in err
+
+    def test_observation_count_is_free_when_the_diagnosis_settles_every_side(
+        self, tmp_path, capsys
+    ):
+        doc = dict(
+            PREDICT_DOC,
+            model={"emission": "binary-channel(0.1,0.2)"},
+            observations=[0, 1] * 10 + [0],
+        )
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_OK
+        bounds = json.loads(capsys.readouterr().out)["results"]["bounds"]
+        assert [(b["lower"], b["upper"]) for b in bounds] == [(0.0, 1.0), (0.0, 1.0)]
+
     def test_k_cap_is_exit_2_when_limits_settle(self, tmp_path, capsys):
         # all-positive k=5: every limit is settled, yet k is past the cap
         doc = dict(
@@ -401,8 +448,9 @@ class TestCliExitCodes:
             Scenario.from_dict(doc)
 
     def test_channel_likelihood_past_the_index_cap_names_its_field(self, monkeypatch):
-        # a cap of 10 table slots admits 8 observations of a k = 2 channel, not 9
-        monkeypatch.setattr(observation, "INDEX_MAX_SLOTS", 10)
+        # a cap of 44 state updates, C(8 + 2, 2) - 1, admits 8 observations of a k = 2 channel,
+        # not 9
+        monkeypatch.setattr(observation, "INDEX_MAX_WORK", 44)
         monkeypatch.setattr(observation, "_state_index", observation._state_index.__wrapped__)
         doc = dict(TREND_DOC, likelihood=dict(CHANNEL_LIKELIHOOD, observations=[0, 1] * 4))
         Scenario.from_dict(doc)
@@ -647,6 +695,8 @@ class TestCliExitCodes:
             {"path": "bounds.0.lower", "op": "eq", "value": 0.5},
             {"path": "bounds.9.lower", "op": "eq", "value": 0.4},
             {"path": "bounds.0.lower", "op": "between", "value": 0.4},
+            {"path": "bounds.0.nope", "op": "eq", "value": 0.4},
+            {"path": "bounds.0.lower.x", "op": "eq", "value": 0.4},
         ]
         monkeypatch.setattr(cli, "assertion_manifest", lambda: manifest)
         original = cli.run_scenario
@@ -660,10 +710,17 @@ class TestCliExitCodes:
         assert main(["selftest"]) == EXIT_INVALID
         out = capsys.readouterr().out
         assert out.count(": FAIL") == 2
-        assert f"{checked}: FAIL (7 checks)" in out and f"{broken}: FAIL" in out
+        assert f"{checked}: FAIL (9 checks)" in out and f"{broken}: FAIL" in out
         assert "  - bounds.0.lower: eq 0.5 failed (actual 0.4)" in out
         assert "  - bounds.9.lower: unresolvable" in out
         assert "  - bounds.0.lower: unknown op 'between'" in out
+        assert (
+            "  - bounds.0.nope: unresolvable (\"path 'bounds.0.nope': missing key 'nope'\")" in out
+        )
+        assert (
+            "  - bounds.0.lower.x: unresolvable "
+            "(\"path 'bounds.0.lower.x': cannot descend into float\")" in out
+        )
         assert "  - execution failed: run blew up" in out
 
 

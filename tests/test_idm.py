@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,14 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentidm import (
+    BinaryChannel,
     BoundaryLimit,
+    DeltaSet,
     DirichletParams,
+    EmissionMatrix,
     FrequencyVector,
+    ManifestDataset,
     PredictiveBounds,
     SimplexGrid,
     SimplexPoint,
+    coordinate_function,
+    fixed_strength_concentrating_sequence,
     log_marginal_probability,
+    naive_reconstruction,
+    outcome_bounds,
+    posterior_predictive_at_t,
     posterior_update,
+    scaled_beta_posterior_mean,
     standard_idm_predictive_bounds,
     vacuous_prior_upper_predictive,
 )
@@ -212,3 +223,57 @@ class TestPredictiveBoundsType:
 
     def test_width(self):
         assert PredictiveBounds(0.2, 0.7).width == pytest.approx(0.5)
+
+
+IDENTITY_DATA = ManifestDataset.from_rows(EmissionMatrix.identity(2), [0, 1])
+PRIOR_2 = DirichletParams(2.0, SimplexPoint([0.5, 0.5]))
+PRIOR_3 = DirichletParams(2.0, SimplexPoint([0.2, 0.3, 0.5]))
+CHANNEL = BinaryChannel(0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FrequencyVector((3,)), "a frequency vector needs k >= 2 outcome counts"),
+        (lambda: BoundaryLimit(0, 0.5), "boundary limits are t_j -> 0 or t_j -> 1"),
+        (
+            lambda: log_marginal_probability(PRIOR_2, FrequencyVector((1, 1, 1))),
+            "frequency vector has k=3, prior has k=2",
+        ),
+        (
+            lambda: standard_idm_predictive_bounds(0.0, FrequencyVector((1, 1)), 0),
+            "s must be positive",
+        ),
+        (
+            lambda: standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), 2),
+            "outcome index 2 out of range for k=2",
+        ),
+        (
+            lambda: scaled_beta_posterior_mean(CHANNEL, 1, 2, 2.0, 1.0),
+            "t1 must lie strictly in (0, 1)",
+        ),
+        (lambda: naive_reconstruction(CHANNEL, 1.5), "manifest_bound must lie in [0, 1], got 1.5"),
+        (lambda: ManifestDataset((), k=1), "k must be >= 2"),
+        (
+            lambda: posterior_predictive_at_t(IDENTITY_DATA, PRIOR_3),
+            "prior has k=3, dataset has k=2",
+        ),
+        (lambda: outcome_bounds(IDENTITY_DATA, 0.0, [0]), "s must be positive"),
+        (
+            lambda: outcome_bounds(IDENTITY_DATA, 2.0, [2]),
+            "outcome indices [2] must lie in [0, 2)",
+        ),
+        (lambda: DeltaSet(coordinate_function(0, 2), 0.0), "delta must be positive"),
+        (
+            lambda: DeltaSet(coordinate_function(0, 2), 0.1, "middle"),
+            "mode must be 'max-side' or 'min-side'",
+        ),
+        (
+            lambda: fixed_strength_concentrating_sequence(SimplexPoint([1.0, 0.0]), 0.0),
+            "s must be positive",
+        ),
+    ],
+)
+def test_library_argument_checks_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

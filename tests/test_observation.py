@@ -287,14 +287,21 @@ class TestFrequencyWeights:
         assert peak < 1 << 20
 
     def test_index_cap_admits_predict_and_long_channel_shapes(self, monkeypatch):
-        # every k <= 4, n <= 20 pass, and k = 2 passes of 10^6 observations
-        assert (20 + 2) ** (4 - 1) <= observation.INDEX_MAX_SLOTS
-        assert 10**6 + 2 <= observation.INDEX_MAX_SLOTS
-        # the cap admits a table of exactly INDEX_MAX_SLOTS slots (uncached calls)
-        monkeypatch.setattr(observation, "INDEX_MAX_SLOTS", 10)
-        assert len(observation._state_index.__wrapped__(2, 8)[2]) == 9
-        with pytest.raises(SizeCapError):
-            observation._state_index.__wrapped__(2, 9)
+        # every k <= 4, n <= 20 pass, and k = 2 passes of 2,000 observations, by table slots
+        # and by state updates; 10^5 observations are refused before anything is built
+        cap = observation.INDEX_MAX_WORK
+        assert (20 + 2) ** (4 - 1) <= cap and math.comb(20 + 4, 4) - 1 <= cap
+        assert 2000 + 2 <= cap and math.comb(2000 + 2, 2) - 1 <= cap
+        with pytest.raises(SizeCapError, match="k=2, n=100000"):
+            observation._state_index.__wrapped__(2, 10**5)
+        # the cap admits exactly INDEX_MAX_WORK slots (k = 4, n = 1: 27) and exactly
+        # INDEX_MAX_WORK updates (k = 2, n = 6: C(8, 2) - 1 = 27), uncached calls
+        monkeypatch.setattr(observation, "INDEX_MAX_WORK", 27)
+        assert len(observation._state_index.__wrapped__(4, 1)[2]) == 4
+        assert len(observation._state_index.__wrapped__(2, 6)[2]) == 7
+        for k, n in ((4, 2), (2, 7)):
+            with pytest.raises(SizeCapError):
+                observation._state_index.__wrapped__(k, n)
 
     def test_empty_dataset(self):
         weights = frequency_weights(ManifestDataset((), k=2))

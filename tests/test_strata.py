@@ -239,7 +239,7 @@ def face_envelope(support, j: int, upper: bool, s: float = 2.0):
     """`strata.face_limits` of the single side (j, upper), which failed its equal-rate check."""
     assert envelope(support, j, upper, s) is None
     counts = np.array(support)
-    return strata.face_limits(counts, [(j, upper)], s, strata._faces_by_set(counts))[0]
+    return strata.face_limits(counts, [(j, upper)], s, strata._strata(counts))[0]
 
 
 class TestEnvelope:
@@ -298,7 +298,7 @@ class TestEnvelope:
         sides = [(j, upper) for j in range(k) for upper in (False, True)]
         limits = observation._envelope_limits(counts, sides, s)
         left = [side for side, limit in zip(sides, limits) if limit is None]
-        on_faces = iter(strata.face_limits(counts, left, s, strata._faces_by_set(counts)))
+        on_faces = iter(strata.face_limits(counts, left, s, strata._strata(counts)))
         limits = [next(on_faces) if limit is None else limit for limit in limits]
         for (j, upper), limit in zip(sides, limits, strict=True):
             expected = envelope_limit(counts.tolist(), j, upper, s)

@@ -83,8 +83,8 @@ def scaled_beta_posterior_mean(
     xi_1 is therefore the predictive probability of a positive next
     observation: sum_j lambda_{0j} P(next hidden = x_j | data), with the
     hidden predictives taken exactly from the frequency-weight pass.  That
-    pass caps `total` at DP_MAX_N: a larger one raises SizeCapError before
-    any observation is built.
+    pass caps `total` at 2,894 by its work: a larger one raises SizeCapError
+    before any observation is built.
     """
     _validate_counts(positives, total)
     if not 0.0 < t1 < 1.0:

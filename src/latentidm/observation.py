@@ -22,13 +22,14 @@ probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
 W(a), after which no further multiplicity factor is needed.  It runs in log
 space over each observation's emission row, all a dataset keeps
-(`likelihood_terms`); a dataset runs it at most once, under the size cap,
-as its cached `weight_pass`, which the bounds, the fixed-prior values and
+(`likelihood_terms`); a dataset runs it at most once, as its cached
+`weight_pass`, which the bounds, the fixed-prior values and
 `frequency_weights` all read.  Its states are ordered by grade, the sum of
 the first k - 1 counts, so each observation updates only the states it can
-reach; that index is built once per (k, n).  Uncapped, the same pass is a
-channel likelihood's coefficient map in the trend lab.  Brute-force
-enumeration, a dict pass and a lexicographic pass are test oracles.
+reach; that index is built once per (k, n).  The same pass is a channel
+likelihood's coefficient map in the trend lab.  One cap, `MAX_WORK`, bounds
+it and the search by their work.  Brute-force enumeration, a dict pass and
+a lexicographic pass are test oracles.
 """
 
 from __future__ import annotations
@@ -50,22 +51,20 @@ from .simplex import DirichletParams
 from .idm import log_marginal_probability  # noqa: F401
 from .simplex import SimplexGrid  # noqa: F401
 
-DP_MAX_N = 20
-DP_MAX_K = 4
-# work of a weight pass: its index's position table, (n + 2)^(k - 1) slots (32 MiB of int64 at
-# the cap), and its state updates, C(n + k, k) - 1, each capped.  Every k <= 4, n <= 20 pass
-# and every k = 2 pass of up to 2,894 observations meet both.
-INDEX_MAX_WORK = 1 << 22
+DP_MAX_K = 4  # the search's k cap
+# one work cap: a weight pass's state updates and cells (`check_weight_pass_size`) and a
+# search's cells (`strata.search`); every dataset of k <= 4 and up to 20 observations meets both
+MAX_WORK = 1 << 22
 
 _COLUMN_SUM_TOL = 1e-12
 
 
 def check_weight_pass_size(n: int, k: int) -> None:
-    """Raise SizeCapError for a weight pass past the n <= DP_MAX_N, k <= DP_MAX_K cap."""
-    if n > DP_MAX_N or k > DP_MAX_K:
-        raise SizeCapError(
-            f"frequency-weight pass capped at n <= {DP_MAX_N}, k <= {DP_MAX_K}; got n={n}, k={k}"
-        )
+    """Raise SizeCapError for a weight pass past MAX_WORK state updates or index cells."""
+    updates, cells = math.comb(n + k, k) - 1, k * math.comb(n + k - 1, k - 1)
+    if max(updates, cells) > MAX_WORK:
+        work = f"k={k}, n={n} needs {updates:,} updates and {cells:,} cells"
+        raise SizeCapError(f"weight pass capped at {MAX_WORK:,} state updates and cells; {work}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,7 @@ class ManifestDataset:
 
     @cached_property
     def weight_pass(self) -> tuple[np.ndarray, np.ndarray]:
-        """`likelihood_terms` under the n <= 20, k <= 4 cap, run on first use for every consumer."""
-        check_weight_pass_size(self.n, self.k)
+        """`likelihood_terms`, run on first use and shared by every consumer."""
         return likelihood_terms(self)
 
     @staticmethod
@@ -227,44 +225,41 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     prefix, or len(states), an extra -inf slot, when count j is 0; x_k
     leaves the state as is.  rank[i] is the graded position of the i-th
     state in lexicographic order, and counts holds the full count vectors
-    (the k-th at step n) in that order.  The arrays are read-only: the
-    cache hands the same ones to every dataset of this (k, n).  The work
-    is checked from (k, n) before anything is built: past INDEX_MAX_WORK
-    table slots, or state updates of the pass (`likelihood_terms`), it
-    raises SizeCapError.  The table bounds the index's states too, since
-    C(n + k - 1, k - 1) <= (n + 1)^(k - 1).
+    (the k-th at step n) in that order, as int16 (the work cap keeps every
+    count below 2^15).  Positions are ranks in the combinatorial number
+    system (Knuth, TAOCP Vol. 4A, 7.2.1.3), on binomial[p, x] = C(x + p, p).
+    The arrays are read-only: the cache hands the same ones to every
+    dataset of this (k, n).  The work is checked from (k, n) first.
     """
-    slots, updates = (n + 2) ** (k - 1), math.comb(n + k, k) - 1
-    if max(slots, updates) > INDEX_MAX_WORK:
-        raise SizeCapError(
-            f"weight pass capped at {INDEX_MAX_WORK:,} table slots and state updates; "
-            f"k={k}, n={n} needs {slots:,} slots and {updates:,} updates"
-        )
-    # (grade, first k - 2 counts) in lexicographic order, each prefix extended by every
-    # count that keeps their sum <= the grade; the (k - 1)-th is the grade minus that sum
-    grade = np.arange(n + 1)
-    heads = np.zeros((n + 1, 0), dtype=np.int64)
-    for _ in range(k - 2):
-        room = grade + 1 - heads.sum(axis=1)
-        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
-        heads = np.column_stack((np.repeat(heads, room, axis=0), last))
-        grade = np.repeat(grade, room)
-    counts = np.column_stack((heads, grade - heads.sum(axis=1), n - grade))
-    heads, size = counts[:, :-1], len(counts)
-    # a position table over the counts plus one, in base n + 2: a count of -1 lands on a
-    # slot that is no state, and every such slot holds `size`; the slots of states, in
-    # code order, are the states in lexicographic order
-    strides = np.array([(n + 2) ** (k - 2 - j) for j in range(k - 1)], dtype=np.int64)
-    codes = (heads + 1) @ strides
-    position = np.full((n + 2) ** (k - 1), size, dtype=np.int64)
-    position[codes] = np.arange(size)
-    predecessors = tuple(position[codes - stride] for stride in strides)
-    rank = position[np.flatnonzero(position - size)]
-    counts = counts[rank]
+    check_weight_pass_size(n, k)
+    binomial = np.array([[math.comb(x + p, p) for x in range(n + 1)] for p in range(k)])
+    size = int(binomial[k - 1, n])
+    # the count vectors in lexicographic order, one count at a time: a prefix of the first
+    # i + 1 counts with sum `total` stands for its binomial[k - 2 - i, n - total] completions
+    counts = np.empty((size, k), dtype=np.int16)
+    total = np.zeros(1, dtype=np.int64)
+    for i in range(k - 1):
+        room = n + 1 - total
+        part = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        total = np.repeat(total, room) + part
+        counts[:, i] = np.repeat(part, binomial[k - 2 - i][n - total])
+    counts[:, k - 1] = n - total
+    # graded position: the C(g + k - 2, k - 1) states of lower grade, then the rank within the
+    # grade, sum_i C(r_i + p_i, p_i) - C(r_i - c_i + p_i, p_i), r_i the grade left at count i
+    rank, rest = binomial[k - 1][total] - binomial[k - 2][total], total
+    for i in range(k - 2):
+        rank += binomial[k - 2 - i][rest] - binomial[k - 2 - i][rest - counts[:, i]]
+        rest = rest - counts[:, i]
+    # one x_j back maps the states of each grade with count j >= 1, in order, onto the whole
+    # grade below, so their predecessors are the states of grade < n, in order
+    graded = np.empty_like(counts)
+    graded[rank] = counts
+    predecessors = tuple(np.full(size, size) for _ in range(k - 1))
+    for j, predecessor in enumerate(predecessors):
+        predecessor[np.flatnonzero(graded[:, j])] = np.arange(size - binomial[k - 2, n])
     for array in (counts, rank, *predecessors):
         array.setflags(write=False)
-    ends = tuple(math.comb(i + k - 1, k - 1) for i in range(1, n + 1))
-    return counts, predecessors, rank, ends
+    return counts, predecessors, rank, tuple(binomial[k - 1, 1:].tolist())
 
 
 def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +277,9 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     That is C(n+k, k) - 1 state updates in all, against n * C(n+k-1, k-1)
     over every state.  Unreached states stay -inf; after the last step the
     index's permutation puts log W back in lexicographic order, and the
-    finite entries are the support.  This is the library's one weight pass;
-    its one entry under the n <= 20 cap is `ManifestDataset.weight_pass`,
-    and only a trend `channel` likelihood calls it without that cap, under
-    the index's own (`_state_index`).
+    finite entries are the support.  This is the library's one weight pass,
+    capped by its work in the index; `ManifestDataset.weight_pass` caches
+    it per dataset, and a trend `channel` likelihood calls it directly.
     """
     k, n = data.k, data.n
     counts, predecessors, rank, ends = _state_index(k, n)
@@ -295,14 +289,14 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     terms = np.empty((k, size))
     for m, lam in zip(ends, data.row_entries.tolist()):
         allowed = [j for j in range(k) if lam[j] != 0.0]
-        rows = terms[: len(allowed), :m]
-        for r, j in enumerate(allowed):
-            source = log_w[:m] if j == k - 1 else log_w[predecessors[j][:m]]
-            np.add(source, math.log(lam[j]), out=rows[r])
-        np.logaddexp.reduce(rows, axis=0, out=log_w[:m])
+        for r, j in enumerate(allowed):  # unnamed, each gathered row is freed before the next
+            np.add(log_w[:m] if j == k - 1 else log_w[predecessors[j][:m]], math.log(lam[j]),
+                   out=terms[r, :m])
+        np.logaddexp.reduce(terms[: len(allowed), :m], axis=0, out=log_w[:m])
+    del terms  # and the working rows before the support is gathered
     log_w = log_w[rank]
-    reached = np.flatnonzero(log_w > -np.inf)
-    return counts[reached], log_w[reached]
+    reached = log_w > -np.inf
+    return counts[reached].astype(np.int64), log_w[reached]
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:
@@ -387,9 +381,9 @@ def outcome_bounds(
     on the equal-rate paths (`_envelope_limits`), then, for the sides that
     fail there, on the faces with unequal rates and, failing those, by the
     search (`strata.search`), over the weights of that same pass.  So when
-    the diagnosis settles every side no weights are computed, and the n cap
-    applies only to open sides.  Returns one entry per listed outcome, in
-    order.
+    the diagnosis settles every side no weights are computed, and the work
+    cap applies only to open sides; k is capped for every side.  Returns
+    one entry per listed outcome, in order.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")

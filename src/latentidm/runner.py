@@ -241,7 +241,7 @@ def _likelihood(spec, k: int, name: str) -> Polynomial:
             data = ManifestDataset.from_rows(emission, rows)
         try:
             return dataset_likelihood(data)
-        except SizeCapError as exc:  # the weight-pass index cap
+        except SizeCapError as exc:  # the weight pass's work cap
             raise SizeCapError(f"field '{name}.observations': {exc}") from exc
     raise ScenarioError(f"field '{name}.kind': unknown kind {kind!r}")
 
@@ -365,7 +365,7 @@ def _parse_predict(doc: dict):
         try:
             bounds = outcome_bounds(data, s, outcomes)
             values = None if prior is None else posterior_predictive_at_t(data, prior)
-        except SizeCapError as exc:  # the weight pass caps the number of observations
+        except SizeCapError as exc:  # the weight pass's and the search's work cap
             raise SizeCapError(f"field 'observations': {exc}") from exc
         results: dict[str, Any] = {
             "level": "latent",

@@ -19,7 +19,7 @@ settle every side there, and never need it.  Here a search call builds its
 table of strata once (`_strata`): the interior, then the exposed faces of
 each vanishing set, found once.  A side is first checked against its
 envelope on the strata with unequal rates (`face_limits`), and only then
-searched (`_multistart`); both steps read that one table.
+searched (`_multistart`, within the work cap); both steps read that table.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from . import observation
+from .errors import SizeCapError
 from .idm import BoundaryStratum
 from .simplex import SimplexPoint
 
@@ -269,6 +271,10 @@ def search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[in
     found = face_limits(counts, sides, s, strata)
     rest = [side for side, limit in zip(sides, found) if limit is None]
     if rest:
+        cells, cap = len(rest) * len(strata) * counts.size, observation.MAX_WORK
+        if cells > cap:
+            raise SizeCapError(f"search capped at {cap:,} cells; {len(rest)} sides x {len(strata)}"
+                               f" strata x |W|={len(counts)} x k={counts.shape[1]} = {cells:,}")
         searched = iter(_multistart(counts, log_w, s, rest, strata))
         found = [limit or next(searched) for limit in found]
     return found

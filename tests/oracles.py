@@ -531,25 +531,46 @@ def dirichlet_moment(s: float, t, e) -> Fraction:
 
 def expanded_likelihood(data: ManifestDataset) -> dict[tuple[int, ...], Fraction]:
     """The likelihood prod_i sum_j lambda_{h_i j} theta_j of `data`, expanded exactly:
-    exponent vector -> coefficient, with every entry at its exact binary value."""
-    terms = {(0,) * data.k: Fraction(1)}
+    exponent vector -> coefficient, with every entry at its exact binary value.
+
+    A row's entries are integers over one power of two, so the expansion runs on integers
+    over one running denominator, and each coefficient is reduced once, at the end."""
+    terms, denominator = {(0,) * data.k: 1}, 1
     for row in data.row_entries:
         lam = [Fraction(float(x)) for x in row]
-        step: dict[tuple[int, ...], Fraction] = {}
+        scale = max(l_j.denominator for l_j in lam)  # every other one divides it
+        numerators = [int(l_j * scale) for l_j in lam]
+        step: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
-            for j, l_j in enumerate(lam):
+            for j, l_j in enumerate(numerators):
                 if l_j:
                     key = e[:j] + (e[j] + 1,) + e[j + 1 :]
-                    step[key] = step.get(key, Fraction(0)) + c * l_j
-        terms = step
-    return terms
+                    step[key] = step.get(key, 0) + c * l_j
+        terms, denominator = step, denominator * scale
+    return {e: Fraction(c, denominator) for e, c in terms.items()}
 
 
 def moment_ratio(s: float, t, f_exponents, terms: dict) -> Fraction:
-    """E[theta^f L] / E[L] under Dirichlet(s, t) for L = sum_e terms[e] theta^e, exactly."""
-    shifted = {tuple(a + b for a, b in zip(e, f_exponents)): c for e, c in terms.items()}
-    num = sum(c * dirichlet_moment(s, t, e) for e, c in shifted.items())
-    return num / sum(c * dirichlet_moment(s, t, e) for e, c in terms.items())
+    """E[theta^f L] / E[L] under Dirichlet(s, t) for L = sum_e terms[e] theta^e, exactly.
+
+    Every moment is `dirichlet_moment`'s prod_h (s t_h)^{(e_h)} / s^{(|e|)}, read from
+    rising factorials tabulated once per coordinate."""
+    s = Fraction(s)
+    depth = max(sum(e) for e in terms) + sum(f_exponents)
+
+    def rising(x: Fraction) -> list[Fraction]:
+        table = [Fraction(1)]
+        for j in range(depth):
+            table.append(table[-1] * (x + j))
+        return table
+
+    tables, below = [rising(s * Fraction(float(t_h))) for t_h in t], rising(s)
+
+    def moment(e) -> Fraction:
+        return math.prod((table[e_h] for table, e_h in zip(tables, e)), start=Fraction(1)) / below[sum(e)]
+
+    num = sum(c * moment([a + b for a, b in zip(e, f_exponents)]) for e, c in terms.items())
+    return num / sum(c * moment(e) for e, c in terms.items())
 
 
 def equal_rows_ratio(a: float, b: float, row, n: int) -> Fraction:

@@ -1,21 +1,27 @@
 import gc
 import json
+import math
 import os
+import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentidm import (
     BoundaryLimit,
+    EmissionMatrix,
+    ManifestDataset,
     PredictiveBounds,
     SimplexPoint,
     canonical_concentrating_sequence,
     cli,
     observation,
     runner,
+    strata,
 )
 from latentidm.cli import EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
 from latentidm.runner import (
@@ -29,7 +35,7 @@ from latentidm.runner import (
     run_scenario,
 )
 from latentidm.errors import ScenarioError, SizeCapError
-from oracles import ratio_tolerance
+from oracles import predictive_at_log_t, ratio_tolerance
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -87,6 +93,10 @@ GRID_FUNCTION_4 = {"kind": "monomial", "exponents": [1, 1, 0, 0]}
 GRID_FUNCTION_7 = {"kind": "monomial", "exponents": [1, 1, 0, 0, 0, 0, 0]}
 
 CHANNEL_LIKELIHOOD = {"kind": "channel", "eps1": 0.1, "eps2": 0.1, "observations": [0]}
+
+# the first k = 2 observation count past the weight pass's work cap:
+# C(2,895 + 2, 2) - 1 = 4,194,855 state updates, against 4,191,959 at 2,894
+OVER_CAP_N = 2895
 
 # (field the error must name, document): each of these used to end in a
 # traceback, run with a wrong shape, or name another field.
@@ -351,7 +361,7 @@ class TestCliExitCodes:
         assert main(["run", "no-such-scenario"]) == EXIT_INVALID
 
     def test_size_cap_is_exit_2(self, tmp_path, capsys):
-        doc = dict(PREDICT_DOC, observations=[0] * 21)
+        doc = dict(PREDICT_DOC, observations=[0] * OVER_CAP_N)
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == EXIT_SIZE_CAP
 
@@ -368,12 +378,13 @@ class TestCliExitCodes:
     def test_observation_count_past_the_weight_pass_cap_names_its_field(
         self, tmp_path, capsys, changes
     ):
-        # 21 observations reach the weight pass through an open side (identity channel) or
+        # the observations reach the weight pass through an open side (identity channel) or
         # through the fixed-prior values (`hyper.t`); the cap is met only while running
-        doc = dict(PREDICT_DOC, observations=[0, 1] * 10 + [0], **changes)
+        doc = dict(PREDICT_DOC, observations=[0, 1] * (OVER_CAP_N // 2) + [0], **changes)
         assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_SIZE_CAP
         err = capsys.readouterr().err
-        assert "field 'observations': " in err and "n <= 20" in err
+        assert "field 'observations': weight pass capped" in err
+        assert f"k=2, n={OVER_CAP_N} needs" in err
         assert "Traceback" not in err
 
     def test_observation_count_is_free_when_the_diagnosis_settles_every_side(
@@ -415,10 +426,10 @@ class TestCliExitCodes:
             Scenario.from_dict(dict(doc, k=5, model={"emission": "no-such-preset"}))
 
     def test_scaled_beta_fixed_t1_past_size_cap_is_exit_2(self, tmp_path, capsys):
-        doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 21}, fixed_t1=0.5)
+        doc = dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": OVER_CAP_N}, fixed_t1=0.5)
         path = write_scenario(tmp_path, doc)
         assert main(["run", path]) == EXIT_SIZE_CAP
-        assert "n <= 20" in capsys.readouterr().err
+        assert f"k=2, n={OVER_CAP_N} needs" in capsys.readouterr().err
 
     def test_scaled_beta_fixed_t1_total_is_capped_before_its_dataset(self, tmp_path, capsys):
         # 10^8 observations would be built, one emission row each, before the weight pass
@@ -426,7 +437,7 @@ class TestCliExitCodes:
         code, peak = run_traced(["run", write_scenario(tmp_path, doc)])
         assert code == EXIT_SIZE_CAP
         assert peak < 2**20
-        assert "n <= 20" in capsys.readouterr().err
+        assert "k=2, n=100000000 needs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, doc",
@@ -434,7 +445,7 @@ class TestCliExitCodes:
             ("k", dict(PREDICT_DOC, k=5)),
             (
                 "dataset.total",
-                dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": 21}, fixed_t1=0.5),
+                dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": OVER_CAP_N}, fixed_t1=0.5),
             ),
         ],
     )
@@ -447,10 +458,50 @@ class TestCliExitCodes:
         with pytest.raises(SizeCapError, match=f"field '{field}'"):
             Scenario.from_dict(doc)
 
+    def test_search_past_the_work_cap_names_its_field(self, tmp_path, capsys, monkeypatch):
+        # both open sides miss their envelopes; a cap of exactly the weight pass's
+        # C(3 + 2, 2) - 1 = 9 state updates admits the pass and refuses the search's
+        # 2 sides x 3 strata x 3 vectors x k=2 = 36 cells before its first evaluation
+        monkeypatch.setattr(observation, "MAX_WORK", math.comb(3 + 2, 2) - 1)
+        monkeypatch.setattr(observation, "_state_index", observation._state_index.__wrapped__)
+        evaluations = []
+        monkeypatch.setattr(strata, "_stratum_predictive", lambda *args: evaluations.append(args))
+        doc = dict(PREDICT_DOC, model={"emission": [[0.0, 0.4], [1.0, 0.6]]}, observations=[0, 1, 1])
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_SIZE_CAP
+        err = capsys.readouterr().err
+        assert "field 'observations': search capped at 9 cells; 2 sides x 3 strata x |W|=3 x k=2 = 36" in err
+        assert "Traceback" not in err
+        assert evaluations == []
+
+    def test_two_thousand_observations_of_a_binary_channel(self, tmp_path, capsys):
+        # a zero entry leaves outcome 0's upper and outcome 1's lower to the search; every
+        # value of a logit scan of the exact predictive lies in the reported interval
+        emission = [[0.0, 0.4], [1.0, 0.6]]
+        rows = np.random.default_rng(1).permutation([0] * 600 + [1] * 1400).tolist()
+        path = write_scenario(tmp_path, dict(PREDICT_DOC, model={"emission": emission}, observations=rows))
+        seconds = []
+        for _ in range(2):  # each cold, the faster one timed
+            observation._state_index.cache_clear()
+            start = time.perf_counter()
+            assert main(["run", path]) == EXIT_OK
+            seconds.append(time.perf_counter() - start)
+            bounds = json.loads(capsys.readouterr().out)["results"]["bounds"]
+        assert min(seconds) < 0.5
+        # each outcome has one side at its limit and one searched to an interior point
+        assert all({*b["argmin_t"], *b["argmax_t"]} == {"limit", "point"} for b in bounds)
+        counts, log_w = ManifestDataset.from_rows(EmissionMatrix(emission), rows).weight_pass
+        logit = np.linspace(-60.0, 60.0, 2001)
+        for chunk in np.array_split(logit, 20):
+            log_t = -np.logaddexp(0.0, -np.column_stack((chunk, -chunk)))
+            values = predictive_at_log_t(counts, log_w, 2.0, log_t)
+            for j, b in enumerate(bounds):
+                assert (values[:, j] >= b["lower"] - 1e-13).all()
+                assert (values[:, j] <= b["upper"] + 1e-13).all()
+
     def test_channel_likelihood_past_the_index_cap_names_its_field(self, monkeypatch):
         # a cap of 44 state updates, C(8 + 2, 2) - 1, admits 8 observations of a k = 2 channel,
         # not 9
-        monkeypatch.setattr(observation, "INDEX_MAX_WORK", 44)
+        monkeypatch.setattr(observation, "MAX_WORK", 44)
         monkeypatch.setattr(observation, "_state_index", observation._state_index.__wrapped__)
         doc = dict(TREND_DOC, likelihood=dict(CHANNEL_LIKELIHOOD, observations=[0, 1] * 4))
         Scenario.from_dict(doc)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from latentidm import (
     BinaryChannel,
     BoundaryLimit,
+    ManifestDataset,
     direct_manifest_idm,
     naive_reconstruction,
     scaled_beta_posterior_bounds,
@@ -13,7 +16,13 @@ from latentidm import (
     standard_idm_predictive_bounds,
     FrequencyVector,
 )
-from oracles import latent_to_manifest_chance_vector, midpoint_integral, polynomial_posterior_ratio
+from oracles import (
+    expanded_likelihood,
+    latent_to_manifest_chance_vector,
+    midpoint_integral,
+    moment_ratio,
+    polynomial_posterior_ratio,
+)
 
 CH = BinaryChannel(0.1, 0.1)
 
@@ -134,6 +143,21 @@ class TestScaledBeta:
                 oracle = polynomial_posterior_ratio(s * t1, s * (1.0 - t1), xi, likelihood)
                 value = scaled_beta_posterior_mean(channel, positives, total, s, t1)
                 assert value == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("positives", [0, 70, 200])
+    def test_mean_at_total_200_matches_the_exact_ratio(self, positives):
+        # ten times the old 20-observation cap; a dyadic channel and prior keep the exact
+        # expansion small: sum_j lambda_0j E[theta_j L] / E[L]
+        channel = BinaryChannel(0.125, 0.25)
+        emission = channel.emission()
+        data = ManifestDataset.from_rows(emission, [0] * positives + [1] * (200 - positives))
+        terms = expanded_likelihood(data)
+        exact = sum(
+            Fraction(float(emission.entries[0, j])) * moment_ratio(2.0, (0.25, 0.75), [1 - j, j], terms)
+            for j in range(2)
+        )
+        value = scaled_beta_posterior_mean(channel, positives, 200, 2.0, 0.25)
+        assert abs(value - float(exact)) <= 1e-12
 
     # t1 = 1e-9 is near its limit only while 1e-9 outweighs the likelihood
     # ratio across the interval, so the counts stay small: at 20 of 20

@@ -270,16 +270,16 @@ class TestFrequencyWeights:
             assert via_weights == pytest.approx(latent_likelihood(data, theta), rel=1e-12, abs=0.0)
 
     def test_size_cap(self):
-        data = ManifestDataset.from_rows(IDENTITY2, [0] * 21)
+        data = ManifestDataset.from_rows(IDENTITY2, [0] * 2895)
         with pytest.raises(SizeCapError):
             frequency_weights(data)
 
     def test_index_cap_refuses_before_building(self):
-        # k = 6, n = 30 would need a 33,554,432-slot position table (268 MB)
-        data = ManifestDataset.from_rows(EmissionMatrix(np.full((2, 6), 0.5)), [0, 1] * 15)
+        # k = 6, n = 40 would take 9,366,818 state updates over 1,221,759 states
+        data = ManifestDataset.from_rows(EmissionMatrix(np.full((2, 6), 0.5)), [0, 1] * 20)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeCapError, match="k=6, n=30"):
+            with pytest.raises(SizeCapError, match="k=6, n=40 needs 9,366,818 updates"):
                 dataset_likelihood(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -287,21 +287,30 @@ class TestFrequencyWeights:
         assert peak < 1 << 20
 
     def test_index_cap_admits_predict_and_long_channel_shapes(self, monkeypatch):
-        # every k <= 4, n <= 20 pass, and k = 2 passes of 2,000 observations, by table slots
-        # and by state updates; 10^5 observations are refused before anything is built
-        cap = observation.INDEX_MAX_WORK
-        assert (20 + 2) ** (4 - 1) <= cap and math.comb(20 + 4, 4) - 1 <= cap
-        assert 2000 + 2 <= cap and math.comb(2000 + 2, 2) - 1 <= cap
-        with pytest.raises(SizeCapError, match="k=2, n=100000"):
-            observation._state_index.__wrapped__(2, 10**5)
-        # the cap admits exactly INDEX_MAX_WORK slots (k = 4, n = 1: 27) and exactly
-        # INDEX_MAX_WORK updates (k = 2, n = 6: C(8, 2) - 1 = 27), uncached calls
-        monkeypatch.setattr(observation, "INDEX_MAX_WORK", 27)
-        assert len(observation._state_index.__wrapped__(4, 1)[2]) == 4
+        # every k <= 4 pass of up to 20 observations, and k = 2 passes of up to 2,894 by state
+        # updates; 2,895 are refused before anything is built
+        cap = observation.MAX_WORK
+        assert math.comb(20 + 4, 4) - 1 <= cap and 4 * math.comb(20 + 3, 3) <= cap
+        assert math.comb(2894 + 2, 2) - 1 <= cap < math.comb(2895 + 2, 2) - 1
+        assert len(observation._state_index.__wrapped__(2, 2894)[2]) == 2895
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="k=2, n=2895 needs 4,194,855 updates"):
+                observation._state_index.__wrapped__(2, 2895)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        # the cap admits exactly MAX_WORK updates (k = 2, n = 6: C(8, 2) - 1 = 27) and exactly
+        # MAX_WORK cells (k = 9, n = 1: 9 * C(9, 8) = 81), uncached calls
+        monkeypatch.setattr(observation, "MAX_WORK", 27)
         assert len(observation._state_index.__wrapped__(2, 6)[2]) == 7
-        for k, n in ((4, 2), (2, 7)):
-            with pytest.raises(SizeCapError):
-                observation._state_index.__wrapped__(k, n)
+        with pytest.raises(SizeCapError, match="k=2, n=7 needs 35 updates and 16 cells"):
+            observation._state_index.__wrapped__(2, 7)
+        monkeypatch.setattr(observation, "MAX_WORK", 81)
+        assert len(observation._state_index.__wrapped__(9, 1)[2]) == 9
+        with pytest.raises(SizeCapError, match="k=10, n=1 needs 10 updates and 100 cells"):
+            observation._state_index.__wrapped__(10, 1)
 
     def test_empty_dataset(self):
         weights = frequency_weights(ManifestDataset((), k=2))
@@ -404,7 +413,7 @@ class TestPredictiveBounds:
         assert b.lower > 1e-6
 
     def test_size_cap_propagates(self):
-        data = ManifestDataset.from_rows(IDENTITY2, [0] * 21)
+        data = ManifestDataset.from_rows(IDENTITY2, [0] * 2895)
         with pytest.raises(SizeCapError):
             predictive_bounds(data, 2.0, 0)
 

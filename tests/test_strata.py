@@ -8,6 +8,7 @@ cannot overshoot).
 
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -44,7 +45,7 @@ from oracles import (
 )
 
 
-def channel_with_zeros(seed: int, k: int, n: int) -> ManifestDataset:
+def channel_parts(seed: int, k: int, n: int) -> tuple[EmissionMatrix, list[int]]:
     """2-4 manifest rows, ~40% structural zeros, every column and observed row nonzero."""
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(2, 5))
@@ -52,8 +53,12 @@ def channel_with_zeros(seed: int, k: int, n: int) -> ManifestDataset:
     for j in np.flatnonzero(raw.sum(axis=0) == 0.0):
         raw[rng.integers(rows), j] = 0.5
     observable = np.flatnonzero(raw.sum(axis=1) > 0.0)
-    emission = EmissionMatrix(raw / raw.sum(axis=0))
-    return ManifestDataset.from_rows(emission, rng.choice(observable, size=n).tolist())
+    return EmissionMatrix(raw / raw.sum(axis=0)), rng.choice(observable, size=n).tolist()
+
+
+def channel_with_zeros(seed: int, k: int, n: int) -> ManifestDataset:
+    """The dataset of `channel_parts`."""
+    return ManifestDataset.from_rows(*channel_parts(seed, k, n))
 
 
 def value_along(data: ManifestDataset, s: float, where, eps: float) -> np.ndarray:
@@ -103,10 +108,22 @@ class TestFrequencySupport:
             assert np.allclose(log_w, [np.log(brute[tuple(a)]) for a in counts.tolist()], rtol=1e-12)
 
     def test_size_caps(self):
-        with pytest.raises(SizeCapError, match="n <= 20"):
-            ManifestDataset.from_rows(EmissionMatrix.identity(2), [0] * 21).weight_pass
+        # one work cap: the weight pass refuses a 2,895th observation at k = 2
+        with pytest.raises(SizeCapError, match="k=2, n=2895 needs 4,194,855 updates"):
+            ManifestDataset.from_rows(EmissionMatrix.identity(2), [0] * 2895).weight_pass
+        # k is capped for the bounds alone: a k = 5 pass of one observation is cheap
+        data = ManifestDataset.from_rows(EmissionMatrix.identity(5), [0])
+        assert data.weight_pass[0].tolist() == [[1, 0, 0, 0, 0]]
         with pytest.raises(SizeCapError, match="k <= 4"):
-            ManifestDataset.from_rows(EmissionMatrix.identity(5), [0]).weight_pass
+            outcome_bounds(data, 2.0, range(5))
+        # every dataset of k <= 4 and up to 20 observations fits the search's cap: at most 8
+        # sides, C(23, 3) = 1,771 vectors and 51 strata, 1 + 4 * 1 + 6 * 3 + 4 * 7, since the
+        # faces of d vanishing coordinates are subsets of an antichain of 0/1 patterns, which
+        # has at most C(d, d // 2) members
+        strata_at_most = sum(
+            math.comb(4, d) * (2 ** math.comb(d, d // 2) - 1) for d in range(1, 4)
+        ) + 1
+        assert 8 * strata_at_most * math.comb(23, 3) * 4 == 2_890_272 <= observation.MAX_WORK
 
 
 # zeros, entries at or below 1e-150 whose products underflow, and moderate entries
@@ -197,6 +214,27 @@ class TestVectorisedWeightPass:
         finally:
             tracemalloc.stop()
         assert peak < 0.4 * 2**20
+
+    @pytest.mark.parametrize("k, n", [(5, 43), (6, 19)])
+    def test_peak_memory_without_a_position_table(self, k, n):
+        # cold passes at k = 5 and 6 over an all-positive channel, so every one of the
+        # C(n + k - 1, k - 1) states is in the support; a position table of (n + 2)^(k - 1)
+        # slots took these to 80.4 and 67.3 MiB
+        rng = np.random.default_rng(k)
+        raw = rng.uniform(0.05, 1.0, size=(3, k))
+        data = ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), rng.integers(0, 3, n))
+        observation._state_index.cache_clear()
+        tracemalloc.start()
+        try:
+            counts, log_w = likelihood_terms(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert len(counts) == math.comb(n + k - 1, k - 1)
+        oracle_counts, oracle_log_w = lexicographic_likelihood_terms(data)
+        assert np.array_equal(counts, oracle_counts)
+        assert np.array_equal(log_w, oracle_log_w)
 
 
 def brute_faces(patterns: np.ndarray) -> set[frozenset]:
@@ -391,6 +429,30 @@ class TestSearch:
         outcome_bounds(data, 2.0, range(4))
         sets = [z for size in (1, 2, 3) for z in itertools.combinations(range(4), size)]
         assert sorted(calls) == sorted(len(z) for z in sets)
+
+    @pytest.mark.parametrize("seed, n", [(0, 30), (2, 60), (3, 30), (5, 60)])
+    def test_label_symmetry_and_exchangeability_past_twenty_observations(
+        self, monkeypatch, seed, n
+    ):
+        # k = 3 channels that reach the search: permuting the hidden labels, with the
+        # emission columns, permutes the bounds, and reordering the observations leaves
+        # them as they are.  The multistart stops once a step promises less than 1e-15,
+        # so each orientation finds the extremum to within a few ulps.
+        searched = []
+        search = strata.search
+        monkeypatch.setattr(strata, "search", lambda *args: searched.append(1) or search(*args))
+        emission, rows = channel_parts(seed, 3, n)
+        base = outcome_bounds(ManifestDataset.from_rows(emission, rows), 2.0, range(3))
+        assert searched
+        rng = np.random.default_rng(100 + seed)
+        labels = rng.permutation(3)
+        relabelled = ManifestDataset.from_rows(EmissionMatrix(emission.entries[:, labels]), rows)
+        reordered = ManifestDataset.from_rows(emission, rng.permutation(rows))
+        pairs = zip(outcome_bounds(relabelled, 2.0, range(3)), (base[j] for j in labels))
+        pairs = [*pairs, *zip(outcome_bounds(reordered, 2.0, range(3)), base)]
+        for moved, expected in pairs:
+            assert abs(moved.lower - expected.lower) <= 8 * np.finfo(float).eps
+            assert abs(moved.upper - expected.upper) <= 8 * np.finfo(float).eps
 
     def test_lattice_regression_case(self):
         emission, rows = LATTICE_SHORT

@@ -736,8 +736,8 @@ class TestExactTrend:
         assert report["provenance"]["methods"]["mass"] == "beta-tail"
 
     def test_channel_likelihood_past_the_size_cap(self):
-        # 30 observations: past the n <= 20 cap of the predictive bounds, which the
-        # trend lab does not share; k = 2 has only 31 frequency vectors
+        # 30 observations: past the 20 that the predictive bounds once took; k = 2 has only
+        # 31 frequency vectors
         rows = [0, 1, 1, 0, 0, 1] * 5
         doc = dict(
             bundled_scenarios()["theorem-a1-concentration"],

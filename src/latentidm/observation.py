@@ -212,7 +212,8 @@ def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
     return {FrequencyVector(tuple(a)): w for a, w in weights if w != 0.0}
 
 
-@functools.lru_cache(maxsize=32)
+# an index holds up to 39.6 MiB (k = 7, n = 24), so the cache keeps only the last 4 shapes
+@functools.lru_cache(maxsize=4)
 def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[int, ...]]:
     """The states of `likelihood_terms` in graded order, built once per (k, n).
 

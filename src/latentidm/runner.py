@@ -17,7 +17,7 @@ import math
 import os
 import re
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
@@ -100,13 +100,19 @@ class Scenario:
             raise ScenarioError(
                 f"field 'scenario': the document must be a JSON object, got {type(doc).__name__}"
             )
-        name = doc.get("name")
-        if not isinstance(name, str) or not name:
-            raise ScenarioError("field 'name': required non-empty string")
-        kind = doc.get("kind")
-        if not isinstance(kind, str) or kind not in _PARSERS:
-            raise ScenarioError(f"field 'kind': must be one of {', '.join(_PARSERS)}; got {kind!r}")
+        name, kind = _name_and_kind(doc)
         return Scenario(name=name, kind=kind, raw=doc, run=_PARSERS[kind](doc))
+
+
+def _name_and_kind(doc: dict) -> tuple[str, str]:
+    """The document's `name` and `kind`, checked; `custom_scenarios` checks them before listing."""
+    name = doc.get("name")
+    if not isinstance(name, str) or not name:
+        raise ScenarioError("field 'name': required non-empty string")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _PARSERS:
+        raise ScenarioError(f"field 'kind': must be one of {', '.join(_PARSERS)}; got {kind!r}")
+    return name, kind
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +627,14 @@ def write_report(report: dict, path: str, format: str = "doc") -> None:
     """Atomic write: serialize fully, then rename into place."""
     text = report_to_doc(report) if format == "doc" else report_to_table(report)
     tmp_path = f"{path}.tmp.{os.getpid()}"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except OSError as exc:
+        with suppress(OSError):
+            os.remove(tmp_path)
+        raise ScenarioError(f"{path}: cannot write the report: {exc.strerror}") from exc
 
 
 def bundled_scenarios() -> dict[str, dict]:
@@ -638,7 +649,7 @@ def bundled_scenarios() -> dict[str, dict]:
 
 
 def read_scenario_file(path: str) -> Any:
-    """The JSON document in `path`; malformed text raises ScenarioError naming the file."""
+    """The JSON document in `path`; ScenarioError names the file it cannot read or parse."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
@@ -648,6 +659,8 @@ def read_scenario_file(path: str) -> Any:
         ) from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the scenario: {exc.strerror}") from exc
 
 
 def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
@@ -657,9 +670,14 @@ def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
     catalog = {}
     for filename in sorted(os.listdir(directory)):
         if filename.endswith(".json"):
-            doc = read_scenario_file(os.path.join(directory, filename))
+            path = os.path.join(directory, filename)
+            doc = read_scenario_file(path)
             if isinstance(doc, dict) and "name" in doc:
-                catalog[doc["name"]] = doc
+                try:
+                    name, _ = _name_and_kind(doc)
+                except ScenarioError as exc:
+                    raise ScenarioError(f"{path}: {exc}") from exc
+                catalog[name] = doc
     return catalog
 
 

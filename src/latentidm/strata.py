@@ -7,10 +7,11 @@ conv{([a_h > 0])_{h in Z} : a in W} that the rates r expose survive the
 limit, and the limit is again a predictive of the same form: in t over the
 other coordinates and in the multipliers c_h (the Newton-polytope argument
 for limits of rational functions along monomial curves; Sturmfels 2002,
-CBMS 97).  A stratum is a vanishing set with one exposed face.  The
-supremum or infimum over the open simplex is the best value over the
-interior and the strata, and every stratum value is a limit of attained
-values.
+CBMS 97).  The faces of d <= 3 vanishing coordinates are read off the rates
+of the box {1..d}^d (`faces`).  A stratum is a vanishing set with one
+exposed face.  The supremum or infimum over the open simplex is the best
+value over the interior and the strata, and every stratum value is a limit
+of attained values.
 
 `observation` imports this module on first use, and passes it the support
 and log weights of the dataset's one weight pass, with the sides that its
@@ -44,70 +45,28 @@ _MAX_STEP = 4.0
 _CHUNK_CELLS = 65_536
 
 
-def _positive_solution(level: list, above: list, d: int) -> tuple[int, ...] | None:
-    """Integer rates r > 0 with <e, r> = 0 for every e in `level` and <g, r> > 0 for every g in `above`.
-
-    Fourier-Motzkin elimination over integer rows (a, strict), each meaning
-    <a, r> > 0 when strict and >= 0 otherwise, then back substitution.  Every
-    combination stays integral, so the answer is exact.  None when no such r
-    exists.
-    """
-    rows = [(tuple(int(x) for x in e), False) for e in level]
-    rows += [(tuple(-int(x) for x in e), False) for e in level]
-    rows += [(tuple(int(x) for x in g), True) for g in above]
-    rows += [(tuple(int(i == h) for i in range(d)), True) for h in range(d)]
-    stages = []
-    for m in reversed(range(d)):
-        stages.append(rows)
-        lower = [(a, strict) for a, strict in rows if a[m] > 0]
-        upper = [(b, strict) for b, strict in rows if b[m] < 0]
-        rows = [row for row in rows if row[0][m] == 0]
-        rows += [
-            (tuple(a[m] * y - b[m] * x for x, y in zip(a, b)), sa or sb)
-            for a, sa in lower
-            for b, sb in upper
-        ]
-    if any(strict for _, strict in rows):  # every coefficient is zero here: 0 > 0 fails
-        return None
-    r: list[int] = []
-    for m, rows in enumerate(reversed(stages)):
-        # rescale the values so far so that every bound on r[m] is an even integer
-        scale = 2 * math.prod(abs(a[m]) for a, _ in rows if a[m])
-        r = [x * scale for x in r]
-        lower = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] > 0]
-        upper = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] < 0]
-        low = max(lower)  # r[m] > 0 is always among the rows
-        if not upper:
-            r.append(low + 1)
-        else:
-            r.append((low + min(upper)) // 2)
-    divisor = math.gcd(*r)
-    return tuple(x // divisor for x in r)
-
-
 def faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(rates, member mask) of every face that strictly positive rates expose.
 
     `patterns` holds each support vector's 0/1 pattern [a_h > 0] over the
-    vanishing coordinates; rates r keep the vectors that minimise
-    <r, pattern>.  Only inclusion-minimal patterns can be minimisers, so the
-    faces are the sets G of those for which some r > 0 levels G and puts
-    every other minimal pattern above it.
+    d vanishing coordinates; rates r keep the vectors that minimise
+    <r, pattern>.  Every rate vector of the box {1..d}^d is tried, by sum
+    and then lexicographically, and each distinct minimiser set is kept with
+    the first one that exposes it, which is primitive.  For d <= 3, which
+    `observation.DP_MAX_K` guarantees, the box exposes every face: an
+    exhaustive test checks all 273 sets of distinct patterns against exact
+    Fourier-Motzkin elimination.  The faces come by how many distinct
+    patterns each holds, then by the sorted order of those patterns.
     """
-    distinct = list(np.unique(patterns.astype(np.int64), axis=0))
-    minimal = [p for p in distinct if not any((q <= p).all() and (q < p).any() for q in distinct)]
-    faces = []
-    for size in range(1, len(minimal) + 1):
-        for chosen in itertools.combinations(range(len(minimal)), size):
-            base = minimal[chosen[0]]
-            level = [minimal[i] - base for i in chosen[1:]]
-            above = [minimal[i] - base for i in range(len(minimal)) if i not in chosen]
-            rates = _positive_solution(level, above, patterns.shape[1])
-            if rates is not None:
-                face = np.array([minimal[i] for i in chosen], dtype=bool)
-                members = (patterns[:, None, :] == face[None, :, :]).all(axis=2).any(axis=1)
-                faces.append((rates, members))
-    return faces
+    d = patterns.shape[1]
+    distinct, inverse = np.unique(patterns.astype(np.int64), axis=0, return_inverse=True)
+    box = sorted(itertools.product(range(1, d + 1), repeat=d), key=sum)
+    orders = np.array(box) @ distinct.T
+    exposed: dict[bytes, tuple] = {}
+    for rates, face in zip(box, orders == orders.min(axis=1, keepdims=True)):
+        exposed.setdefault(face.tobytes(), (rates, face))
+    ordered = sorted(exposed.values(), key=lambda p: (p[1].sum(), np.flatnonzero(p[1]).tolist()))
+    return [(rates, face[inverse.ravel()]) for rates, face in ordered]
 
 
 def face_limits(counts: np.ndarray, sides, s: float, strata) -> list:

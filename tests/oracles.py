@@ -9,7 +9,9 @@ instead of the graded one (whose results must match it bit for bit), Beta
 moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
 arithmetic, instead of the log-space fixed-prior value, a multistart over
-softmax prior means instead of the stratum search, per-vector and per-row
+softmax prior means instead of the stratum search, exact integer
+Fourier-Motzkin elimination instead of the rate box of the face search,
+per-vector and per-row
 Python loops instead of the array passes of the envelope checks and the
 learnability diagnosis, and plain 1-D midpoint quadrature instead of the
 simplex grid.  The trend lab's exact values are
@@ -193,6 +195,72 @@ def envelope_limit(support, j: int, upper: bool, s: float):
                 limit = SimplexPoint(rest / rest.sum())
                 return value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), limit)
     return None
+
+
+def positive_solution(level: list, above: list, d: int) -> tuple[int, ...] | None:
+    """Integer rates r > 0 with <e, r> = 0 for every e in `level` and <g, r> > 0 for every g in `above`.
+
+    Fourier-Motzkin elimination over integer rows (a, strict), each meaning
+    <a, r> > 0 when strict and >= 0 otherwise, then back substitution.  Every
+    combination stays integral, so the answer is exact.  None when no such r
+    exists.
+    """
+    rows = [(tuple(int(x) for x in e), False) for e in level]
+    rows += [(tuple(-int(x) for x in e), False) for e in level]
+    rows += [(tuple(int(x) for x in g), True) for g in above]
+    rows += [(tuple(int(i == h) for i in range(d)), True) for h in range(d)]
+    stages = []
+    for m in reversed(range(d)):
+        stages.append(rows)
+        lower = [(a, strict) for a, strict in rows if a[m] > 0]
+        upper = [(b, strict) for b, strict in rows if b[m] < 0]
+        rows = [row for row in rows if row[0][m] == 0]
+        rows += [
+            (tuple(a[m] * y - b[m] * x for x, y in zip(a, b)), sa or sb)
+            for a, sa in lower
+            for b, sb in upper
+        ]
+    if any(strict for _, strict in rows):  # every coefficient is zero here: 0 > 0 fails
+        return None
+    r: list[int] = []
+    for m, rows in enumerate(reversed(stages)):
+        # rescale the values so far so that every bound on r[m] is an even integer
+        scale = 2 * math.prod(abs(a[m]) for a, _ in rows if a[m])
+        r = [x * scale for x in r]
+        lower = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] > 0]
+        upper = [-sum(x * y for x, y in zip(a, r)) // a[m] for a, _ in rows if a[m] < 0]
+        low = max(lower)  # r[m] > 0 is always among the rows
+        if not upper:
+            r.append(low + 1)
+        else:
+            r.append((low + min(upper)) // 2)
+    divisor = math.gcd(*r)
+    return tuple(x // divisor for x in r)
+
+
+def elimination_faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(rates, member mask) of every face that strictly positive rates expose, exactly.
+
+    The reference for `strata.faces`, for any number d of vanishing
+    coordinates.  Only inclusion-minimal patterns can minimise <r, pattern>,
+    so the faces are the sets G of those for which some r > 0 levels G and
+    puts every other minimal pattern above it (`positive_solution`), tried
+    by size and then in pattern order.
+    """
+    distinct = list(np.unique(patterns.astype(np.int64), axis=0))
+    minimal = [p for p in distinct if not any((q <= p).all() and (q < p).any() for q in distinct)]
+    faces = []
+    for size in range(1, len(minimal) + 1):
+        for chosen in itertools.combinations(range(len(minimal)), size):
+            base = minimal[chosen[0]]
+            level = [minimal[i] - base for i in chosen[1:]]
+            above = [minimal[i] - base for i in range(len(minimal)) if i not in chosen]
+            rates = positive_solution(level, above, patterns.shape[1])
+            if rates is not None:
+                face = np.array([minimal[i] for i in chosen], dtype=bool)
+                members = (patterns[:, None, :] == face[None, :, :]).all(axis=2).any(axis=1)
+                faces.append((rates, members))
+    return faces
 
 
 def diagnosis_witnesses(data: ManifestDataset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import math
@@ -731,6 +732,42 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"broken.json: {message}" in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": None}, "field 'kind': must be one of predict, "),
+            ({"kind": ["predict"]}, "field 'kind': must be one of predict, "),
+            ({"name": 7}, "field 'name': required non-empty string"),
+        ],
+        ids=["no-kind", "list-kind", "int-name"],
+    )
+    def test_custom_file_with_a_bad_name_or_kind_is_exit_1_naming_it(
+        self, tmp_path, monkeypatch, capsys, fields, message
+    ):
+        doc = {key: value for key, value in {**PREDICT_DOC, **fields}.items() if value is not None}
+        write_scenario(tmp_path, doc, "odd.json")
+        monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
+        assert main(["list"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"odd.json: {message}" in err
+
+    def test_directory_as_scenario_is_exit_1_naming_it(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: cannot read the scenario: {os.strerror(errno.EISDIR)}\n"
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "taken"])
+    def test_unwritable_report_path_is_exit_1_naming_it(self, tmp_path, capsys, out):
+        # a file in a missing directory, and a directory, onto which the temporary file the
+        # report was written to cannot be moved and is removed
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / out
+        assert main(["run", "example5-standard-idm", "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot write the report: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK

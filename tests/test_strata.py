@@ -38,8 +38,10 @@ from latentidm.observation import likelihood_terms
 from oracles import (
     brute_frequency_weights,
     dict_log_weights,
+    elimination_faces,
     envelope_limit,
     lexicographic_likelihood_terms,
+    positive_solution,
     predictive_at_log_t,
     predictive_extremes,
 )
@@ -193,6 +195,30 @@ class TestVectorisedWeightPass:
         # the pass hands out its own copy of the support, not the cached rows
         assert counts.flags.writeable and not np.shares_memory(counts, index_counts)
 
+    def test_index_cache_holds_at_most_four_indexes(self):
+        # an index's bytes grow with its shape (39.6 MiB at k = 7, n = 24), so the cache keeps
+        # the last 4: after cold passes at 6 distinct k = 5 shapes it holds less than 4 times
+        # the largest of them, which the 6 together exceed
+        rng = np.random.default_rng(5)
+        raw = rng.uniform(0.05, 1.0, size=(3, 5))
+        emission = EmissionMatrix(raw / raw.sum(axis=0))
+        observation._state_index.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            observation._state_index(5, 35)
+            largest = tracemalloc.get_traced_memory()[0] - base
+            observation._state_index.cache_clear()
+            base = tracemalloc.get_traced_memory()[0]
+            for n in range(30, 36):
+                likelihood_terms(ManifestDataset.from_rows(emission, rng.integers(0, 3, n)))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            observation._state_index.cache_clear()
+        assert largest > 2**20
+        assert held < 4 * largest
+
     @pytest.mark.parametrize("zeros, support", [(False, 1771), (True, 671)])
     def test_workload_shaped_supports(self, zeros, support):
         assert len(assert_matches_dict_pass(workload_shaped(zeros))) == support
@@ -262,10 +288,36 @@ class TestFaces:
                 orders = patterns.astype(int) @ np.array(rates)
                 assert np.array_equal(members, orders == orders.min())
 
+    @pytest.mark.parametrize("d", range(1, observation.DP_MAX_K))
+    def test_rate_box_matches_elimination_on_every_pattern_set(self, d):
+        # every nonempty set of distinct 0/1 patterns over the d <= 3 vanishing coordinates
+        # that the k cap admits, each row twice and shuffled as a support's patterns come:
+        # the same member masks in the same order as exact elimination, each with the rates
+        # of {1..d}^d that expose exactly it, the first by sum and then lexicographically
+        rng = np.random.default_rng(d)
+        cube = np.array(list(itertools.product([0, 1], repeat=d)), dtype=bool)
+        box = list(itertools.product(range(1, d + 1), repeat=d))
+        sets = 0
+        for size in range(1, len(cube) + 1):
+            for chosen in itertools.combinations(range(len(cube)), size):
+                patterns = cube[np.array(chosen)][rng.permutation(np.arange(2 * size) % size)]
+                orders = patterns.astype(int) @ np.array(box).T
+                exposed = (orders == orders.min(axis=0)).T
+                faces = strata.faces(patterns)
+                expected = elimination_faces(patterns)
+                assert len(faces) == len(expected)
+                for (rates, members), (_, oracle_members) in zip(faces, expected):
+                    assert np.array_equal(members, oracle_members)
+                    assert all(type(r) is int for r in rates)
+                    exposing = [r for r, mask in zip(box, exposed) if (mask == members).all()]
+                    assert rates == min(exposing, key=lambda r: (sum(r), r))
+                sets += 1
+        assert sets == 2 ** len(cube) - 1
+
     def test_infeasible_system_has_no_rates(self):
         # r_0 = r_1 and r_0 > r_1 cannot both hold
-        assert strata._positive_solution([(1, -1)], [(1, -1)], 2) is None
-        assert strata._positive_solution([(1, -1)], [(1, 0)], 2) == (1, 1)
+        assert positive_solution([(1, -1)], [(1, -1)], 2) is None
+        assert positive_solution([(1, -1)], [(1, 0)], 2) == (1, 1)
 
 
 def envelope(support, j: int, upper: bool, s: float = 2.0):

@@ -22,14 +22,17 @@ probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
 W(a), after which no further multiplicity factor is needed.  It runs in log
 space over each observation's emission row, all a dataset keeps
-(`likelihood_terms`); a dataset runs it at most once, as its cached
-`weight_pass`, which the bounds, the fixed-prior values and
-`frequency_weights` all read.  Its states are ordered by grade, the sum of
-the first k - 1 counts, so each observation updates only the states it can
-reach; that index is built once per (k, n).  The same pass is a channel
-likelihood's coefficient map in the trend lab.  One cap, `MAX_WORK`, bounds
-it and the search by their work.  Brute-force enumeration, a dict pass and
-a lexicographic pass are test oracles.
+(`likelihood_terms`).  It combines the rows an observation allows by
+`np.logaddexp` when there are one or two and by one max-shifted
+log-sum-exp when there are more, whichever costs less at that count.  A
+dataset runs it at most once, as its cached `weight_pass`, which the
+bounds, the fixed-prior values and `frequency_weights` all read.  Its
+states are ordered by grade, the sum of the first k - 1 counts, so each
+observation updates only the states it can reach; that index is built
+once per (k, n).  The same pass is a channel likelihood's coefficient map
+in the trend lab.  One cap, `MAX_WORK`, bounds it and the search by their
+work.  Brute-force enumeration, a dict pass, an exact-rational pass and a
+lexicographic pass are test oracles.
 """
 
 from __future__ import annotations
@@ -263,6 +266,31 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     return counts, predecessors, rank, tuple(binomial[k - 1, 1:].tolist())
 
 
+_LOWEST = np.finfo(float).min  # the max shift's floor: -inf - -inf would be NaN
+
+
+def _log_sum_exp(rows: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
+    """out = log sum_r exp(rows[r]), elementwise; overwrites `rows` and `spare`.
+
+    Two rows or fewer take one `np.logaddexp.reduce`, a call that costs a
+    scalar exp and log1p per element and pair.  Three or more take the
+    max-shifted sum, six array calls that cost more per call and less per
+    element: `out` holds the shift, so its old values must already be
+    gathered into `rows`, and `spare` the sum.  The shift's floor is the
+    lowest finite float, so a column of -inf sums to 0 and stays -inf
+    under its log.  Call under np.errstate(divide="ignore").
+    """
+    if len(rows) < 3:
+        np.logaddexp.reduce(rows, axis=0, out=out)
+        return
+    np.maximum.reduce(rows, axis=0, initial=_LOWEST, out=out)
+    np.subtract(rows, out, out=rows)
+    np.exp(rows, out=rows)
+    np.add.reduce(rows, axis=0, out=spare)
+    np.log(spare, out=spare)
+    np.add(out, spare, out=out)
+
+
 def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     """The support of W, in sorted order, and log W(a) of each of its vectors.
 
@@ -274,11 +302,13 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     can reach, the prefix of grade <= i of the graded index
     (`_state_index`): it gathers log W at their predecessors under every
     outcome its row allows (x_k's is the prefix itself), adds their log
-    emission entries and combines the rows pairwise with `np.logaddexp`.
-    That is C(n+k, k) - 1 state updates in all, against n * C(n+k-1, k-1)
-    over every state.  Unreached states stay -inf; after the last step the
-    index's permutation puts log W back in lexicographic order, and the
-    finite entries are the support.  This is the library's one weight pass,
+    emission entries and combines the rows (`_log_sum_exp`): one or two by
+    `np.logaddexp`, three or more by their max-shifted sum, so the row's
+    zero pattern alone picks the formula.  That is C(n+k, k) - 1 state
+    updates in all, against n * C(n+k-1, k-1) over every state.
+    Unreached states stay -inf; after the last step the index's
+    permutation puts log W back in lexicographic order, and the finite
+    entries are the support.  This is the library's one weight pass,
     capped by its work in the index; `ManifestDataset.weight_pass` caches
     it per dataset, and a trend `channel` likelihood calls it directly.
     """
@@ -287,13 +317,14 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     size = len(rank)
     log_w = np.full(size + 1, -np.inf)
     log_w[0] = 0.0  # the zero vector
-    terms = np.empty((k, size))
-    for m, lam in zip(ends, data.row_entries.tolist()):
-        allowed = [j for j in range(k) if lam[j] != 0.0]
-        for r, j in enumerate(allowed):  # unnamed, each gathered row is freed before the next
-            np.add(log_w[:m] if j == k - 1 else log_w[predecessors[j][:m]], math.log(lam[j]),
-                   out=terms[r, :m])
-        np.logaddexp.reduce(terms[: len(allowed), :m], axis=0, out=log_w[:m])
+    terms = np.empty((k + 1, size))  # a gathered row per allowed outcome, and a spare
+    with np.errstate(divide="ignore"):  # log(0) is how an unreached state stays -inf
+        for m, lam in zip(ends, data.row_entries.tolist()):
+            allowed = [j for j in range(k) if lam[j] != 0.0]
+            for r, j in enumerate(allowed):  # unnamed, each gathered row is freed before the next
+                np.add(log_w[:m] if j == k - 1 else log_w[predecessors[j][:m]],
+                       math.log(lam[j]), out=terms[r, :m])
+            _log_sum_exp(terms[: len(allowed), :m], terms[k, :m], out=log_w[:m])
     del terms  # and the working rows before the support is gathered
     log_w = log_w[rank]
     reached = log_w > -np.inf

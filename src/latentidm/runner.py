@@ -664,6 +664,12 @@ def read_scenario_file(path: str) -> Any:
 
 
 def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
+    """Name -> document of every scenario file in `directory` (default: $LATENTIDM_SCENARIO_DIR).
+
+    A JSON object with a `name` or a `kind` key is a scenario, and both must
+    be valid; any other JSON file, such as a report (which has neither at
+    its top level), is skipped.
+    """
     directory = directory or os.environ.get(SCENARIO_DIR_ENV)
     if not directory or not os.path.isdir(directory):
         return {}
@@ -672,7 +678,7 @@ def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
         if filename.endswith(".json"):
             path = os.path.join(directory, filename)
             doc = read_scenario_file(path)
-            if isinstance(doc, dict) and "name" in doc:
+            if isinstance(doc, dict) and ("name" in doc or "kind" in doc):
                 try:
                     name, _ = _name_and_kind(doc)
                 except ScenarioError as exc:

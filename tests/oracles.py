@@ -3,8 +3,8 @@
 Everything here recomputes expected values through a different route than
 the library code under test: a normalised density at one point at a time
 instead of the package's unnormalised lattice density, explicit
-enumeration or a plain-Python dict pass instead of the vectorised weight
-pass, the lexicographic pass over every state
+enumeration, a plain-Python dict pass or an exact-rational one instead of
+the vectorised weight pass, the lexicographic pass over every state
 instead of the graded one (whose results must match it bit for bit), Beta
 moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
@@ -23,6 +23,7 @@ quadrature for Beta tails whose density diverges; the grid integrator and
 scalar densities here are the brute-force oracles of everything else.
 """
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -99,6 +100,38 @@ def dict_log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     return np.array(keys, dtype=np.int64), np.array([states[key] for key in keys])
 
 
+# ln 2 to 40 digits, so e * LN2 is exact to ~1e-36 for every power of two e a weight reaches
+LN2 = Fraction(decimal.Decimal(2).ln(decimal.Context(prec=40)))
+
+
+def exact_log_weights(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted support of W and log W(a), from exact rational weights.
+
+    The dict pass of `dict_log_weights` in `Fraction`s: every entry is taken
+    at its exact binary value, so each W(a) is exact however far it lies
+    below the smallest float.  Its log is taken after scaling W(a) by 2^-e
+    into [1/2, 2): log W = log(W 2^-e) + e ln 2, with the float log of the
+    scaled weight (within ~2.2e-16) and ln 2 to 40 digits, summed exactly
+    and rounded once.
+    """
+    states: dict[tuple[int, ...], Fraction] = {(0,) * data.k: Fraction(1)}
+    for lam in data.row_entries.tolist():
+        entries = [(j, Fraction(x)) for j, x in enumerate(lam) if x != 0.0]
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for counts, weight in states.items():
+            for j, x in entries:
+                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                nxt[key] = nxt.get(key, 0) + weight * x
+        states = nxt
+    keys = sorted(states)
+    logs = []
+    for key in keys:
+        weight = states[key]
+        e = weight.numerator.bit_length() - weight.denominator.bit_length()
+        logs.append(float(Fraction(math.log(weight / Fraction(2) ** e)) + e * LN2))
+    return np.array(keys, dtype=np.int64), np.array(logs)
+
+
 def lexicographic_state_index(k: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The states of `lexicographic_likelihood_terms`, lexicographically, and their predecessors.
 
@@ -138,22 +171,31 @@ def lexicographic_likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, n
     is kept iff some hidden assignment with its frequencies meets only
     nonzero emission entries.  Each observation gathers log W at the
     predecessors (`lexicographic_state_index`) under every outcome its row
-    allows, adds their log emission entries and combines the rows pairwise
-    with `np.logaddexp`.  Unreached states stay -inf; the finite ones after
-    the last step are the support, already sorted.
+    allows and adds their log emission entries; it combines one or two rows
+    with `np.logaddexp` and three or more by their max-shifted sum, whose
+    shift is floored at the lowest finite float.  Unreached states stay
+    -inf; the finite ones after the last step are the support, already
+    sorted.
     """
     k, n = data.k, data.n
     heads, predecessors = lexicographic_state_index(k, n)
     size = len(heads)
     log_w = np.full(size + 1, -np.inf)
     log_w[0] = 0.0  # the zero vector
-    terms = np.empty((k, size))
+    terms, total = np.empty((k, size)), np.empty(size)
     for lam in data.row_entries.tolist():
         allowed = [j for j in range(k) if lam[j] != 0.0]
         rows = terms[: len(allowed)]
         for r, j in enumerate(allowed):
             np.add(log_w[predecessors[j]], math.log(lam[j]), out=rows[r])
-        np.logaddexp.reduce(rows, axis=0, out=log_w[:size])
+        if len(allowed) < 3:
+            np.logaddexp.reduce(rows, axis=0, out=log_w[:size])
+            continue
+        shift = np.maximum.reduce(rows, axis=0, initial=np.finfo(float).min)
+        np.exp(rows - shift, out=rows)
+        with np.errstate(divide="ignore"):
+            np.log(rows.sum(axis=0), out=total)
+        log_w[:size] = shift + total
     reached = np.flatnonzero(log_w[:size] > -np.inf)
     heads = heads[reached]
     return np.column_stack((heads, n - heads.sum(axis=1))), log_w[reached]

@@ -327,6 +327,16 @@ class TestBundledCatalog:
         monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
         assert "user-extra" in custom_scenarios()
 
+    def test_custom_directory_skips_a_report_written_there(self, tmp_path, monkeypatch, capsys):
+        # a report has neither `name` nor `kind` at its top level, so `list` skips it
+        write_scenario(tmp_path, dict(PREDICT_DOC, name="user-extra"), "user.json")
+        monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
+        assert main(["run", "user-extra", "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        assert list(custom_scenarios()) == ["user-extra"]
+        capsys.readouterr()
+        assert main(["list"]) == EXIT_OK
+        assert "user-extra" in capsys.readouterr().out
+
     def test_custom_directory_absent(self, monkeypatch):
         monkeypatch.delenv("LATENTIDM_SCENARIO_DIR", raising=False)
         assert custom_scenarios() == {}
@@ -739,8 +749,9 @@ class TestCliExitCodes:
             ({"kind": None}, "field 'kind': must be one of predict, "),
             ({"kind": ["predict"]}, "field 'kind': must be one of predict, "),
             ({"name": 7}, "field 'name': required non-empty string"),
+            ({"name": None}, "field 'name': required non-empty string"),
         ],
-        ids=["no-kind", "list-kind", "int-name"],
+        ids=["no-kind", "list-kind", "int-name", "no-name"],
     )
     def test_custom_file_with_a_bad_name_or_kind_is_exit_1_naming_it(
         self, tmp_path, monkeypatch, capsys, fields, message

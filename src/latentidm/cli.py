@@ -51,7 +51,8 @@ _DESCRIPTIONS = {
 def _load_scenario(identifier: str) -> Scenario:
     if os.path.exists(identifier):
         return Scenario.from_dict(read_scenario_file(identifier))
-    catalog = {**bundled_scenarios(), **custom_scenarios()}
+    bundled = bundled_scenarios()
+    catalog = {**bundled, **custom_scenarios(bundled)}
     if identifier in catalog:
         return Scenario.from_dict(catalog[identifier])
     raise ScenarioError(f"no scenario file or catalog entry named {identifier!r}")
@@ -69,7 +70,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_list(args) -> int:
     bundled = bundled_scenarios()
-    custom = custom_scenarios()
+    custom = custom_scenarios(bundled)
     width = max(len(name) for name in [*bundled, *custom, "name"])
     print(f"{'name'.ljust(width)}  {'kind'.ljust(20)}  demonstrates")
     for name, doc in bundled.items():

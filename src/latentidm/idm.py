@@ -1,8 +1,9 @@
-"""Dirichlet-multinomial conjugate machinery.
+"""Dirichlet-multinomial machinery.
 
-Closed-form posterior update, the log marginal probability of an ordered
-dataset, and the classic fully-observable predictive bounds obtained from a
-near-ignorance set of Dirichlet priors with fixed strength s.
+Dirichlet moments in log space, which are also the marginal probabilities
+of ordered datasets, the types that record a predictive bound and where it
+is approached, and the classic fully-observable predictive bounds obtained
+from a near-ignorance set of Dirichlet priors with fixed strength s.
 
 Throughout, marginal probabilities refer to an ordered dataset: no
 multinomial coefficient is included.  Multiplicity factors are applied only
@@ -106,10 +107,6 @@ class PredictiveBounds:
         object.__setattr__(self, "lower", min(max(self.lower, 0.0), 1.0))
         object.__setattr__(self, "upper", min(max(self.upper, 0.0), 1.0))
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def log_marginal_probability(prior: DirichletParams, freq: FrequencyVector) -> float:
     """Log probability of an ordered dataset with the given frequencies (`log_moments`)."""
@@ -167,24 +164,6 @@ def log_rising(alpha: Sequence[float], counts: np.ndarray) -> np.ndarray:
     np.log(rungs, out=rungs)
     np.cumsum(rungs, axis=-1, out=rungs)
     return sum(ladder[..., h, counts[:, h]] for h in range(alpha.shape[-1]))
-
-
-def posterior_update(
-    prior: DirichletParams, freq: FrequencyVector
-) -> tuple[DirichletParams, float]:
-    """Conjugate update: posterior parameters and the dataset's log marginal.
-
-    The posterior has strength n + s and mean (a_h + s t_h) / (n + s).
-    """
-    if freq.k != prior.k:
-        raise ValueError(f"frequency vector has k={freq.k}, prior has k={prior.k}")
-    n = freq.n
-    if n == 0:
-        return prior, 0.0
-    counts = np.asarray(freq.counts, dtype=float)
-    post_t = SimplexPoint((counts + prior.s * prior.t.coords) / (n + prior.s))
-    posterior = DirichletParams(s=n + prior.s, t=post_t)
-    return posterior, log_marginal_probability(prior, freq)
 
 
 def standard_idm_predictive_bounds(

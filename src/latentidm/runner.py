@@ -176,13 +176,19 @@ def _emission(spec, k: int, name: str) -> EmissionMatrix:
     match = _CHANNEL_PRESET.match(spec) if isinstance(spec, str) else None
     with _field(name):
         if match:
-            return BinaryChannel(float(match.group(1)), float(match.group(2))).emission()
-        if isinstance(spec, list):
-            return EmissionMatrix(spec)
-    raise ScenarioError(
-        f"field '{name}': use the preset 'identity' or 'binary-channel(eps1,eps2)', "
-        f"or an inline matrix; got {spec!r}"
-    )
+            matrix = BinaryChannel(float(match.group(1)), float(match.group(2))).emission()
+        elif isinstance(spec, list):
+            matrix = EmissionMatrix(spec)
+        else:
+            raise ScenarioError(
+                f"field '{name}': use the preset 'identity' or 'binary-channel(eps1,eps2)', "
+                f"or an inline matrix; got {spec!r}"
+            )
+    if matrix.k != k:
+        raise ScenarioError(
+            f"field '{name}': needs k={k} columns, one per hidden outcome; got {matrix.k}"
+        )
+    return matrix
 
 
 def _dataset(doc: dict, k: int) -> ManifestDataset:
@@ -663,17 +669,18 @@ def read_scenario_file(path: str) -> Any:
         raise ScenarioError(f"{path}: cannot read the scenario: {exc.strerror}") from exc
 
 
-def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
-    """Name -> document of every scenario file in `directory` (default: $LATENTIDM_SCENARIO_DIR).
+def custom_scenarios(bundled: dict[str, dict]) -> dict[str, dict]:
+    """Name -> document of every scenario file in $LATENTIDM_SCENARIO_DIR.
 
     A JSON object with a `name` or a `kind` key is a scenario, and both must
     be valid; any other JSON file, such as a report (which has neither at
-    its top level), is skipped.
+    its top level), is skipped.  A name that a bundled scenario or an
+    earlier file (in sorted order) already has is refused, naming both.
     """
-    directory = directory or os.environ.get(SCENARIO_DIR_ENV)
+    directory = os.environ.get(SCENARIO_DIR_ENV)
     if not directory or not os.path.isdir(directory):
         return {}
-    catalog = {}
+    catalog, sources = {}, dict.fromkeys(bundled, "the bundled scenario")
     for filename in sorted(os.listdir(directory)):
         if filename.endswith(".json"):
             path = os.path.join(directory, filename)
@@ -683,7 +690,11 @@ def custom_scenarios(directory: str | None = None) -> dict[str, dict]:
                     name, _ = _name_and_kind(doc)
                 except ScenarioError as exc:
                     raise ScenarioError(f"{path}: {exc}") from exc
-                catalog[name] = doc
+                if name in sources:
+                    raise ScenarioError(
+                        f"{path}: field 'name': {name!r} is already taken by {sources[name]}"
+                    )
+                catalog[name], sources[name] = doc, path
     return catalog
 
 

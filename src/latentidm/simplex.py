@@ -50,28 +50,8 @@ class SimplexPoint:
     def is_interior(self) -> bool:
         return bool(self.coords.min() > 0.0)
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.coords[i])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplexPoint) and np.array_equal(self.coords, other.coords)
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{c:.12g}" for c in self.coords)
-        return f"SimplexPoint([{inside}])"
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(self.coords.tolist())
-
-    @staticmethod
-    def uniform(k: int) -> "SimplexPoint":
-        return SimplexPoint(np.full(k, 1.0 / k))
-
-    @staticmethod
-    def vertex(k: int, j: int) -> "SimplexPoint":
-        coords = np.zeros(k)
-        coords[j] = 1.0
-        return SimplexPoint(coords)
 
 
 @dataclass(frozen=True)

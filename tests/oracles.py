@@ -31,16 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from latentidm import (
-    BinaryChannel,
-    BoundaryLimit,
-    DirichletParams,
-    ManifestDataset,
-    SimplexGrid,
-    SimplexPoint,
-    strata,
-)
-from latentidm.idm import BoundaryStratum
+from latentidm import strata
+from latentidm.idm import BoundaryLimit, BoundaryStratum
+from latentidm.manifest import BinaryChannel
+from latentidm.observation import ManifestDataset
+from latentidm.simplex import DirichletParams, SimplexGrid, SimplexPoint
 
 
 def reference_log_dirichlet(params: DirichletParams, coords) -> float:

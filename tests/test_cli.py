@@ -12,19 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import (
-    BoundaryLimit,
-    EmissionMatrix,
-    ManifestDataset,
-    PredictiveBounds,
-    SimplexPoint,
-    canonical_concentrating_sequence,
-    cli,
-    observation,
-    runner,
-    strata,
-)
+from latentidm import cli, observation, runner, strata
 from latentidm.cli import EXIT_INVALID, EXIT_OK, EXIT_SIZE_CAP, main
+from latentidm.errors import ScenarioError, SizeCapError
+from latentidm.idm import BoundaryLimit, PredictiveBounds
+from latentidm.observation import EmissionMatrix, ManifestDataset
 from latentidm.runner import (
     Scenario,
     assertion_manifest,
@@ -35,7 +27,8 @@ from latentidm.runner import (
     report_to_table,
     run_scenario,
 )
-from latentidm.errors import ScenarioError, SizeCapError
+from latentidm.simplex import SimplexPoint
+from latentidm.vacuity import canonical_concentrating_sequence
 from oracles import predictive_at_log_t, ratio_tolerance
 
 
@@ -94,6 +87,16 @@ GRID_FUNCTION_4 = {"kind": "monomial", "exponents": [1, 1, 0, 0]}
 GRID_FUNCTION_7 = {"kind": "monomial", "exponents": [1, 1, 0, 0, 0, 0, 0]}
 
 CHANNEL_LIKELIHOOD = {"kind": "channel", "eps1": 0.1, "eps2": 0.1, "observations": [0]}
+
+# a k = 3 channel whose open uppers attain their envelopes only on faces with unequal rates
+FACE_DOC = {
+    "name": "local-face",
+    "kind": "predict",
+    "k": 3,
+    "model": {"emission": [[0.3, 1.0, 0.0], [0.3, 0.0, 0.0], [0.4, 0.0, 1.0]]},
+    "observations": [2, 2, 0],
+    "hyper": {"s": 2.0},
+}
 
 # the first k = 2 observation count past the weight pass's work cap:
 # C(2,895 + 2, 2) - 1 = 4,194,855 state updates, against 4,191,959 at 2,894
@@ -169,6 +172,18 @@ BAD_DOCUMENTS = [
     ("sequence.family", dict(TREND_DOC, sequence={"family": "harmonic"})),
     ("dataset", dict(SCALED_BETA_DOC, dataset={"positives": 4, "total": 3})),
     ("fixed_t1", dict(SCALED_BETA_DOC, fixed_t1=1.0)),
+    # an emission needs one column per hidden outcome: blamed on it, not on `observations`
+    ("model.emission", dict(PREDICT_DOC, k=3, model={"emission": "binary-channel(0.1,0.2)"})),
+    ("model.emission", dict(PREDICT_DOC, k=3, model={"emission": [[0.5, 0.5], [0.5, 0.5]]})),
+    (
+        "model.emissions",
+        dict(
+            PREDICT_DOC,
+            kind="diagnose",
+            model={"emissions": ["identity", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+            observations=[0, 1],
+        ),
+    ),
 ]
 
 
@@ -277,6 +292,31 @@ class TestRunScenario:
         assert payload["argmin_t"] == {"point": [0.5, 0.5]}
         assert payload["argmax_t"] == {"limit": {"coordinate": 0, "value": 1.0}}
 
+    def test_unequal_rate_face_is_described_by_its_stratum(self, tmp_path, capsys):
+        # outcomes 1 and 2 reach their envelopes (A + s) / (n + s) only where the two other
+        # coordinates vanish at rates 2 and 1: A = 1 gives 3/5 and A = 2 gives 4/5
+        assert main(["run", write_scenario(tmp_path, FACE_DOC)]) == EXIT_OK
+        bounds = json.loads(capsys.readouterr().out)["results"]["bounds"]
+        assert [(b["lower"], b["upper"]) for b in bounds] == [(0.0, 1.0), (0.0, 0.6), (0.0, 0.8)]
+        assert [b["argmax_t"] for b in bounds[1:]] == [
+            {
+                "stratum": {
+                    "vanishing": [0, 2],
+                    "rates": [2, 1],
+                    "multipliers": [1.0, 1.0],
+                    "limit": [0.0, 1.0, 0.0],
+                }
+            },
+            {
+                "stratum": {
+                    "vanishing": [0, 1],
+                    "rates": [2, 1],
+                    "multipliers": [1.0, 1.0],
+                    "limit": [0.0, 0.0, 1.0],
+                }
+            },
+        ]
+
     def test_predict_at_t_block(self):
         doc = dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.5, 0.5]})
         report = run_scenario(Scenario.from_dict(doc))
@@ -325,21 +365,21 @@ class TestBundledCatalog:
     def test_custom_directory_merge(self, tmp_path, monkeypatch):
         write_scenario(tmp_path, dict(PREDICT_DOC, name="user-extra"), "user.json")
         monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
-        assert "user-extra" in custom_scenarios()
+        assert "user-extra" in custom_scenarios(bundled_scenarios())
 
     def test_custom_directory_skips_a_report_written_there(self, tmp_path, monkeypatch, capsys):
         # a report has neither `name` nor `kind` at its top level, so `list` skips it
         write_scenario(tmp_path, dict(PREDICT_DOC, name="user-extra"), "user.json")
         monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
         assert main(["run", "user-extra", "--out", str(tmp_path / "report.json")]) == EXIT_OK
-        assert list(custom_scenarios()) == ["user-extra"]
+        assert list(custom_scenarios(bundled_scenarios())) == ["user-extra"]
         capsys.readouterr()
         assert main(["list"]) == EXIT_OK
         assert "user-extra" in capsys.readouterr().out
 
     def test_custom_directory_absent(self, monkeypatch):
         monkeypatch.delenv("LATENTIDM_SCENARIO_DIR", raising=False)
-        assert custom_scenarios() == {}
+        assert custom_scenarios(bundled_scenarios()) == {}
 
 
 class TestCliExitCodes:
@@ -763,6 +803,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"odd.json: {message}" in err
+
+    @pytest.mark.parametrize("command", ["run", "list"])
+    @pytest.mark.parametrize("name", ["dup", "example4-medical-test"])
+    def test_a_taken_custom_name_is_exit_1_naming_both_sources(
+        self, tmp_path, monkeypatch, capsys, command, name
+    ):
+        # b.json takes the name of the earlier a.json, or of a bundled scenario
+        if name == "dup":
+            write_scenario(tmp_path, dict(PREDICT_DOC, name=name), "a.json")
+        write_scenario(tmp_path, dict(PREDICT_DOC, name=name, observations=[1]), "b.json")
+        monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(tmp_path))
+        assert main(["run", name] if command == "run" else ["list"]) == EXIT_INVALID
+        source = tmp_path / "a.json" if name == "dup" else "the bundled scenario"
+        message = f"field 'name': {name!r} is already taken by {source}"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'b.json'}: {message}\n"
 
     def test_directory_as_scenario_is_exit_1_naming_it(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == EXIT_INVALID

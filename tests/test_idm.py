@@ -6,28 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import (
-    BinaryChannel,
+from latentidm.idm import (
     BoundaryLimit,
-    DeltaSet,
-    DirichletParams,
-    EmissionMatrix,
     FrequencyVector,
-    ManifestDataset,
     PredictiveBounds,
-    SimplexGrid,
-    SimplexPoint,
-    coordinate_function,
-    fixed_strength_concentrating_sequence,
     log_marginal_probability,
-    naive_reconstruction,
-    outcome_bounds,
-    posterior_predictive_at_t,
-    posterior_update,
-    scaled_beta_posterior_mean,
     standard_idm_predictive_bounds,
     vacuous_prior_upper_predictive,
 )
+from latentidm.manifest import BinaryChannel, naive_reconstruction, scaled_beta_posterior_mean
+from latentidm.observation import (
+    EmissionMatrix,
+    ManifestDataset,
+    outcome_bounds,
+    posterior_predictive_at_t,
+)
+from latentidm.simplex import DirichletParams, SimplexGrid, SimplexPoint
+from latentidm.vacuity import DeltaSet, coordinate_function, fixed_strength_concentrating_sequence
 from oracles import dirichlet_log_density, random_interior_params
 
 
@@ -62,30 +57,29 @@ class TestFrequencyVector:
         assert {FrequencyVector((1, 0)): "x"}[FrequencyVector((1, 0))] == "x"
 
 
+def _posterior_mean(prior, counts):
+    """The conjugate posterior mean as a report computes it: the predictive of a perfectly
+    observed dataset with these counts at a fixed prior."""
+    k = len(counts)
+    data = ManifestDataset.from_rows(EmissionMatrix.identity(k), np.repeat(np.arange(k), counts))
+    return posterior_predictive_at_t(data, prior)
+
+
 class TestPosteriorUpdate:
+    """The conjugate update: `posterior_predictive_at_t` on an identity channel for the
+    posterior mean, `log_marginal_probability` for the dataset's marginal."""
+
     def test_single_observation(self):
         prior = DirichletParams(2.0, SimplexPoint([0.5, 0.5]))
-        post, logm = posterior_update(prior, FrequencyVector((1, 0)))
-        assert post.s == 3.0
-        assert post.t.coords == pytest.approx([2 / 3, 1 / 3])
+        assert _posterior_mean(prior, (1, 0)) == pytest.approx([2 / 3, 1 / 3])
+        logm = log_marginal_probability(prior, FrequencyVector((1, 0)))
         assert math.exp(logm) == pytest.approx(0.5, abs=1e-14)
 
     def test_marginal_small_dataset(self):
         prior = DirichletParams(1.0, SimplexPoint([0.5, 0.5]))
-        _, logm = posterior_update(prior, FrequencyVector((2, 1)))
+        logm = log_marginal_probability(prior, FrequencyVector((2, 1)))
         # (0.5 * 1.5 * 0.5) / (1 * 2 * 3)
         assert math.exp(logm) == pytest.approx(0.0625, abs=1e-14)
-
-    def test_empty_dataset_is_identity(self):
-        prior = DirichletParams(3.0, SimplexPoint([0.3, 0.7]))
-        post, logm = posterior_update(prior, FrequencyVector((0, 0)))
-        assert post.s == prior.s and post.t == prior.t
-        assert logm == 0.0
-
-    def test_k_mismatch(self):
-        prior = DirichletParams(1.0, SimplexPoint([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            posterior_update(prior, FrequencyVector((1, 1, 1)))
 
     def test_posterior_mean_matches_grid_oracle(self):
         rng = np.random.default_rng(23)
@@ -93,9 +87,8 @@ class TestPosteriorUpdate:
         for _ in range(10):
             prior = random_interior_params(rng, k=2)
             counts = tuple(int(c) for c in rng.integers(0, 4, size=2))
-            post, _ = posterior_update(prior, FrequencyVector(counts))
             oracle = _grid_ratio(prior, 0, grid, counts)
-            assert post.t[0] == pytest.approx(oracle, rel=1e-3, abs=1e-3)
+            assert _posterior_mean(prior, counts)[0] == pytest.approx(oracle, rel=1e-3, abs=1e-3)
 
     def test_posterior_mean_matches_grid_oracle_k3(self):
         rng = np.random.default_rng(37)
@@ -103,12 +96,11 @@ class TestPosteriorUpdate:
         for _ in range(10):
             prior = random_interior_params(rng, k=3)
             counts = tuple(int(c) for c in rng.integers(0, 3, size=3))
-            post, _ = posterior_update(prior, FrequencyVector(counts))
             oracle = _grid_ratio(prior, 0, grid, counts)
-            assert post.t[0] == pytest.approx(oracle, rel=1e-3, abs=1e-3)
+            assert _posterior_mean(prior, counts)[0] == pytest.approx(oracle, rel=1e-3, abs=1e-3)
 
     def test_marginal_matches_grid_oracle(self):
-        # ratio over the density normalizer, as the update's own oracle
+        # ratio over the density normalizer, as the marginal's own oracle
         rng = np.random.default_rng(29)
         grid = SimplexGrid(k=2, resolution=2000)
         for _ in range(10):
@@ -116,27 +108,9 @@ class TestPosteriorUpdate:
             counts = tuple(int(c) for c in rng.integers(0, 4, size=2))
             if sum(counts) == 0:
                 counts = (1, 1)
-            _, logm = posterior_update(prior, FrequencyVector(counts))
+            logm = log_marginal_probability(prior, FrequencyVector(counts))
             oracle = _grid_ratio(prior, None, grid, counts)
             assert math.exp(logm) == pytest.approx(oracle, rel=1e-3)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        s=st.floats(min_value=0.3, max_value=9.0),
-        t1=st.floats(min_value=0.05, max_value=0.95),
-        a=st.tuples(st.integers(0, 5), st.integers(0, 5)),
-        b=st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    )
-    def test_chain_rule(self, s, t1, a, b):
-        prior = DirichletParams(s, SimplexPoint([t1, 1.0 - t1]))
-        post_a, log_a = posterior_update(prior, FrequencyVector(a))
-        post_ab, log_b = posterior_update(post_a, FrequencyVector(b))
-        combined = FrequencyVector((a[0] + b[0], a[1] + b[1]))
-        post_once, log_once = posterior_update(prior, combined)
-        # the identity is exact; floats only allow associativity-level slack
-        assert post_ab.s == pytest.approx(post_once.s, rel=1e-14)
-        assert post_ab.t.coords == pytest.approx(post_once.t.coords, abs=1e-13)
-        assert log_a + log_b == pytest.approx(log_once, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_marginal_normalization_over_ordered_datasets(self, n):
@@ -220,9 +194,6 @@ class TestPredictiveBoundsType:
     def test_snaps_float_noise(self):
         b = PredictiveBounds(lower=-1e-13, upper=1.0 + 1e-13)
         assert b.lower == 0.0 and b.upper == 1.0
-
-    def test_width(self):
-        assert PredictiveBounds(0.2, 0.7).width == pytest.approx(0.5)
 
 
 IDENTITY_DATA = ManifestDataset.from_rows(EmissionMatrix.identity(2), [0, 1])

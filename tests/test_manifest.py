@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import (
+from latentidm.idm import BoundaryLimit, FrequencyVector, standard_idm_predictive_bounds
+from latentidm.manifest import (
     BinaryChannel,
-    BoundaryLimit,
-    ManifestDataset,
     direct_manifest_idm,
     naive_reconstruction,
     scaled_beta_posterior_bounds,
     scaled_beta_posterior_mean,
-    standard_idm_predictive_bounds,
-    FrequencyVector,
 )
+from latentidm.observation import ManifestDataset
 from oracles import (
     expanded_likelihood,
     latent_to_manifest_chance_vector,

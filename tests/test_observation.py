@@ -4,25 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentidm import (
-    BinaryChannel,
-    BoundaryLimit,
-    DirichletParams,
+from latentidm import manifest, observation, strata
+from latentidm.errors import SizeCapError
+from latentidm.idm import BoundaryLimit, FrequencyVector, standard_idm_predictive_bounds
+from latentidm.manifest import BinaryChannel
+from latentidm.observation import (
     EmissionMatrix,
-    FrequencyVector,
     ManifestDataset,
-    SimplexGrid,
-    SimplexPoint,
-    SizeCapError,
-    dataset_likelihood,
     frequency_weights,
     outcome_bounds,
     posterior_predictive_at_t,
     predictive_bounds,
-    standard_idm_predictive_bounds,
     vacuity_diagnosis,
 )
-from latentidm import manifest, observation, strata
+from latentidm.simplex import DirichletParams, SimplexGrid, SimplexPoint
+from latentidm.vacuity import dataset_likelihood
 from latentidm.runner import Scenario, run_scenario
 from oracles import (
     brute_frequency_weights,

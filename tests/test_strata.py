@@ -20,21 +20,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentidm import (
-    BinaryChannel,
+from latentidm import observation, strata
+from latentidm.errors import SizeCapError
+from latentidm.idm import (
     BoundaryLimit,
-    EmissionMatrix,
+    BoundaryStratum,
     FrequencyVector,
-    ManifestDataset,
-    SimplexPoint,
-    SizeCapError,
-    frequency_weights,
-    outcome_bounds,
     standard_idm_predictive_bounds,
 )
-from latentidm import observation, strata
-from latentidm.idm import BoundaryStratum
-from latentidm.observation import likelihood_terms
+from latentidm.manifest import BinaryChannel
+from latentidm.observation import (
+    EmissionMatrix,
+    ManifestDataset,
+    frequency_weights,
+    likelihood_terms,
+    outcome_bounds,
+)
+from latentidm.simplex import SimplexPoint
 from oracles import (
     brute_frequency_weights,
     dict_log_weights,

@@ -13,16 +13,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latentidm import (
-    BinaryChannel,
+from latentidm import idm, runner, vacuity
+from latentidm.cli import EXIT_OK, main
+from latentidm.manifest import BinaryChannel
+from latentidm.observation import EmissionMatrix, ManifestDataset
+from latentidm.runner import Scenario, bundled_scenarios, run_scenario
+from latentidm.simplex import DirichletParams, SimplexGrid, SimplexPoint
+from latentidm.vacuity import (
+    MAX_SIDE,
+    MIN_SIDE,
     ConcentratingSequence,
     DeltaSet,
-    DirichletParams,
-    EmissionMatrix,
-    ManifestDataset,
     Polynomial,
-    SimplexGrid,
-    SimplexPoint,
     canonical_concentrating_sequence,
     constant_likelihood,
     coordinate_function,
@@ -34,10 +36,6 @@ from latentidm import (
     posterior_ratio,
     verify_theorem1,
 )
-from latentidm import idm, runner, vacuity
-from latentidm.cli import EXIT_OK, main
-from latentidm.runner import Scenario, bundled_scenarios, run_scenario
-from latentidm.vacuity import MAX_SIDE, MIN_SIDE
 from oracles import (
     beta_cdf_binomial,
     beta_tail_quadrature,
@@ -65,7 +63,7 @@ CHANNEL_POLY = [0.01, 0.16, 0.64]  # ascending coefficients of (0.1 + 0.8 x)^2
 
 def beta_params(seq, n):
     params = seq.generator(n)
-    return params.s * params.t[0], params.s * params.t[1]
+    return params.s * params.t.coords[0], params.s * params.t.coords[1]
 
 
 class TestFunctionTypes:
@@ -126,7 +124,7 @@ class TestConcentratingSequences:
     def test_fixed_strength_keeps_s(self):
         seq = fixed_strength_concentrating_sequence(VERTEX_10, 2.0)
         assert seq.generator(50).s == 2.0
-        assert seq.generator(50).t[0] == pytest.approx(1.0 - 1.0 / 50)
+        assert seq.generator(50).t.coords[0] == pytest.approx(1.0 - 1.0 / 50)
 
     def test_k3_target_path_valid(self):
         seq = canonical_concentrating_sequence(SimplexPoint([1.0, 0.0, 0.0]))
@@ -771,6 +769,39 @@ class TestExactTrend:
         for row in rows:
             a, b = seq.generator(row["n"]).alpha
             assert abs(row["ratio"] - float(equal_rows_ratio(a, b, entries, 360))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "target, schedule, side, t0",
+        [
+            # f vanishes at the target: the min side, on the path t_0 = 1/n
+            ([0.0, 1.0], [10, 100, 1000], MIN_SIDE, lambda n: 1.0 / n),
+            # at n = k - 1 the path reaches the boundary, t = (0, 1/2, 1/2), and is mixed
+            # back into the interior with weight eps = 1e-6 / k, so t_0 = eps
+            ([1.0, 0.0, 0.0], [2], MAX_SIDE, lambda n: 1e-6 / 3),
+        ],
+        ids=["min-side", "interior-fallback"],
+    )
+    def test_constant_likelihood_reports_the_path_mean(
+        self, tmp_path, capsys, target, schedule, side, t0
+    ):
+        # f = theta_0 and a constant likelihood: E_n(f) and the ratio are both t_0 of the path
+        doc = {
+            "name": "path-mean",
+            "kind": "verify-theorem1",
+            "target": target,
+            "function": {"kind": "coordinate", "index": 0},
+            "likelihood": {"kind": "constant"},
+            "schedule": schedule,
+        }
+        path = tmp_path / "path-mean.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]["main"]
+        assert results["side"] == side
+        assert [row["n"] for row in results["rows"]] == schedule
+        for row in results["rows"]:
+            assert row["expectation"] == pytest.approx(t0(row["n"]), rel=1e-12, abs=0)
+            assert row["ratio"] == pytest.approx(t0(row["n"]), rel=1e-12, abs=0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

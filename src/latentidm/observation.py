@@ -11,10 +11,11 @@ Whether a predictive bound can move off 0/1 at all is decided exactly, from
 the zero pattern of the observed emission entries: a bound with no witness
 in `vacuity_diagnosis` is its analytic limit, 0 or 1.  A side the zero
 pattern leaves open is first checked against its conjugate envelope, also
-exactly from the zero pattern; only a side whose envelope is not attained
-is searched, over the interior of the prior-mean simplex and over each of
-its boundary strata.  An observation whose row is zero under every hidden
-outcome is impossible and is rejected when the dataset is built.
+exactly from the distinct zero patterns of the observed rows; only a side
+whose envelope is not attained there is searched, over the interior of the
+prior-mean simplex and over each of its boundary strata.  An observation
+whose row is zero under every hidden outcome is impossible and is rejected
+when the dataset is built.
 
 The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
@@ -25,21 +26,23 @@ space over each observation's emission row, all a dataset keeps
 (`likelihood_terms`).  It combines the rows an observation allows by
 `np.logaddexp` when there are one or two and by one max-shifted
 log-sum-exp when there are more, whichever costs less at that count.  A
-dataset runs it at most once, as its cached `weight_pass`, which the
-bounds, the fixed-prior values and `frequency_weights` all read.  Its
-states are ordered by grade, the sum of the first k - 1 counts, so each
-observation updates only the states it can reach; that index is built
-once per (k, n).  The same pass is a channel likelihood's coefficient map
-in the trend lab.  One cap, `MAX_WORK`, bounds it and the search by their
-work.  Brute-force enumeration, a dict pass, an exact-rational pass and a
-lexicographic pass are test oracles.
+dataset runs it at most once, as its cached `weight_pass`, and only when
+something reads it: the search of a side the zero patterns do not settle, a
+fixed-prior value (`hyper.t`) or `frequency_weights`.  Its states are
+ordered by grade, the sum of the first k - 1 counts, so each observation
+updates only the states it can reach; that index is built once per (k, n).
+The same pass is a channel likelihood's coefficient map in the trend lab.
+One cap, `MAX_WORK`, bounds it and the search by their work.  Brute-force
+enumeration, a dict pass, an exact-rational pass and a lexicographic pass
+are test oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -87,12 +90,11 @@ class EmissionMatrix:
         """Check and keep `arr` itself, read-only."""
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError("emission matrix must be 2-D with k >= 2 columns")
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("emission entries must lie in [0, 1]")
-        sums = arr.sum(axis=0)
-        for j, s in enumerate(sums):
-            if abs(s - 1.0) > _COLUMN_SUM_TOL:
-                raise ValueError(f"emission column {j} sums to {s!r}, expected 1")
+        for j, total in enumerate(arr.sum(axis=0).tolist()):
+            if abs(total - 1.0) > _COLUMN_SUM_TOL:
+                raise ValueError(f"emission column {j} sums to {total!r}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -364,34 +366,59 @@ class SearchSpec:
     refinement_passes: int = 0
 
 
-def _envelope_limits(counts: np.ndarray, sides: Sequence[tuple[int, bool]], s: float) -> list:
+def _zero_patterns(data: ManifestDataset) -> Counter:
+    """The observed rows' distinct zero patterns, {bit mask of the outcomes a row allows: rows}."""
+    return Counter(((data.row_entries != 0.0) @ (1 << np.arange(data.k))).tolist())
+
+
+# the sets of at most DP_MAX_K outcomes as bit masks (bit h for outcome h), grouped by size
+_SUBSETS = [[t for t in range(1 << DP_MAX_K) if t.bit_count() == c] for c in range(DP_MAX_K + 1)]
+
+
+def _envelope_limits(patterns: dict[int, int], sides: Sequence[tuple[int, bool]], s: float) -> list:
     """(value, descriptor) of each open side (j, upper) that an equal-rate path settles, else None.
 
-    Every conjugate fraction (a_j + s t_j)/(n + s) lies below (A + s)/(n + s)
-    and above B/(n + s), with A and B the largest and smallest a_j of the
-    support `counts` (one row per vector).  These are the equal-rate checks,
-    for every side at once in one array pass: on the straight path to the
-    vertex the vectors with the fewest nonzeros off column j survive, so
-    the upper reaches its envelope if all of them have a_j = A; with t_j
-    alone vanishing all vectors survive, so the lower reaches its envelope
-    if a_j is constant.  A side that fails its check goes on to
-    `strata.search`, which tries the faces with unequal rates first.
+    `patterns` maps each distinct zero pattern of the observed rows, the bit
+    mask of the outcomes a row allows, to its number of rows.  With A_j the
+    rows that allow j and B_j those that allow only j, every conjugate
+    fraction (a_j + s t_j)/(n + s) of the support lies below (A_j + s)/(n + s)
+    and above B_j/(n + s).  With t_j alone vanishing every vector survives,
+    so the lower reaches its envelope iff a_j is constant: B_j = A_j.  On the
+    straight path to the vertex the vectors with the fewest outcomes but j
+    survive: those whose other outcomes form a minimum-size hitting set T of
+    the rows that exclude j (T empty when no row does).  So the upper
+    reaches its envelope iff no such T meets a row that allows j, for then
+    every such row can still pick j.  Sets of patterns are bit masks too
+    (bit m for pattern m), so each of the at most 2^(k-1) sets T takes one
+    mask test.  A side that fails its check goes on to `strata.search`,
+    which tries the faces with unequal rates first.
     """
-    n = sum(counts[0].tolist())
-    highest, lowest = counts.max(axis=0), counts.min(axis=0)
-    present = counts > 0
-    spread = present.sum(axis=1, keepdims=True) - present  # nonzeros off each column
-    fewest = spread == spread.min(axis=0)
-    straight = ~(fewest & (counts != highest)).any(axis=0)
-    highest, lowest, straight = highest.tolist(), lowest.tolist(), straight.tolist()
+    n = sum(patterns.values())
+    # the patterns that allow each outcome, and those that meet each set t of outcomes,
+    # built up from t without its lowest outcome
+    allowing = [sum(1 << m for m in patterns if m >> h & 1) for h in range(DP_MAX_K)]
+    meeting = [0] * (1 << DP_MAX_K)
+    for t in range(1, 1 << DP_MAX_K):
+        meeting[t] = meeting[t & (t - 1)] | allowing[(t & -t).bit_length() - 1]
     limits = []
     for j, upper in sides:
-        if upper and straight[j]:
-            limits.append(((highest[j] + s) / (n + s), BoundaryLimit(j, 1.0)))
-        elif not upper and lowest[j] == highest[j]:
-            limits.append((lowest[j] / (n + s), BoundaryLimit(j, 0.0)))
-        else:
-            limits.append(None)
+        if upper:
+            excluding = meeting[-1] & ~allowing[j]
+            for group in _SUBSETS:  # a smallest hitting set holds no outcome past k - 1
+                met = 0  # the outcomes of the smallest hitting sets
+                for t in group:
+                    if not t >> j & 1 and meeting[t] & excluding == excluding:
+                        met |= t
+                if met or not excluding:
+                    break
+            if not meeting[met] & allowing[j]:
+                rows = sum(c for m, c in patterns.items() if m >> j & 1)
+                limits.append(((rows + s) / (n + s), BoundaryLimit(j, 1.0)))
+                continue
+        elif not allowing[j] & ~(1 << (1 << j)):  # no pattern but {j} allows j
+            limits.append((patterns.get(1 << j, 0) / (n + s), BoundaryLimit(j, 0.0)))
+            continue
+        limits.append(None)
     return limits
 
 
@@ -409,13 +436,15 @@ def outcome_bounds(
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
     A side left open is next checked against its conjugate envelope on the
-    exact support, the keys of the dataset's log-space weight pass: first
-    on the equal-rate paths (`_envelope_limits`), then, for the sides that
-    fail there, on the faces with unequal rates and, failing those, by the
-    search (`strata.search`), over the weights of that same pass.  So when
-    the diagnosis settles every side no weights are computed, and the work
-    cap applies only to open sides; k is capped for every side.  Returns
-    one entry per listed outcome, in order.
+    equal-rate paths, again from the rows' distinct zero patterns alone
+    (`_envelope_limits`).  Only the sides that fail there read the
+    dataset's weight pass: its support for the faces with unequal rates
+    and, failing those, its weights for the search (`strata.search`).  So
+    the pass runs here only for a searched side, and a fixed-prior value
+    (`posterior_predictive_at_t`) runs it otherwise.  The pass's work cap
+    is checked whenever a side is open, so a refusal does not depend on
+    which check settles it; k is capped for every side.  Returns one entry
+    per listed outcome, in order.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -424,35 +453,31 @@ def outcome_bounds(
     if data.k > DP_MAX_K:
         raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
     diagnosis = vacuity_diagnosis(data)
-    found = {
-        j: PredictiveBounds(0.0, 1.0, BoundaryLimit(j, 0.0), BoundaryLimit(j, 1.0))
-        for j in outcomes
-    }
     sides = [
         (j, upper)
-        for j in found
+        for j in dict.fromkeys(outcomes)
         for upper, witnessed in (
             (False, diagnosis[j].lower_strictly_above_zero),
             (True, diagnosis[j].upper_strictly_below_one),
         )
         if witnessed
     ]
-    if not sides:
-        return tuple(found[j] for j in outcomes)
+    settled = {}
+    if sides:
+        check_weight_pass_size(data.n, data.k)
+        settled = dict(zip(sides, _envelope_limits(_zero_patterns(data), sides, s)))
+        searched = [side for side, limit in settled.items() if limit is None]
+        if searched:
+            from . import strata  # on first use: the equal-rate checks settle most sides
 
-    counts, log_w = data.weight_pass
-    settled = dict(zip(sides, _envelope_limits(counts, sides, s)))
-    searched = [side for side, limit in settled.items() if limit is None]
-    if searched:
-        from . import strata  # on first use: the equal-rate checks settle most sides
-
-        settled.update(zip(searched, strata.search(counts, log_w, s, searched)))
-    for (j, upper), (value, where) in settled.items():
-        if upper:
-            found[j] = replace(found[j], upper=value, argmax_t=where)
-        else:
-            found[j] = replace(found[j], lower=value, argmin_t=where)
-    return tuple(found[j] for j in outcomes)
+            counts, log_w = data.weight_pass
+            settled.update(zip(searched, strata.search(counts, log_w, s, searched)))
+    bounds = []
+    for j in outcomes:
+        lower, argmin_t = settled.get((j, False)) or (0.0, BoundaryLimit(j, 0.0))
+        upper, argmax_t = settled.get((j, True)) or (1.0, BoundaryLimit(j, 1.0))
+        bounds.append(PredictiveBounds(lower, upper, argmin_t, argmax_t))
+    return tuple(bounds)
 
 
 def predictive_bounds(data: ManifestDataset, s: float, j: int) -> PredictiveBounds:

@@ -170,6 +170,17 @@ def _positive(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(value, name: str):
+    """`value` itself, once no entry of it, a list of lists at any depth, is a JSON string or
+    boolean: numpy would read "1.0" and true as numbers."""
+    for entry in value if isinstance(value, list) else ():
+        if isinstance(entry, list):
+            _numbers(entry, name)
+        elif isinstance(entry, (str, bool)):
+            raise ScenarioError(f"field '{name}': entries must be numbers, got {entry!r}")
+    return value
+
+
 def _emission(spec, k: int, name: str) -> EmissionMatrix:
     if spec == "identity":
         return EmissionMatrix.identity(k)
@@ -178,7 +189,7 @@ def _emission(spec, k: int, name: str) -> EmissionMatrix:
         if match:
             matrix = BinaryChannel(float(match.group(1)), float(match.group(2))).emission()
         elif isinstance(spec, list):
-            matrix = EmissionMatrix(spec)
+            matrix = EmissionMatrix(_numbers(spec, name))
         else:
             raise ScenarioError(
                 f"field '{name}': use the preset 'identity' or 'binary-channel(eps1,eps2)', "
@@ -369,7 +380,7 @@ def _parse_predict(doc: dict):
     prior = None
     if hyper.get("t") is not None:
         with _field("hyper.t"):
-            prior = DirichletParams(s=s, t=SimplexPoint(hyper["t"]))
+            prior = DirichletParams(s=s, t=SimplexPoint(_numbers(hyper["t"], "hyper.t")))
         if prior.k != data.k:
             raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
 
@@ -417,7 +428,7 @@ def _parse_diagnose(doc: dict):
 
 def _parse_trend(doc: dict):
     with _field("target"):
-        target = SimplexPoint(_require(doc, "target"))
+        target = SimplexPoint(_numbers(_require(doc, "target"), "target"))
     k = target.k
     f = _function(_object(_require(doc, "function"), "function"), k)
     likelihoods = [_likelihood(_require(doc, "likelihood"), k, "likelihood")]

@@ -31,11 +31,11 @@ class SimplexPoint:
     coords: np.ndarray
 
     def __init__(self, coords) -> None:
-        arr = np.asarray(coords, dtype=float).copy()
+        arr = np.array(coords, dtype=float)  # a copy: the caller may change its own
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a simplex point needs k >= 2 coordinates")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError(f"coordinates must be finite and >= 0, got {arr}")
+        if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails both
+            raise ValueError(f"coordinates must be finite and >= 0, got {arr.tolist()}")
         total = float(arr.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"coordinates must sum to 1 within {_SUM_TOL}, got {total!r}")

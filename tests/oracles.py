@@ -11,10 +11,10 @@ pass, a plain-Python sum over the enumerated weights, or exact rational
 arithmetic, instead of the log-space fixed-prior value, a multistart over
 softmax prior means instead of the stratum search, exact integer
 Fourier-Motzkin elimination instead of the rate box of the face search,
-per-vector and per-row
-Python loops instead of the array passes of the envelope checks and the
-learnability diagnosis, and plain 1-D midpoint quadrature instead of the
-simplex grid.  The trend lab's exact values are
+checks over the support's vectors (in one array pass, and in plain Python)
+instead of the zero-pattern envelope checks, per-row Python loops instead
+of the array pass of the learnability diagnosis, and plain 1-D midpoint
+quadrature instead of the simplex grid.  The trend lab's exact values are
 checked against exact-rational Dirichlet-moment sums over an exactly
 expanded likelihood (binomially expanded, for many equal channel
 observations), binomial sums for Beta CDFs with integer parameters,
@@ -196,15 +196,45 @@ def lexicographic_likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, n
     return np.column_stack((heads, n - heads.sum(axis=1))), log_w[reached]
 
 
+def support_envelope_limits(counts: np.ndarray, sides, s: float) -> list:
+    """(value, descriptor) of each side (j, upper) that an equal-rate path settles, else None.
+
+    The rule `observation._envelope_limits` applied before it read the zero
+    patterns: one array pass over the support `counts` (one row per vector),
+    with A and B the largest and smallest a_j.  On the straight path to the
+    vertex the vectors with the fewest nonzeros off column j survive, so the
+    upper reaches (A + s)/(n + s) if all of them have a_j = A; with t_j alone
+    vanishing all vectors survive, so the lower reaches B/(n + s) if a_j is
+    constant.
+    """
+    n = sum(counts[0].tolist())
+    highest, lowest = counts.max(axis=0), counts.min(axis=0)
+    present = counts > 0
+    spread = present.sum(axis=1, keepdims=True) - present  # nonzeros off each column
+    fewest = spread == spread.min(axis=0)
+    straight = ~(fewest & (counts != highest)).any(axis=0)
+    highest, lowest, straight = highest.tolist(), lowest.tolist(), straight.tolist()
+    limits = []
+    for j, upper in sides:
+        if upper and straight[j]:
+            limits.append(((highest[j] + s) / (n + s), BoundaryLimit(j, 1.0)))
+        elif not upper and lowest[j] == highest[j]:
+            limits.append((lowest[j] / (n + s), BoundaryLimit(j, 0.0)))
+        else:
+            limits.append(None)
+    return limits
+
+
 def envelope_limit(support, j: int, upper: bool, s: float):
     """(value, descriptor) of side (j, upper) if it attains its conjugate envelope, else None.
 
-    The rule of `observation._envelope_limits` and then `strata.face_limits`,
-    one side at a time in plain Python over the support as a list of count
-    tuples: the upper needs every vector with the fewest nonzeros off column
-    j to have a_j = A, the lower needs a_j constant; a side that fails goes
-    on to the faces with unequal rates, on the same vanishing sets in the
-    same order.
+    The rule of `support_envelope_limits` and then the faces with unequal
+    rates, one side at a time in plain Python over the support as a list of
+    count tuples: the upper needs every vector with the fewest nonzeros off
+    column j to have a_j = A, the lower needs a_j constant; a side that
+    fails goes on to the faces with unequal rates, an upper's on the vanishing
+    set of every other coordinate, a lower's on every vanishing set of 2 to
+    k - 1 coordinates containing j, in `strata._strata`'s order.
     """
     n, k = sum(support[0]), len(support[0])
     column = [a[j] for a in support]

@@ -184,6 +184,17 @@ BAD_DOCUMENTS = [
             observations=[0, 1],
         ),
     ),
+    # numpy reads a JSON string or boolean as a number: a numeric vector or matrix refuses it
+    ("target", dict(TREND_DOC, target=["1.0", "0"])),
+    ("target", dict(TREND_DOC, target=[True, False])),
+    ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": ["0.5", "0.5"]})),
+    ("hyper.t", dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.5, True]})),
+    ("model.emission", dict(PREDICT_DOC, model={"emission": [[True, False], [False, True]]})),
+    ("model.emission", dict(PREDICT_DOC, model={"emission": [["1", 0.0], [0.0, 1.0]]})),
+    (
+        "model.emissions",
+        dict(PREDICT_DOC, model={"emissions": ["identity", [[1.0, False], [0.0, True]], "identity"]}),
+    ),
 ]
 
 
@@ -200,6 +211,33 @@ class TestScenarioValidation:
         doc = dict(PREDICT_DOC, model={"emission": [[0.9, 0.3], [0.1, 0.6]]})
         with pytest.raises(ScenarioError, match="column 1"):
             Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc,text",
+        [
+            (
+                dict(PREDICT_DOC, model={"emission": [[0.9, 0.5], [0.2, 0.5]]}),
+                "field 'model.emission': emission column 0 sums to 1.1, expected 1",
+            ),
+            (
+                dict(TREND_DOC, target=[1.2, -0.2]),
+                "field 'target': coordinates must be finite and >= 0, got [1.2, -0.2]",
+            ),
+            (
+                dict(PREDICT_DOC, hyper={"s": 2.0, "t": [0.5, float("nan")]}),
+                "field 'hyper.t': coordinates must be finite and >= 0, got [0.5, nan]",
+            ),
+            (
+                dict(PREDICT_DOC, model={"emission": [[1.0, float("inf")], [0.0, 0.0]]}),
+                "field 'model.emission': emission entries must lie in [0, 1]",
+            ),
+        ],
+    )
+    def test_refusal_texts_show_plain_numbers(self, doc, text):
+        # no numpy repr (np.float64(1.1), an array's spaced print) reaches a refusal
+        with pytest.raises(ScenarioError) as refused:
+            Scenario.from_dict(doc)
+        assert str(refused.value) == text
 
     def test_bad_observation_row(self):
         doc = dict(PREDICT_DOC, observations=[0, 5])

@@ -496,11 +496,38 @@ class TestSearchSkipping:
         assert calls == {"likelihood_terms": 1, "frequency_weights": 0, "search": 1}
 
     def test_two_open_sides_refine_both(self, calls):
-        # an identity channel attains every envelope: exact, from the support alone
+        # an identity channel attains every envelope: exact, from the zero patterns alone,
+        # so no weight pass runs
         data = ManifestDataset.from_rows(IDENTITY2, [0, 1])
         for j, b in enumerate(outcome_bounds(data, 2.0, range(2))):
             assert b == standard_idm_predictive_bounds(2.0, FrequencyVector((1, 1)), j)
-        assert calls == {"likelihood_terms": 1, "frequency_weights": 0, "search": 0}
+        assert calls == {"likelihood_terms": 0, "frequency_weights": 0, "search": 0}
+
+    def test_cyclic_zero_document_runs_no_weight_pass(self, calls):
+        # k = 4, n = 40, two nonzeros per column in a cyclic pattern, no hyper.t: no row
+        # certifies an outcome, and each upper's rows that exclude j have the one minimum
+        # hitting set {j + 2}, which no row allowing j meets, so every upper is
+        # (20 + 2) / (40 + 2) = 11/21 and no weights are computed
+        emission = [
+            [0.6, 0.0, 0.0, 0.4],
+            [0.4, 0.6, 0.0, 0.0],
+            [0.0, 0.4, 0.6, 0.0],
+            [0.0, 0.0, 0.4, 0.6],
+        ]
+        doc = {
+            "name": "cyclic-zeros",
+            "kind": "predict",
+            "k": 4,
+            "model": {"emission": emission},
+            "observations": [0, 1, 2, 3] * 10,
+            "hyper": {"s": 2.0},
+        }
+        bounds = run_scenario(Scenario.from_dict(doc))["results"]["bounds"]
+        assert [(b["lower"], b["upper"]) for b in bounds] == [(0.0, 11 / 21)] * 4
+        assert [b["argmax_t"] for b in bounds] == [
+            {"limit": {"coordinate": j, "value": 1.0}} for j in range(4)
+        ]
+        assert calls == {"likelihood_terms": 0, "frequency_weights": 0, "search": 0}
 
 
 def structural_zero_dataset(rng, k, n):
@@ -537,8 +564,8 @@ class TestSharedOutcomes:
         report = run_scenario(Scenario.from_dict(doc))
         bounds = report["results"]["bounds"]
         assert all(b["argmax_t"] == {"limit": {"coordinate": b["outcome"], "value": 1.0}} for b in bounds)
-        # every side attains its envelope on the support of the one weight pass,
-        # and at_t reads the weights of that same pass
+        # every side attains its envelope from the zero patterns, and at_t runs the one
+        # weight pass
         assert counts == {"frequency_weights": 0, "likelihood_terms": 1, "vacuity_diagnosis": 1}
 
     def test_searched_predict_run_shares_its_weight_pass(self, monkeypatch):

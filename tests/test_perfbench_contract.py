@@ -41,7 +41,7 @@ def test_traced_scenario_records_its_layers():
 
 
 def test_traced_predict_shares_one_weight_pass():
-    # every side of an identity channel attains its envelope on the exact support,
+    # every side of an identity channel attains its envelope from the rows' zero patterns,
     # so the bounds need no weight pass at all, and tracing them raises nothing
     tracer = spans.Tracer()
     with spans.instrumented(tracer):

@@ -47,6 +47,7 @@ from oracles import (
     positive_solution,
     predictive_at_log_t,
     predictive_extremes,
+    support_envelope_limits,
 )
 
 
@@ -354,16 +355,27 @@ class TestFaces:
         assert positive_solution([(1, -1)], [(1, 0)], 2) == (1, 1)
 
 
-def envelope(support, j: int, upper: bool, s: float = 2.0):
-    """`observation._envelope_limits` of the single side (j, upper)."""
-    return observation._envelope_limits(np.array(support), [(j, upper)], s)[0]
+def patterned(rows, k: int = 3) -> ManifestDataset:
+    """One observation per entry of `rows`, each allowing exactly the outcomes it lists."""
+    raw = np.array([[float(j in row) for j in range(k)] for row in rows] + [[1.0] * k])
+    return ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), range(len(rows)))
 
 
-def face_envelope(support, j: int, upper: bool, s: float = 2.0):
+def envelope(rows, j: int, upper: bool, s: float = 2.0):
+    """`observation._envelope_limits` of the single side (j, upper) of the `patterned` rows."""
+    patterns = observation._zero_patterns(patterned(rows))
+    return observation._envelope_limits(patterns, [(j, upper)], s)[0]
+
+
+def face_envelope(rows, j: int, upper: bool, s: float = 2.0):
     """`strata.face_limits` of the single side (j, upper), which failed its equal-rate check."""
-    assert envelope(support, j, upper, s) is None
-    counts = np.array(support)
+    assert envelope(rows, j, upper, s) is None
+    counts, _ = patterned(rows).weight_pass
     return strata.face_limits(counts, [(j, upper)], s, strata._strata(counts))[0]
+
+
+def all_sides(k: int) -> list[tuple[int, bool]]:
+    return [(j, upper) for j in range(k) for upper in (False, True)]
 
 
 class TestEnvelope:
@@ -382,30 +394,55 @@ class TestEnvelope:
                 assert outcome_bounds(data, s, range(k)) == expected
 
     def test_upper_on_the_straight_path(self):
-        # outcome 0, n = 3, A = 1: with t_1, t_2 vanishing alike, (1, 0, 1) and (1, 1, 0) survive
-        support = [(0, 2, 1), (1, 0, 1), (1, 1, 0)]
-        assert envelope(support, 0, True) == (0.6, BoundaryLimit(0, 1.0))
+        # outcome 0, n = 3, A = 1: both rows that exclude 0 are {1}, whose one minimum
+        # hitting set {1} misses the row {0, 2}; with t_1, t_2 vanishing alike, of the
+        # support {(0, 2, 1), (1, 2, 0)} only (1, 2, 0) survives
+        assert envelope([[0, 2], [1], [1]], 0, True) == (0.6, BoundaryLimit(0, 1.0))
 
     def test_upper_with_unequal_rates(self):
+        # the row {1, 2} excludes 0; of its minimum hitting sets {1} and {2}, {2} meets the
+        # row {0, 2}:
         # the straight path keeps (0, 0, 2) too, whose a_0 = 0 < A = 1; letting t_2
         # vanish faster than t_1 leaves (1, 1, 0) alone
-        support = [(0, 0, 2), (1, 1, 0)]
-        value, where = face_envelope(support, 0, True)
+        value, where = face_envelope([[0, 2], [1, 2]], 0, True)
         assert (value, where.vanishing, where.limit) == (0.75, (1, 2), SimplexPoint([1, 0, 0]))
         assert where.rates[0] < where.rates[1]
 
     def test_lower_needs_a_larger_vanishing_set(self):
         # every a_0 >= 1, but a_0 is not constant: t_0 alone vanishing keeps both
-        # vectors; with t_2 vanishing too, only (1, 2, 0) survives, and a_0 = 1 = B
-        support = [(1, 2, 0), (2, 0, 1)]
-        value, where = face_envelope(support, 0, False)
+        # vectors; with t_2 vanishing too, only (1, 2, 0) survives, and a_0 = 1 = B.
+        # No rows settle a lower on a face (see the next test), so this support goes to the
+        # faces directly
+        counts = np.array([(1, 2, 0), (2, 0, 1)])
+        value, where = strata.face_limits(counts, [(0, False)], 2.0, strata._strata(counts))[0]
         assert value == 1 / (3 + 2.0)
         assert isinstance(where, BoundaryStratum) and where.vanishing == (0, 2)
         assert where.limit == SimplexPoint([0, 1, 0])
 
+    @pytest.mark.parametrize("k,n", [(3, 4), (4, 2)])
+    def test_open_lower_never_settles_on_a_face(self, k, n):
+        # every multiset of up to n row patterns: an open lower (some row allows only j)
+        # attains B / (n + s) iff every row that allows j allows only j, and the
+        # per-vector oracle, which also tries every face that t_j vanishes on, agrees.
+        # When some row allows j and h, it can pick j instead of h in any vector with
+        # a_j = B >= 1 and stay on the face, so no face holds a_j = B alone
+        for size in range(1, n + 1):
+            for masks in itertools.combinations_with_replacement(range(1, 1 << k), size):
+                rows = [[j for j in range(k) if m >> j & 1] for m in masks]
+                data = patterned(rows, k)
+                support = [tuple(a) for a in data.weight_pass[0].tolist()]
+                for j in range(k):
+                    if [j] not in rows:
+                        continue
+                    expected = envelope_limit(support, j, False, 2.0)
+                    limit = observation._envelope_limits(
+                        observation._zero_patterns(data), [(j, False)], 2.0
+                    )[0]
+                    assert limit == expected
+                    assert (limit is None) == any(j in row and len(row) > 1 for row in rows)
+
     def test_unattained_envelope_is_left_to_the_search(self):
-        support = [(0, 1, 1), (0, 2, 0), (1, 1, 0)]
-        assert face_envelope(support, 0, True) is None
+        assert face_envelope([[1], [0, 1, 2]], 0, True) is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -415,12 +452,13 @@ class TestEnvelope:
         s=st.sampled_from([0.5, 2.0, 5.0]),
     )
     def test_every_side_matches_the_per_vector_rule(self, seed, k, n, s):
-        # all 2k sides in one call, the equal-rate pass and then the faces of the sides it
+        # all 2k sides in one call, the zero-pattern rule and then the faces of the sides it
         # leaves, against the plain-Python rule one side at a time: the same value (a Python
         # float), the same descriptor, or None for the same sides
-        counts, _ = channel_with_zeros(seed, k, n).weight_pass
-        sides = [(j, upper) for j in range(k) for upper in (False, True)]
-        limits = observation._envelope_limits(counts, sides, s)
+        data = channel_with_zeros(seed, k, n)
+        counts, _ = data.weight_pass
+        sides = all_sides(k)
+        limits = observation._envelope_limits(observation._zero_patterns(data), sides, s)
         left = [side for side, limit in zip(sides, limits) if limit is None]
         on_faces = iter(strata.face_limits(counts, left, s, strata._strata(counts)))
         limits = [next(on_faces) if limit is None else limit for limit in limits]
@@ -429,6 +467,22 @@ class TestEnvelope:
             assert limit == expected
             if limit is not None:
                 assert type(limit[0]) is float
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 4),
+        masks=st.lists(st.integers(1, 15), min_size=1, max_size=8),
+        s=st.sampled_from([0.5, 2.0]),
+    )
+    def test_zero_pattern_rule_equals_the_support_rule(self, k, masks, s):
+        # random zero patterns: every side, open or not, gets the same value and descriptor,
+        # or None, from the rows' distinct patterns as from the support of their weight pass
+        rows = [[j for j in range(k) if m >> j & 1] or [m % k] for m in masks]
+        data = patterned(rows, k)
+        counts, _ = data.weight_pass
+        sides = all_sides(k)
+        limits = observation._envelope_limits(observation._zero_patterns(data), sides, s)
+        assert limits == support_envelope_limits(counts, sides, s)
 
 
 def test_bundled_and_cyclic_zero_documents_never_import_strata():

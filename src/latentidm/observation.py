@@ -389,9 +389,9 @@ def _envelope_limits(patterns: dict[int, int], sides: Sequence[tuple[int, bool]]
     the rows that exclude j (T empty when no row does).  So the upper
     reaches its envelope iff no such T meets a row that allows j, for then
     every such row can still pick j.  Sets of patterns are bit masks too
-    (bit m for pattern m), so each of the at most 2^(k-1) sets T takes one
-    mask test.  A side that fails its check goes on to `strata.search`,
-    which tries the faces with unequal rates first.
+    (bit m for pattern m), so each of the at most 2^(DP_MAX_K - 1) = 8 sets
+    T takes one mask test.  A side that fails its check goes on to
+    `strata.search`, which tries the faces with unequal rates first.
     """
     n = sum(patterns.values())
     # the patterns that allow each outcome, and those that meet each set t of outcomes,

@@ -8,27 +8,31 @@ for the next hidden outcome becomes a convex combination of conjugate-update
 fractions.
 
 Whether a predictive bound can move off 0/1 at all is decided exactly, from
-the zero pattern of the observed emission entries: a bound with no witness
-in `vacuity_diagnosis` is its analytic limit, 0 or 1.  A side the zero
-pattern leaves open is first checked against its conjugate envelope, also
-exactly from the distinct zero patterns of the observed rows; only a side
-whose envelope is not attained there is searched, over the interior of the
-prior-mean simplex and over each of its boundary strata.  An observation
-whose row is zero under every hidden outcome is impossible and is rejected
-when the dataset is built.
+the distinct zero patterns of the observed rows: a bound with no witness
+(`vacuity_diagnosis` lists them for `diagnose` documents) is its analytic
+limit, 0 or 1.  A side the zero patterns leave open is first checked
+against its conjugate envelope, also exactly from those patterns; only a
+side whose envelope is not attained there is searched, over the interior of
+the prior-mean simplex and over each of its boundary strata.  An
+observation whose row is zero under every hidden outcome is impossible and
+is rejected when the dataset is built.
 
 The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
 probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
-W(a), after which no further multiplicity factor is needed.  It runs in log
-space over each observation's emission row, all a dataset keeps
-(`likelihood_terms`).  It combines the rows an observation allows by
-`np.logaddexp` when there are one or two and by one max-shifted
-log-sum-exp when there are more, whichever costs less at that count.  A
-dataset runs it at most once, as its cached `weight_pass`, and only when
-something reads it: the search of a side the zero patterns do not settle, a
-fixed-prior value (`hyper.t`) or `frequency_weights`.  Its states are
+W(a), after which no further multiplicity factor is needed.  It runs over
+each observation's emission row, all a dataset keeps (`likelihood_terms`),
+in one of two spaces that the rows pick before it starts.  When the
+product of the rows' smallest nonzero entries exceeds 2^-1000 and the
+product of their sums, each floored at 1, stays below 2^1000, no weight can
+underflow or overflow, and it runs on W itself: a product per allowed
+outcome and their sum.  Otherwise it runs on log W and combines the rows an
+observation allows by `np.logaddexp` when there are one or two and by one
+max-shifted log-sum-exp when there are more.  A dataset runs it at most
+once, as its cached `weight_pass`, and only when something reads it: the
+search of a side the zero patterns do not settle, a fixed-prior value
+(`hyper.t`) or `frequency_weights`.  Its states are
 ordered by grade, the sum of the first k - 1 counts, so each observation
 updates only the states it can reach; that index is built once per (k, n).
 The same pass is a channel likelihood's coefficient map in the trend lab.
@@ -269,6 +273,14 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
 
 
 _LOWEST = np.finfo(float).min  # the max shift's floor: -inf - -inf would be NaN
+# the linear pass's range: every weight it reaches lies within it, a normal float well inside
+# 2^-1022 and 2^1024, so none underflows or overflows and one that is reached is positive
+_LINEAR_LOW, _LINEAR_HIGH = 2.0**-1000, 2.0**1000
+
+
+def _linear_sum(rows: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
+    """out = sum_r rows[r], elementwise, row after row."""
+    np.add.reduce(rows, axis=0, out=out)
 
 
 def _log_sum_exp(rows: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
@@ -297,40 +309,60 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     """The support of W, in sorted order, and log W(a) of each of its vectors.
 
     The likelihood of the observed sequence is sum_a W(a) theta^a, so these
-    are its exponent rows and log coefficients.  A forward pass in log
-    space, so no weight underflows however small the entries are: a vector
-    is kept iff some hidden assignment with its frequencies meets only
-    nonzero emission entries.  Observation i updates only the states it
-    can reach, the prefix of grade <= i of the graded index
-    (`_state_index`): it gathers log W at their predecessors under every
-    outcome its row allows (x_k's is the prefix itself), adds their log
-    emission entries and combines the rows (`_log_sum_exp`): one or two by
-    `np.logaddexp`, three or more by their max-shifted sum, so the row's
-    zero pattern alone picks the formula.  That is C(n+k, k) - 1 state
-    updates in all, against n * C(n+k-1, k-1) over every state.
-    Unreached states stay -inf; after the last step the index's
-    permutation puts log W back in lexicographic order, and the finite
-    entries are the support.  This is the library's one weight pass,
-    capped by its work in the index; `ManifestDataset.weight_pass` caches
-    it per dataset, and a trend `channel` likelihood calls it directly.
+    are its exponent rows and log coefficients.  A vector is kept iff some
+    hidden assignment with its frequencies meets only nonzero emission
+    entries.  Observation i updates only the states it can reach, the
+    prefix of grade <= i of the graded index (`_state_index`): it gathers
+    W at their predecessors under every outcome its row allows (x_k's is
+    the prefix itself), scales each gathered row by its emission entry and
+    combines the rows.  That is C(n+k, k) - 1 state updates in all,
+    against n * C(n+k-1, k-1) over every state.
+
+    The rows pick the pass's space before it starts.  When the product of
+    the rows' smallest nonzero entries exceeds 2^-1000 and the product of
+    their sums, each floored at 1, stays below 2^1000, every weight the pass
+    reaches lies between the two, a normal float, so it runs on W itself:
+    one product per allowed outcome and their sum (`_linear_sum`), which
+    rounds far less than logs do.  Otherwise a weight could underflow or
+    overflow, and it runs on log W: it adds log entries and combines the
+    rows by `_log_sum_exp`, one or two by `np.logaddexp`, three or more by
+    their max-shifted sum.  Unreached states stay 0 or -inf; after the last
+    step the index's permutation puts W back in lexicographic order, and
+    the reached entries are the support.  This is the library's one weight
+    pass, capped by its work in the index; `ManifestDataset.weight_pass`
+    caches it per dataset, and a trend `channel` likelihood calls it
+    directly.
     """
     k, n = data.k, data.n
     counts, predecessors, rank, ends = _state_index(k, n)
     size = len(rank)
-    log_w = np.full(size + 1, -np.inf)
-    log_w[0] = 0.0  # the zero vector
+    # the product of the rows' smallest nonzero entries bounds every reached weight from below,
+    # that of their sums floored at 1 from above; a product that underflows or overflows is out
+    steps, low, high = [], 1.0, 1.0
+    for lam in data.row_entries.tolist():
+        allowed = [(j, x) for j, x in enumerate(lam) if x != 0.0]
+        steps.append(allowed)
+        low *= min(x for _, x in allowed)
+        high *= max(1.0, sum(lam))
+    linear = low > _LINEAR_LOW and high < _LINEAR_HIGH
+    if linear:
+        unreached, scale, combine = 0.0, np.multiply, _linear_sum
+    else:
+        steps = [[(j, math.log(x)) for j, x in allowed] for allowed in steps]
+        unreached, scale, combine = -np.inf, np.add, _log_sum_exp
+    w = np.full(size + 1, unreached)  # an extra slot, unreached, stands for a count of -1
+    w[0] = 1.0 if linear else 0.0  # the zero vector
     terms = np.empty((k + 1, size))  # a gathered row per allowed outcome, and a spare
     with np.errstate(divide="ignore"):  # log(0) is how an unreached state stays -inf
-        for m, lam in zip(ends, data.row_entries.tolist()):
-            allowed = [j for j in range(k) if lam[j] != 0.0]
-            for r, j in enumerate(allowed):  # unnamed, each gathered row is freed before the next
-                np.add(log_w[:m] if j == k - 1 else log_w[predecessors[j][:m]],
-                       math.log(lam[j]), out=terms[r, :m])
-            _log_sum_exp(terms[: len(allowed), :m], terms[k, :m], out=log_w[:m])
+        for m, allowed in zip(ends, steps):
+            for r, (j, x) in enumerate(allowed):  # unnamed, each gathered row is freed before the next
+                scale(w[:m] if j == k - 1 else w[predecessors[j][:m]], x, out=terms[r, :m])
+            combine(terms[: len(allowed), :m], terms[k, :m], out=w[:m])
     del terms  # and the working rows before the support is gathered
-    log_w = log_w[rank]
-    reached = log_w > -np.inf
-    return counts[reached].astype(np.int64), log_w[reached]
+    w = w[rank]
+    reached = w > unreached
+    w = w[reached]
+    return counts[reached].astype(np.int64), np.log(w) if linear else w
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:
@@ -428,9 +460,11 @@ def outcome_bounds(
     """Lower/upper posterior predictive of each listed next hidden outcome over all t.
 
     Each side is first settled, where it can be, from the exact zero pattern
-    of the observed emission entries (`vacuity_diagnosis`).  With no upper
-    witness the all-x_j assignment has positive probability, it dominates as
-    t_j -> 1, and the upper bound is exactly 1.  With no lower witness some
+    of the observed emission entries, read off the rows' distinct zero
+    patterns (`_zero_patterns`); they decide the same flags as the witnesses
+    of `vacuity_diagnosis`.  With no row that rules x_j out, the all-x_j
+    assignment has positive probability, it dominates as t_j -> 1, and the
+    upper bound is exactly 1.  With no row that allows x_j alone, some
     assignment avoiding x_j has positive probability, the combination
     collapses onto such assignments as t_j -> 0, and the lower bound is
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
@@ -452,20 +486,21 @@ def outcome_bounds(
         raise ValueError(f"outcome indices {list(outcomes)} must lie in [0, {data.k})")
     if data.k > DP_MAX_K:
         raise SizeCapError(f"predictive bounds capped at k <= {DP_MAX_K}; got k={data.k}")
-    diagnosis = vacuity_diagnosis(data)
+    patterns = _zero_patterns(data)
+    # an upper is open iff some row rules j out, a lower iff some row allows j alone
     sides = [
         (j, upper)
         for j in dict.fromkeys(outcomes)
         for upper, witnessed in (
-            (False, diagnosis[j].lower_strictly_above_zero),
-            (True, diagnosis[j].upper_strictly_below_one),
+            (False, 1 << j in patterns),
+            (True, any(not m >> j & 1 for m in patterns)),
         )
         if witnessed
     ]
     settled = {}
     if sides:
         check_weight_pass_size(data.n, data.k)
-        settled = dict(zip(sides, _envelope_limits(_zero_patterns(data), sides, s)))
+        settled = dict(zip(sides, _envelope_limits(patterns, sides, s)))
         searched = [side for side, limit in settled.items() if limit is None]
         if searched:
             from . import strata  # on first use: the equal-rate checks settle most sides

@@ -539,7 +539,7 @@ def structural_zero_dataset(rng, k, n):
 
 
 class TestSharedOutcomes:
-    """Every outcome of a dataset comes from one diagnosis and one weight pass."""
+    """Every outcome of a dataset comes from one read of its zero patterns and one weight pass."""
 
     def test_dataset_bounds_equal_single_outcome_bounds(self):
         rng = np.random.default_rng(53)
@@ -564,9 +564,9 @@ class TestSharedOutcomes:
         report = run_scenario(Scenario.from_dict(doc))
         bounds = report["results"]["bounds"]
         assert all(b["argmax_t"] == {"limit": {"coordinate": b["outcome"], "value": 1.0}} for b in bounds)
-        # every side attains its envelope from the zero patterns, and at_t runs the one
-        # weight pass
-        assert counts == {"frequency_weights": 0, "likelihood_terms": 1, "vacuity_diagnosis": 1}
+        # the zero patterns open every side, with no diagnosis, and every side attains its
+        # envelope from them; at_t runs the one weight pass
+        assert counts == {"frequency_weights": 0, "likelihood_terms": 1, "vacuity_diagnosis": 0}
 
     def test_searched_predict_run_shares_its_weight_pass(self, monkeypatch):
         # outcome 0's upper misses its envelope, so the search and at_t both need weights

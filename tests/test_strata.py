@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,13 +36,15 @@ from latentidm.observation import (
     frequency_weights,
     likelihood_terms,
     outcome_bounds,
+    posterior_predictive_at_t,
 )
-from latentidm.simplex import SimplexPoint
+from latentidm.simplex import DirichletParams, SimplexPoint
 from oracles import (
     brute_frequency_weights,
     dict_log_weights,
     elimination_faces,
     envelope_limit,
+    exact_frequency_predictive,
     exact_log_weights,
     lexicographic_likelihood_terms,
     positive_solution,
@@ -90,7 +93,7 @@ def support_of(data: ManifestDataset) -> list[tuple[int, ...]]:
 
 
 class TestFrequencySupport:
-    """The support of the log-space weight pass is exact and sorted."""
+    """The support of the weight pass, in either space, is exact and sorted."""
 
     def test_equals_weight_keys_without_underflow(self):
         rng = np.random.default_rng(5)
@@ -168,6 +171,23 @@ def rows_allowing_three_or_more(draw) -> ManifestDataset:
     return ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), observed)
 
 
+@st.composite
+def rows_in_linear_range(draw) -> ManifestDataset:
+    """k in {2, 3, 4}, n <= 8, 2-4 rows of entries drawn from 1e-3 to 1 or zero.
+
+    A normalised entry is at least 2.5e-4, so every product of 8 of them
+    lies above 2^-1000 and every draw takes the linear pass.
+    """
+    k, rows = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    exponents = draw(st.lists(st.floats(-3.0, 0.0), min_size=rows * k, max_size=rows * k))
+    zeros = draw(st.lists(st.booleans(), min_size=rows * k, max_size=rows * k))
+    raw = 10.0 ** np.array(exponents).reshape(rows, k) * ~np.array(zeros).reshape(rows, k)
+    raw[0, raw.sum(axis=0) == 0.0] = 1.0
+    observable = np.flatnonzero(raw.sum(axis=1) > 0.0).tolist()
+    observed = draw(st.lists(st.sampled_from(observable), max_size=8))
+    return ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), observed)
+
+
 def workload_shaped(zeros: bool, seed: int = 0) -> ManifestDataset:
     """k=4, n=20, each row observed 5 times: all-positive, or two cyclic nonzeros per column."""
     rng = np.random.default_rng(seed)
@@ -176,6 +196,28 @@ def workload_shaped(zeros: bool, seed: int = 0) -> ManifestDataset:
         raw *= np.eye(4) + np.roll(np.eye(4), 1, axis=0)
     emission = EmissionMatrix(raw / raw.sum(axis=0))
     return ManifestDataset.from_rows(emission, rng.permutation(np.repeat(np.arange(4), 5)).tolist())
+
+
+def workload_prior_mean(seed: int) -> list[float]:
+    """The `hyper.t` of perfbench's `latent-*` document of this seed, drawn after its dataset."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=(4, 4)), rng.permutation(20)  # the draws of `workload_shaped`
+    gamma = rng.gamma(1.0, size=4)
+    return (gamma / gamma.sum()).tolist()
+
+
+def spy_on_sums(monkeypatch) -> list[str]:
+    """The names of the row sums the weight pass calls, in order."""
+    calls = []
+    for name in ("_linear_sum", "_log_sum_exp"):
+        original = getattr(observation, name)
+
+        def spied(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(observation, name, spied)
+    return calls
 
 
 def assert_matches_dict_pass(data: ManifestDataset) -> np.ndarray:
@@ -215,6 +257,52 @@ class TestVectorisedWeightPass:
         assert np.array_equal(counts, exact_counts)
         ulps = np.abs(log_w - exact_log_w) / np.spacing(np.maximum(1.0, np.abs(exact_log_w)))
         assert ulps.max() <= LOG_W_ULPS
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=rows_in_linear_range())
+    def test_linear_pass_within_ulps_of_exact_weights(self, data):
+        # the support must be exact, and log W within LOG_W_ULPS of the exact weights' log
+        # (3 ulps at worst over 20,000 random draws of this shape)
+        counts, log_w = likelihood_terms(data)
+        exact_counts, exact_log_w = exact_log_weights(data)
+        assert np.array_equal(counts, exact_counts)
+        ulps = np.abs(log_w - exact_log_w) / np.spacing(np.maximum(1.0, np.abs(exact_log_w)))
+        assert ulps.max() <= LOG_W_ULPS
+
+    @pytest.mark.parametrize("n, linear", [(9, True), (11, False)])
+    def test_smallest_entries_pick_the_space(self, monkeypatch, n, linear):
+        # a 2^-100 entry observed n times: 2^-900 lies inside the linear range, and 2^-1100
+        # lies below the smallest float, so only the log pass keeps the vector (n, 0)
+        calls = spy_on_sums(monkeypatch)
+        emission = EmissionMatrix([[2.0**-100, 0.5], [1.0 - 2.0**-100, 0.5]])
+        data = ManifestDataset.from_rows(emission, [0] * n)
+        counts, log_w = likelihood_terms(data)
+        exact_counts, exact_log_w = exact_log_weights(data)
+        assert np.array_equal(counts, exact_counts) and len(counts) == n + 1
+        ulps = np.abs(log_w - exact_log_w) / np.spacing(np.maximum(1.0, np.abs(exact_log_w)))
+        assert ulps.max() <= LOG_W_ULPS
+        assert set(calls) == {"_linear_sum" if linear else "_log_sum_exp"}
+
+    @pytest.mark.parametrize("n, linear", [(999, True), (1030, False)])
+    def test_row_sums_pick_the_space(self, monkeypatch, n, linear):
+        # a row of sum 2 observed n times: W(a) = C(n, a), whose total 2^999 lies inside the
+        # linear range; C(1030, 515) > 2^1024 would overflow there, and the log pass keeps it
+        calls = spy_on_sums(monkeypatch)
+        data = ManifestDataset.from_rows(EmissionMatrix([[1.0, 1.0]]), [0] * n)
+        counts, log_w = likelihood_terms(data)
+        assert counts.tolist() == [[a, n - a] for a in range(n + 1)]
+        np.testing.assert_allclose(log_w, [math.log(math.comb(n, a)) for a in range(n + 1)], rtol=1e-12)
+        assert set(calls) == {"_linear_sum" if linear else "_log_sum_exp"}
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_at_t_within_4e_15_of_the_exact_value(self, zeros, seed):
+        # the latent-* documents of these seeds, at their own prior mean: the log-space pass
+        # read 4.5e-15 (latent-vacuous, seed 3) and 7.4e-15 (latent-zeros, seed 5)
+        data, t = workload_shaped(zeros, seed), workload_prior_mean(seed)
+        values = posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint(t)))
+        exact = exact_frequency_predictive(data, 2.0, t)
+        assert max(abs(Fraction(v) - e) / e for v, e in zip(values, exact)) <= 4e-15
 
     def test_index_is_built_once_per_shape(self):
         observation._state_index.cache_clear()

@@ -4,7 +4,9 @@ Reports come from the command line: `cli.main` parses a scenario document,
 runs it and writes its report.  This runs a fixed set of documents through
 `cli.main` under `sys.settrace` and checks that every function defined in
 `src/latentidm` was called, apart from the names that `perfbench/spans.py`
-wraps or reads (it looks them up by string) and `SimplexPoint.__eq__`,
+wraps or reads (it looks them up by string), `VacuityDiagnosis.__getitem__`,
+which `perfbench/workloads.py` uses to check each latent report's bounds
+against the diagnosis, and `SimplexPoint.__eq__`,
 which the generated equality of extremizer descriptors and of
 `PredictiveBounds` calls.  A function that only direct library tests reach
 fails it: such code belongs in the tests, or nowhere.
@@ -33,6 +35,7 @@ UNREACHED = {
     ("vacuity", "delta_set_mass"),
     ("vacuity", "posterior_ratio"),
     ("simplex", "SimplexGrid.point_count"),
+    ("observation", "VacuityDiagnosis.__getitem__"),
     ("simplex", "SimplexPoint.__eq__"),
 }
 
@@ -51,12 +54,22 @@ CHANNEL_TREND_DOC = dict(
     likelihood={"kind": "channel", "eps1": 0.1, "eps2": 0.2, "observations": [0, 1]},
 )
 FIXED_T1_DOC = dict(SCALED_BETA_DOC, fixed_t1=0.3)
+# five observations of a 1e-200 entry: their product lies below 2^-1000, so the fixed-prior
+# value's weight pass runs in log space
+TINY_ENTRY_DOC = dict(
+    PREDICT_DOC,
+    k=3,
+    model={"emission": [[1e-200, 0.5, 0.3], [1.0, 0.5, 0.7]]},
+    observations=[0, 0, 0, 0, 0, 1],
+    hyper={"s": 2.0, "t": [0.2, 0.3, 0.5]},
+)
 CUSTOM = {
     "face": FACE_DOC,
     "searched": SEARCHED_DOC,
     "grid-trend": GRID_TREND_DOC,
     "channel-trend": CHANNEL_TREND_DOC,
     "fixed-t1": FIXED_T1_DOC,
+    "tiny-entry": TINY_ENTRY_DOC,
 }
 
 
@@ -107,7 +120,7 @@ def test_every_function_is_reached_from_the_command_line(tmp_path, monkeypatch, 
         ["run", "theorem-a1-concentration", "--format", "table"],
         ["run", "face", "--format", "table"],
         ["run", "searched", "--out", str(out / "searched.json")],
-        *(["run", name] for name in ("grid-trend", "channel-trend", "fixed-t1")),
+        *(["run", name] for name in ("grid-trend", "channel-trend", "fixed-t1", "tiny-entry")),
     ]
     called = _called(argv_lists)
     capsys.readouterr()

@@ -11,11 +11,12 @@ Whether a predictive bound can move off 0/1 at all is decided exactly, from
 the distinct zero patterns of the observed rows: a bound with no witness
 (`vacuity_diagnosis` lists them for `diagnose` documents) is its analytic
 limit, 0 or 1.  A side the zero patterns leave open is first checked
-against its conjugate envelope, also exactly from those patterns; only a
-side whose envelope is not attained there is searched, over the interior of
-the prior-mean simplex and over each of its boundary strata.  An
-observation whose row is zero under every hidden outcome is impossible and
-is rejected when the dataset is built.
+against its conjugate envelope, also exactly from those patterns: on the
+straight path to a vertex, and for an upper then on the faces with unequal
+rates.  Only a side whose envelope is not attained there is searched, over
+the interior of the prior-mean simplex and over each of its boundary
+strata.  An observation whose row is zero under every hidden outcome is
+impossible and is rejected when the dataset is built.
 
 The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
@@ -53,8 +54,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SizeCapError
-from .idm import BoundaryLimit, FrequencyVector, PredictiveBounds, log_rising
-from .simplex import DirichletParams
+from .idm import BoundaryLimit, BoundaryStratum, FrequencyVector, PredictiveBounds, log_rising
+from .simplex import DirichletParams, SimplexPoint
 
 # Unused here; perfbench/spans.py wraps `observation.log_marginal_probability`
 # and `observation.SimplexGrid` by name.
@@ -422,8 +423,8 @@ def _envelope_limits(patterns: dict[int, int], sides: Sequence[tuple[int, bool]]
     reaches its envelope iff no such T meets a row that allows j, for then
     every such row can still pick j.  Sets of patterns are bit masks too
     (bit m for pattern m), so each of the at most 2^(DP_MAX_K - 1) = 8 sets
-    T takes one mask test.  A side that fails its check goes on to
-    `strata.search`, which tries the faces with unequal rates first.
+    T takes one mask test.  An upper that fails its check goes on to the
+    faces with unequal rates (`_face_limit`), a lower to the search.
     """
     n = sum(patterns.values())
     # the patterns that allow each outcome, and those that meet each set t of outcomes,
@@ -454,6 +455,33 @@ def _envelope_limits(patterns: dict[int, int], sides: Sequence[tuple[int, bool]]
     return limits
 
 
+def _face_limit(patterns: dict[int, int], k: int, j: int, s: float):
+    """(value, stratum) where the upper of j reaches its envelope at unequal rates, else None.
+
+    With every outcome but j vanishing, a vector's pattern {h != j: a_h > 0}
+    hits each row that excludes j, and each minimal hitting set is the
+    pattern of a vector whose rows that allow j all pick j.  Positive rates
+    r minimise <r, P> over the hitting sets P only on minimal ones, so the
+    hitting sets expose the faces of the support, in its order and with its
+    rates (`strata.faces`).  The first face whose sets meet no row that
+    allows j holds only vectors with a_j = A_j, for such a row could pick an
+    outcome of the face instead, and settles the upper at (A_j + s)/(n + s).
+    """
+    from . import strata  # on first use: the equal-rate check settles most uppers
+
+    z = tuple(h for h in range(k) if h != j)
+    excluding = [m for m in patterns if not m >> j & 1]
+    hitting = [t for t in range(1 << k) if not t >> j & 1 and all(t & m for m in excluding)]
+    sets = np.array([[t >> h & 1 for h in z] for t in hitting], dtype=bool)
+    for rates, members in strata.faces(sets):
+        face = [t for t, member in zip(hitting, members.tolist()) if member]
+        if not any(t & m for t in face for m in patterns if m >> j & 1):
+            rows = sum(c for m, c in patterns.items() if m >> j & 1)
+            where = BoundaryStratum(z, rates, (1.0,) * len(z), SimplexPoint(np.eye(k)[j]))
+            return (rows + s) / (sum(patterns.values()) + s), where
+    return None
+
+
 def outcome_bounds(
     data: ManifestDataset, s: float, outcomes: Sequence[int]
 ) -> tuple[PredictiveBounds, ...]:
@@ -471,14 +499,14 @@ def outcome_bounds(
 
     A side left open is next checked against its conjugate envelope on the
     equal-rate paths, again from the rows' distinct zero patterns alone
-    (`_envelope_limits`).  Only the sides that fail there read the
-    dataset's weight pass: its support for the faces with unequal rates
-    and, failing those, its weights for the search (`strata.search`).  So
-    the pass runs here only for a searched side, and a fixed-prior value
-    (`posterior_predictive_at_t`) runs it otherwise.  The pass's work cap
-    is checked whenever a side is open, so a refusal does not depend on
-    which check settles it; k is capped for every side.  Returns one entry
-    per listed outcome, in order.
+    (`_envelope_limits`), and an upper that fails there on the faces with
+    unequal rates, from the same patterns (`_face_limit`).  Only the sides
+    that fail both read the dataset's weight pass, for the search
+    (`strata.search`).  So the pass runs here only for a searched side, and
+    a fixed-prior value (`posterior_predictive_at_t`) runs it otherwise.
+    The pass's work cap is checked whenever a side is open, so a refusal
+    does not depend on which check settles it; k is capped for every side.
+    Returns one entry per listed outcome, in order.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -501,9 +529,12 @@ def outcome_bounds(
     if sides:
         check_weight_pass_size(data.n, data.k)
         settled = dict(zip(sides, _envelope_limits(patterns, sides, s)))
+        for j, upper in sides:
+            if upper and settled[j, upper] is None:
+                settled[j, upper] = _face_limit(patterns, data.k, j, s)
         searched = [side for side, limit in settled.items() if limit is None]
         if searched:
-            from . import strata  # on first use: the equal-rate checks settle most sides
+            from . import strata  # on first use: the zero-pattern checks settle most sides
 
             counts, log_w = data.weight_pass
             settled.update(zip(searched, strata.search(counts, log_w, s, searched)))

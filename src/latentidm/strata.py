@@ -13,14 +13,14 @@ exposed face.  The supremum or infimum over the open simplex is the best
 value over the interior and the strata, and every stratum value is a limit
 of attained values.
 
-`observation` imports this module on first use, and passes it the support
-and log weights of the dataset's one weight pass, with the sides that its
-zero pattern and its equal-rate envelope checks leave open: most scenarios
-settle every side there, and never need it.  Here a search call builds its
-table of strata once (`_strata`): the interior, then the exposed faces of
-each vanishing set, found once.  A side is first checked against its
-envelope on the strata with unequal rates (`face_limits`), and only then
-searched (`_multistart`, within the work cap); both steps read that table.
+`observation` imports this module on first use: its check of an upper on
+the faces with unequal rates reads `faces` of the rows' minimal hitting
+sets, with no weight pass, and a side that no zero-pattern check settles
+is searched here, on the support and log weights of the dataset's one
+weight pass, which runs only for such a side or for a `hyper.t` value.  A
+search call builds its table of strata once (`_strata`): the interior,
+then the exposed faces of each vanishing set, found once.  The multistart
+(`_multistart`) reads that table, within the work cap.
 """
 
 from __future__ import annotations
@@ -67,39 +67,6 @@ def faces(patterns: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
         exposed.setdefault(face.tobytes(), (rates, face))
     ordered = sorted(exposed.values(), key=lambda p: (p[1].sum(), np.flatnonzero(p[1]).tolist()))
     return [(rates, face[inverse.ravel()]) for rates, face in ordered]
-
-
-def face_limits(counts: np.ndarray, sides, s: float, strata) -> list:
-    """(value, stratum) of each side (j, upper) that a face with unequal rates settles, else None.
-
-    As in `observation._envelope_limits`, the envelope is (A + s)/(n + s) for
-    the upper and B/(n + s) for the lower, with A and B the largest and
-    smallest a_j of the support `counts`.  The upper attains it iff, as every
-    coordinate but j vanishes, some exposed face holds only vectors with
-    a_j = A; the lower iff, for some vanishing set of 2 to k - 1 coordinates
-    containing j, one holds only vectors with a_j = B.  The table of strata
-    (`_strata`) is scanned in its order, and the first stratum that fits the
-    side and whose members all meet the envelope settles it.
-    """
-    n, k = sum(counts[0].tolist()), counts.shape[1]
-    limits = []
-    for j, upper in sides:
-        column = counts[:, j]
-        target = int(column.max()) if upper else int(column.min())
-        value = (target + s) / (n + s) if upper else target / (n + s)
-        limit = None
-        for vanishing, rates, members in strata:
-            if upper:
-                fits = len(vanishing) == k - 1 and j not in vanishing
-            else:
-                fits = len(vanishing) >= 2 and j in vanishing
-            if fits and (column[members] == target).all():
-                rest = np.isin(np.arange(k), vanishing, invert=True)
-                where = SimplexPoint(rest / rest.sum())
-                limit = (value, BoundaryStratum(vanishing, rates, (1.0,) * len(vanishing), where))
-                break
-        limits.append(limit)
-    return limits
 
 
 def _strata(counts: np.ndarray) -> list[tuple[tuple, tuple, np.ndarray]]:
@@ -221,22 +188,20 @@ def _newton(evaluate, theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
 
 
 def search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[int, bool]]):
-    """(value, extremizer) of each (outcome, upper) side: its envelope where a face with unequal
-    rates attains it (`face_limits`), else its best value over the interior and every stratum.
+    """(value, extremizer) of each (outcome, upper) side: its best value over the interior and
+    every stratum.
 
-    The table of strata (`_strata`) is built once per call, and both steps read it.
+    `observation` passes only the sides its zero-pattern checks leave open,
+    the faces with unequal rates included.  The table of strata (`_strata`)
+    is built once per call and held to the work cap before the multistart
+    reads it.
     """
     strata = _strata(counts)
-    found = face_limits(counts, sides, s, strata)
-    rest = [side for side, limit in zip(sides, found) if limit is None]
-    if rest:
-        cells, cap = len(rest) * len(strata) * counts.size, observation.MAX_WORK
-        if cells > cap:
-            raise SizeCapError(f"search capped at {cap:,} cells; {len(rest)} sides x {len(strata)}"
-                               f" strata x |W|={len(counts)} x k={counts.shape[1]} = {cells:,}")
-        searched = iter(_multistart(counts, log_w, s, rest, strata))
-        found = [limit or next(searched) for limit in found]
-    return found
+    cells, cap = len(sides) * len(strata) * counts.size, observation.MAX_WORK
+    if cells > cap:
+        raise SizeCapError(f"search capped at {cap:,} cells; {len(sides)} sides x {len(strata)}"
+                           f" strata x |W|={len(counts)} x k={counts.shape[1]} = {cells:,}")
+    return _multistart(counts, log_w, s, sides, strata)
 
 
 def _multistart(counts: np.ndarray, log_w: np.ndarray, s: float, sides, strata) -> list:

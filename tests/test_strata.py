@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,9 @@ from latentidm.observation import (
     likelihood_terms,
     outcome_bounds,
     posterior_predictive_at_t,
+    vacuity_diagnosis,
 )
+from latentidm.runner import Scenario, run_scenario
 from latentidm.simplex import DirichletParams, SimplexPoint
 from oracles import (
     brute_frequency_weights,
@@ -52,6 +55,7 @@ from oracles import (
     predictive_extremes,
     support_envelope_limits,
 )
+from test_cli import FACE_DOC
 
 
 def channel_parts(seed: int, k: int, n: int) -> tuple[EmissionMatrix, list[int]]:
@@ -151,9 +155,10 @@ def tiny_channels(draw, min_n: int = 0, max_n: int = 8) -> ManifestDataset:
     return ManifestDataset.from_rows(EmissionMatrix(raw / raw.sum(axis=0)), observed)
 
 
-# ulps of max(1, |log W|): the worst error of the graded pass, and of the dict pass, over
-# 20,000 random draws of `rows_allowing_three_or_more` against `exact_log_weights`; each of
-# the n <= 8 steps rounds once as it adds a log entry
+# ulps of max(1, |log W|) against `exact_log_weights`.  The derandomized examples of
+# `rows_allowing_three_or_more` stay within 4, but 4 is not the log pass's worst case: 10,000
+# numpy draws of that shape at each of seeds 1 and 2 reached 5 and 6 ulps on rows that take
+# the log pass.  Each of the n <= 8 steps rounds once as it adds a log entry
 LOG_W_ULPS = 4
 
 
@@ -455,15 +460,61 @@ def envelope(rows, j: int, upper: bool, s: float = 2.0):
     return observation._envelope_limits(patterns, [(j, upper)], s)[0]
 
 
-def face_envelope(rows, j: int, upper: bool, s: float = 2.0):
-    """`strata.face_limits` of the single side (j, upper), which failed its equal-rate check."""
-    assert envelope(rows, j, upper, s) is None
-    counts, _ = patterned(rows).weight_pass
-    return strata.face_limits(counts, [(j, upper)], s, strata._strata(counts))[0]
+def face_envelope(rows, j: int, s: float = 2.0):
+    """`observation._face_limit` of the upper of j, which failed its equal-rate check.
+
+    Held to the support oracle: the same value, descriptor and rates, or None.
+    """
+    assert envelope(rows, j, True, s) is None
+    data = patterned(rows)
+    limit = observation._face_limit(observation._zero_patterns(data), data.k, j, s)
+    assert limit == envelope_limit(support_of(data), j, True, s)
+    return limit
 
 
 def all_sides(k: int) -> list[tuple[int, bool]]:
     return [(j, upper) for j in range(k) for upper in (False, True)]
+
+
+def open_sides(data: ManifestDataset) -> list[tuple[int, bool]]:
+    """The sides `vacuity_diagnosis` witnesses: uppers a row rules out, lowers a row certifies."""
+    outcomes = vacuity_diagnosis(data).per_outcome
+    flags = [(d.lower_strictly_above_zero, d.upper_strictly_below_one) for d in outcomes]
+    return [(j, upper) for j, upper in all_sides(data.k) if flags[j][upper]]
+
+
+def pattern_limits(data: ManifestDataset, sides, s: float) -> list:
+    """The zero-pattern rules of `outcome_bounds` on each side, with no weight pass.
+
+    The equal-rate envelope (`_envelope_limits`), then, for an upper it
+    leaves open, the faces with unequal rates (`_face_limit`).
+    """
+    patterns = observation._zero_patterns(data)
+    limits = observation._envelope_limits(patterns, sides, s)
+    return [
+        observation._face_limit(patterns, data.k, j, s) if upper and limit is None else limit
+        for (j, upper), limit in zip(sides, limits, strict=True)
+    ]
+
+
+def assert_pattern_rule_matches_the_support(data: ManifestDataset, s: float) -> Counter:
+    """Every open side against `oracles.envelope_limit` on the support of the weight pass.
+
+    The same value (a Python float) and descriptor, rates included, or None
+    for the same sides.  Returns how many sides each check settled: keys
+    "envelope", "face" and "search".
+    """
+    sides = open_sides(data)
+    support = [tuple(a) for a in data.weight_pass[0].tolist()]
+    settled = Counter()
+    for (j, upper), limit in zip(sides, pattern_limits(data, sides, s), strict=True):
+        assert limit == envelope_limit(support, j, upper, s), (j, upper)
+        if limit is None:
+            settled["search"] += 1
+        else:
+            assert type(limit[0]) is float
+            settled["face" if isinstance(limit[1], BoundaryStratum) else "envelope"] += 1
+    return settled
 
 
 class TestEnvelope:
@@ -492,20 +543,9 @@ class TestEnvelope:
         # row {0, 2}:
         # the straight path keeps (0, 0, 2) too, whose a_0 = 0 < A = 1; letting t_2
         # vanish faster than t_1 leaves (1, 1, 0) alone
-        value, where = face_envelope([[0, 2], [1, 2]], 0, True)
+        value, where = face_envelope([[0, 2], [1, 2]], 0)
         assert (value, where.vanishing, where.limit) == (0.75, (1, 2), SimplexPoint([1, 0, 0]))
         assert where.rates[0] < where.rates[1]
-
-    def test_lower_needs_a_larger_vanishing_set(self):
-        # every a_0 >= 1, but a_0 is not constant: t_0 alone vanishing keeps both
-        # vectors; with t_2 vanishing too, only (1, 2, 0) survives, and a_0 = 1 = B.
-        # No rows settle a lower on a face (see the next test), so this support goes to the
-        # faces directly
-        counts = np.array([(1, 2, 0), (2, 0, 1)])
-        value, where = strata.face_limits(counts, [(0, False)], 2.0, strata._strata(counts))[0]
-        assert value == 1 / (3 + 2.0)
-        assert isinstance(where, BoundaryStratum) and where.vanishing == (0, 2)
-        assert where.limit == SimplexPoint([0, 1, 0])
 
     @pytest.mark.parametrize("k,n", [(3, 4), (4, 2)])
     def test_open_lower_never_settles_on_a_face(self, k, n):
@@ -530,7 +570,7 @@ class TestEnvelope:
                     assert (limit is None) == any(j in row and len(row) > 1 for row in rows)
 
     def test_unattained_envelope_is_left_to_the_search(self):
-        assert face_envelope([[1], [0, 1, 2]], 0, True) is None
+        assert face_envelope([[1], [0, 1, 2]], 0) is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -540,21 +580,53 @@ class TestEnvelope:
         s=st.sampled_from([0.5, 2.0, 5.0]),
     )
     def test_every_side_matches_the_per_vector_rule(self, seed, k, n, s):
-        # all 2k sides in one call, the zero-pattern rule and then the faces of the sides it
-        # leaves, against the plain-Python rule one side at a time: the same value (a Python
-        # float), the same descriptor, or None for the same sides
-        data = channel_with_zeros(seed, k, n)
-        counts, _ = data.weight_pass
-        sides = all_sides(k)
-        limits = observation._envelope_limits(observation._zero_patterns(data), sides, s)
-        left = [side for side, limit in zip(sides, limits) if limit is None]
-        on_faces = iter(strata.face_limits(counts, left, s, strata._strata(counts)))
-        limits = [next(on_faces) if limit is None else limit for limit in limits]
-        for (j, upper), limit in zip(sides, limits, strict=True):
-            expected = envelope_limit(counts.tolist(), j, upper, s)
-            assert limit == expected
-            if limit is not None:
-                assert type(limit[0]) is float
+        # every open side in one call, the equal-rate rule and then the faces of the uppers it
+        # leaves, all from the zero patterns, against the plain-Python rule on the support one
+        # side at a time: the same value (a Python float), the same descriptor, or None for
+        # the same sides
+        assert_pattern_rule_matches_the_support(channel_with_zeros(seed, k, n), s)
+
+    def test_pattern_rule_matches_the_support_on_random_channels(self):
+        # 1,000 channels of `channel_parts`, k 2-4, n 1-8: the zero-pattern rules settle sides
+        # both on the straight path and on faces with unequal rates, and leave some to the
+        # search, each exactly where the support oracle does
+        rng = np.random.default_rng(28)
+        settled = Counter()
+        for seed in range(1000):
+            k, n = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+            s = float(rng.choice([0.5, 2.0]))
+            settled += assert_pattern_rule_matches_the_support(channel_with_zeros(seed, k, n), s)
+        assert min(settled["envelope"], settled["face"], settled["search"]) >= 100
+
+    @pytest.mark.parametrize("k, n", [(3, 4), (4, 3)])
+    def test_pattern_rule_matches_the_support_on_every_row_multiset(self, k, n):
+        # every multiset of up to n row patterns, at s = 0.5 and 2
+        settled = Counter()
+        for size in range(1, n + 1):
+            for masks in itertools.combinations_with_replacement(range(1, 1 << k), size):
+                data = patterned([[j for j in range(k) if m >> j & 1] for m in masks], k)
+                for s in (0.5, 2.0):
+                    settled += assert_pattern_rule_matches_the_support(data, s)
+        assert min(settled["envelope"], settled["face"], settled["search"]) > 0
+
+    def test_face_settled_documents_skip_the_weight_pass(self, monkeypatch):
+        # `FACE_DOC` and the rows of `test_upper_with_unequal_rates` settle every open side on
+        # a face with unequal rates, from the zero patterns alone: no weight pass runs, and no
+        # table of strata is built
+        calls = []
+        for module, name in ((observation, "likelihood_terms"), (strata, "_strata")):
+            original = getattr(module, name)
+
+            def spied(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spied)
+        report = run_scenario(Scenario.from_dict(FACE_DOC))
+        assert [b["argmax_t"].keys() for b in report["results"]["bounds"][1:]] == [{"stratum"}] * 2
+        bounds = outcome_bounds(patterned([[0, 2], [1, 2]]), 2.0, range(3))
+        assert [type(b.argmax_t) for b in bounds[:2]] == [BoundaryStratum] * 2
+        assert calls == []
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -642,21 +714,28 @@ class TestSearch:
                         assert value_along(data, s, where, 1e-40)[j] == pytest.approx(value, abs=1e-12)
 
     def test_faces_of_each_vanishing_set_are_found_once(self, monkeypatch):
-        # the unequal-rate face checks and the search share the faces of a call: this
-        # k = 4 dataset reaches both, and the search visits all 14 proper vanishing sets
-        calls = []
-        original = strata.faces
+        # this k = 4 dataset reaches both the unequal-rate face check and the search: the
+        # check reads the faces of the hitting sets of its one open upper (d = 3), and the
+        # search builds one table of strata, which visits all 14 proper vanishing sets once
+        calls, tables = [], []
+        faces, build = strata.faces, strata._strata
 
         def counted(patterns):
-            calls.append(patterns.shape[1])
-            return original(patterns)
+            calls.append((len(tables), patterns.shape[1]))
+            return faces(patterns)
+
+        def built(counts):
+            tables.append(1)
+            return build(counts)
 
         monkeypatch.setattr(strata, "faces", counted)
+        monkeypatch.setattr(strata, "_strata", built)
         emission, rows = LATTICE_SHORT
         data = ManifestDataset.from_rows(EmissionMatrix(emission), rows)
         outcome_bounds(data, 2.0, range(4))
         sets = [z for size in (1, 2, 3) for z in itertools.combinations(range(4), size)]
-        assert sorted(calls) == sorted(len(z) for z in sets)
+        assert tables == [1]
+        assert calls == [(0, 3)] + [(1, len(z)) for z in sets]
 
     @pytest.mark.parametrize("seed, n", [(0, 30), (2, 60), (3, 30), (5, 60)])
     def test_label_symmetry_and_exchangeability_past_twenty_observations(

@@ -4,6 +4,8 @@ Dirichlet moments in log space, which are also the marginal probabilities
 of ordered datasets, the types that record a predictive bound and where it
 is approached, and the classic fully-observable predictive bounds obtained
 from a near-ignorance set of Dirichlet priors with fixed strength s.
+`log_moments` takes a table of priors, one strength and one alpha row per
+prior, as the trend lab builds for each block of a schedule's indices.
 
 Throughout, marginal probabilities refer to an ordered dataset: no
 multinomial coefficient is included.  Multiplicity factors are applied only
@@ -14,15 +16,11 @@ and 0**0 is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .simplex import DirichletParams, SimplexPoint
-
-# ladder cells the priors of one `log_moment_blocks` block may share; a block grows past
-# it only to hold one prior
-_BLOCK_CELLS = 1 << 16
 
 
 # Slotted: the weight pass keeps one per support vector, up to 1,771 at k=4, n=20.
@@ -126,28 +124,6 @@ def log_moments(alpha: np.ndarray, s: float | np.ndarray, counts: np.ndarray) ->
     """
     sizes = counts.sum(axis=1, keepdims=True)
     return log_rising(alpha, counts) - log_rising(np.asarray(s, dtype=float)[..., None], sizes)
-
-
-def log_moment_blocks(
-    prior_at: Callable[[int], DirichletParams], indices: Sequence[int], counts: np.ndarray
-) -> Iterator[tuple[list[DirichletParams], np.ndarray]]:
-    """`log_moments` of counts under prior_at(n) for each n in indices, taken in blocks:
-    yields each block's priors with their (len(block), R) array of log moments.
-
-    A block holds as many priors as fit in `_BLOCK_CELLS` ladder cells, or one.
-    Its priors are made only when it is reached and dropped when the next one
-    is asked for (the yielded list is emptied), so memory is that of one block
-    whatever the number of indices.  A prior's larger ladder is its
-    coordinates' or its strength's (`log_rising`), freed in that order.
-    """
-    cells = max(counts.shape[1] * (int(counts.max()) + 1), int(counts.sum(axis=1).max()) + 1)
-    step = max(1, _BLOCK_CELLS // cells)
-    for j in range(0, len(indices), step):
-        block = [prior_at(n) for n in indices[j : j + step]]
-        yield block, log_moments(
-            np.array([p.alpha for p in block]), np.array([p.s for p in block]), counts
-        )
-        block.clear()  # the caller's reference too: a block's priors go before the next's come
 
 
 def log_rising(alpha: Sequence[float], counts: np.ndarray) -> np.ndarray:

@@ -382,12 +382,12 @@ def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> 
     if prior.k != data.k:
         raise ValueError(f"prior has k={prior.k}, dataset has k={data.k}")
     counts, log_w = data.weight_pass
-    s, t, n = prior.s, prior.t.coords, data.n
-    terms = log_rising(s * t, counts) + log_w
+    s, alpha, n = prior.s, prior.alpha, data.n
+    terms = log_rising(alpha, counts) + log_w
     weights = np.exp(terms - terms.max())
     total = weights.sum()
     return tuple(
-        float((weights * ((counts[:, j] + s * t[j]) / (n + s))).sum() / total)
+        float((weights * ((counts[:, j] + alpha[j]) / (n + s))).sum() / total)
         for j in range(data.k)
     )
 

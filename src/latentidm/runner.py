@@ -625,7 +625,7 @@ def report_to_table(report: dict) -> str:
         block = results.get(block_name) if isinstance(results, dict) else None
         if isinstance(block, dict) and "rows" in block:
             deltas = block.get("deltas", [])
-            header = ["block", "n", "expectation"] + [f"mass_{d:g}" for d in deltas] + ["ratio"]
+            header = ["block", "n", "expectation"] + [f"mass_{d!r}" for d in deltas] + ["ratio"]
             if not lines:
                 lines.append("\t".join(header))
             for row in block["rows"]:

@@ -13,11 +13,13 @@ closed forms.  Every f and likelihood L is a `Polynomial`, so E_n(f) and
 the posterior ratios E_n(f L) / E_n(L) are sums of Dirichlet moments, and a
 slab mass is the Beta mass of an interval of one coordinate.  What depends
 only on the document (the slab interval ends, the stacked exponent rows) is
-found once per call, and so are the moments of every index: E_n(f) and every
-likelihood's numerator and normalizer are read from one stacked ladder of log
-ascending factorials per block of indices.  Each index then evaluates the
-Beta CDFs at those ends.  Only the slab of a monomial with two or more
-positive exponents on k >= 3 coordinates is summed on a lattice grid.
+found once per call, and so are the moments of every index: a family's priors
+are one table, each index's strength and alpha row, built a block of indices
+at a time, and E_n(f) and every likelihood's numerator and normalizer are read
+from one stacked ladder of log ascending factorials per block.  Each index
+then evaluates the Beta CDFs at those ends.  Only the slab of a monomial with
+two or more positive exponents on k >= 3 coordinates is summed on a lattice
+grid.
 `delta_set_mass` and `posterior_ratio` are plain grid sums, kept as the
 tests' oracles.  Every grid sum weighs the lattice points by one
 unnormalised density, `lattice_density`.
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .idm import FrequencyVector, log_moment_blocks, vacuous_prior_upper_predictive
+from .idm import FrequencyVector, log_moments, vacuous_prior_upper_predictive
 from .observation import ManifestDataset, likelihood_terms
 from .simplex import DirichletParams, SimplexGrid, SimplexPoint
 
@@ -47,6 +49,8 @@ GRID = "grid"
 _TOLERANCE = 0.01
 # the Lentz method's stand-in for a zero denominator
 _TINY = 1e-300
+# ladder cells the indices of one block may share; a block grows past it only to hold one index
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +95,35 @@ def _peak(row: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConcentratingSequence:
-    """An index-parameterized family of Dirichlet priors aimed at a target."""
+    """An index-parameterized family of Dirichlet priors aimed at a target.
 
-    generator: Callable[[int], DirichletParams]
+    Index n's prior has its mean on the mixing path t(n) = target (1 - k/n)
+    + 1/n, at distance ~k/n from the target, and strength n, or `strength`
+    at every index when that is set.
+    """
+
     target: SimplexPoint
+    strength: float | None = None
+
+    def priors(self, schedule: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each index's strength s and alpha row s t(n): a (N,) and an (N, k) array.
+
+        The path stays on the simplex for n >= k - 1, and smaller indices are
+        refused; a row that reaches its boundary (n = k - 1 at a vertex) is
+        mixed back into the interior with weight 1e-6 / k.  Every row is then
+        scaled to sum to 1, so each lies in the open simplex.
+        """
+        k = self.target.k
+        n = np.array(schedule, dtype=float)[:, None]
+        if n.min() < max(1, k - 1):
+            raise ValueError(f"the path leaves the simplex below index {max(1, k - 1)}")
+        t = self.target.coords * (1.0 - k / n) + 1.0 / n
+        low = t.min(axis=1) <= 0.0
+        eps = 1e-6 / k
+        t[low] = t[low] * (1.0 - k * eps) + eps
+        t /= t.sum(axis=1, keepdims=True)
+        s = n[:, 0] if self.strength is None else np.full(len(t), self.strength)
+        return s, s[:, None] * t
 
 
 @dataclass(frozen=True)
@@ -161,15 +190,15 @@ class TrendReport:
 # Grid sums: the oracles of the exact values below.
 
 
-def lattice_density(params: DirichletParams, log_points: np.ndarray) -> np.ndarray:
-    """The Dirichlet density at the clamped lattice points with logs `log_points`, up to a factor.
+def lattice_density(alpha: np.ndarray, log_points: np.ndarray) -> np.ndarray:
+    """The Dirichlet(alpha) density at the lattice points with logs `log_points`, up to a factor.
 
     exp((alpha - 1) . log theta), shifted by its maximum so the largest value
     is 1: the normalising constant cancels in every ratio of two sums over
     one lattice, and the shift keeps the sums away from overflow and
     underflow.
     """
-    log_density = log_points @ (params.alpha - 1.0)
+    log_density = log_points @ (alpha - 1.0)
     return np.exp(log_density - log_density.max())
 
 
@@ -181,7 +210,7 @@ def delta_set_mass(params: DirichletParams, dset: DeltaSet, grid: SimplexGrid) -
     full sum removes the shared discretization bias, so the result always
     lies in [0, 1].
     """
-    density = lattice_density(params, np.log(grid.points))
+    density = lattice_density(params.alpha, np.log(grid.points))
     return float(density[dset.mask(dset.f.values(grid.points))].sum() / density.sum())
 
 
@@ -198,7 +227,7 @@ def posterior_ratio(
     sum, unlike the log-space moments of `verify_theorem1`, loses the
     likelihood where its float values vanish.
     """
-    weights = likelihood.values(grid.points) * lattice_density(params, np.log(grid.points))
+    weights = likelihood.values(grid.points) * lattice_density(params.alpha, np.log(grid.points))
     denominator = float(weights.sum())
     if not np.isfinite(denominator) or denominator < 1e-300:
         raise FloatingPointError(
@@ -295,9 +324,10 @@ def verify_theorem1(
 
     Per call: each slab's ends on the coordinate x = theta_i that reads
     f = x^p (1 - x)^q (i = 0 when k = 2), the exponent rows [f; L_1;
-    L_1 + f; L_2; L_2 + f; ...].  Per block of indices (`log_moment_blocks`,
-    which bounds a block's ladder cells and makes its Dirichlet parameters
-    only when it is reached): one stacked ladder over those rows, giving
+    L_1 + f; L_2; L_2 + f; ...].  Per block of indices, as many as share
+    `_BLOCK_CELLS` ladder cells, or one: the block's rows of the priors table
+    (`ConcentratingSequence.priors`, k + 1 floats per index), built when the
+    block is reached, and one stacked ladder over the exponent rows, giving
     E_n(f) and every E_n(f L) / E_n(L) of each index in it.  Per index: the
     Beta CDFs of x ~ Beta(alpha_i, sum of the rest) at the ends.  Only
     per-index scalars outlive a block, and no value depends on the other
@@ -330,18 +360,23 @@ def verify_theorem1(
     stack = np.vstack([f_row[None], *blocks])
     starts = np.cumsum([1] + [len(block) for block in blocks])
     log_coeffs = [np.tile(L.log_coeffs, 2) for L in likelihoods]
+    # an index's larger ladder is its coordinates' or its strength's (`log_rising`)
+    cells = max(len(f_row) * (int(stack.max()) + 1), int(stack.sum(axis=1).max()) + 1)
+    step = max(1, _BLOCK_CELLS // cells)
 
-    def slab_masses(params: DirichletParams) -> tuple[float, ...]:
+    def slab_masses(alpha: np.ndarray) -> tuple[float, ...]:
         if grid is None:
-            a, b = float(params.alpha[i]), float(params.alpha[rest].sum())
+            a, b = float(alpha[i]), float(alpha[rest].sum())
             inside = (_beta_cdf(hi, a, b) - _beta_cdf(lo, a, b) for lo, hi in ends)
             return tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
-        density = lattice_density(params, log_points)
+        density = lattice_density(alpha, log_points)
         return tuple(float(density[m].sum() / density.sum()) for m in members)
 
     masses, expectations, log_ratios = [], [], [[] for _ in likelihoods]
-    for block, logs in log_moment_blocks(sequence.generator, schedule, stack):
-        masses += map(slab_masses, block)
+    for j in range(0, len(schedule), step):
+        strengths, alphas = sequence.priors(schedule[j : j + step])
+        logs = log_moments(alphas, strengths, stack)
+        masses += map(slab_masses, alphas)
         expectations += logs[:, 0].tolist()
         for start, coeffs, out in zip(starts, log_coeffs, log_ratios):
             terms = logs[:, start : start + len(coeffs)] + coeffs
@@ -399,29 +434,16 @@ def dataset_likelihood(data: ManifestDataset) -> Polynomial:
     return Polynomial(counts, log_w)
 
 
-def _target_path(target: SimplexPoint, n: int) -> SimplexPoint:
-    """Interior point at distance ~k/n from the target along the mixing path."""
-    k = target.k
-    coords = target.coords * (1.0 - k / n) + 1.0 / n
-    if coords.min() <= 0.0:
-        eps = 1e-6 / k
-        coords = coords * (1.0 - k * eps) + eps
-    return SimplexPoint(coords / coords.sum())
-
-
 def canonical_concentrating_sequence(target: SimplexPoint) -> ConcentratingSequence:
     """Strength-n family: index n maps to strength s = n and mean on the path
-    t_i = target_i (1 - k/n) + 1/n.
+    t(n) = target (1 - k/n) + 1/n.
 
     Every exponent s t_i - 1 stays >= 0 along the family, so the densities
     are bounded and grid-integrable at any index.  This is one admissible
     concentrating family, chosen to make the experiments reproducible; the
     trend statements only require that some such family exists.
     """
-    return ConcentratingSequence(
-        generator=lambda n: DirichletParams(s=float(n), t=_target_path(target, n)),
-        target=target,
-    )
+    return ConcentratingSequence(target)
 
 
 def fixed_strength_concentrating_sequence(
@@ -436,9 +458,6 @@ def fixed_strength_concentrating_sequence(
     walks.  The densities diverge at the target, which no grid integrates;
     the trend check's moments and Beta tails are exact for them.
     """
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    return ConcentratingSequence(
-        generator=lambda n: DirichletParams(s=float(s), t=_target_path(target, n)),
-        target=target,
-    )
+    if not 0.0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
+    return ConcentratingSequence(target, float(s))

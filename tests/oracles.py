@@ -19,7 +19,8 @@ checked against exact-rational Dirichlet-moment sums over an exactly
 expanded likelihood (binomially expanded, for many equal channel
 observations), binomial sums for Beta CDFs with integer parameters,
 exact-rational bisection for level-set ends, and a substituted 1-D
-quadrature for Beta tails whose density diverges; the grid integrator and
+quadrature for Beta tails whose density diverges, and a family's priors
+table against its priors built one index at a time; the grid integrator and
 scalar densities here are the brute-force oracles of everything else.
 """
 
@@ -561,6 +562,20 @@ def random_interior_params(rng, k: int, nonneg_exponents: bool = True) -> Dirich
     else:
         s = rng.uniform(0.5, 8.0)
     return DirichletParams(s=float(s), t=SimplexPoint(t))
+
+
+def prior_at(sequence, n: int) -> DirichletParams:
+    """Index n's prior of a concentrating family, one index at a time instead of the
+    family's table: mean on the mixing path target (1 - k/n) + 1/n, mixed back into the
+    interior with weight 1e-6 / k where it reaches the boundary, then normalised and
+    validated; strength n, or the family's fixed strength."""
+    k = sequence.target.k
+    coords = sequence.target.coords * (1.0 - k / n) + 1.0 / n
+    if coords.min() <= 0.0:
+        eps = 1e-6 / k
+        coords = coords * (1.0 - k * eps) + eps
+    s = float(n) if sequence.strength is None else float(sequence.strength)
+    return DirichletParams(s=s, t=SimplexPoint(coords / coords.sum()))
 
 
 SimplexFunction = Callable[[np.ndarray], float]

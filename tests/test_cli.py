@@ -29,7 +29,7 @@ from latentidm.runner import (
 )
 from latentidm.simplex import SimplexPoint
 from latentidm.vacuity import canonical_concentrating_sequence
-from oracles import predictive_at_log_t, ratio_tolerance
+from oracles import predictive_at_log_t, prior_at, ratio_tolerance
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -672,7 +672,7 @@ class TestCliExitCodes:
         # the ratio is alpha_0 / (s + e) in closed form, within README's error bound
         seq = canonical_concentrating_sequence(SimplexPoint([1.0, 0.0]))
         for row in block["rows"]:
-            params = seq.generator(row["n"])
+            params = prior_at(seq, row["n"])
             s = Fraction(params.s)
             exact = s * Fraction(float(params.t.coords[0])) / (s + e)
             assert abs(Fraction(row["ratio"]) / exact - 1) <= ratio_tolerance(params.s, e)
@@ -933,6 +933,27 @@ class TestFormats:
         lines = table.strip().split("\n")
         assert lines[0].split("\t") == ["block", "n", "expectation", "mass_0.1", "ratio"]
         assert len(lines) == 3
+
+    def test_table_columns_name_deltas_that_agree_to_six_digits_apart(self):
+        # each mass column is named by its delta's repr, as its cells print; an integral
+        # delta keeps its ".0"
+        doc = {
+            "name": "close-deltas",
+            "kind": "verify-theorem1",
+            "target": [1.0, 0.0],
+            "function": {"kind": "coordinate", "index": 0},
+            "likelihood": {"kind": "constant"},
+            "schedule": [10],
+            "deltas": [0.1234567, 0.1234568, 2],
+        }
+        report = run_scenario(Scenario.from_dict(doc))
+        lines = report_to_table(report).strip().split("\n")
+        header = lines[0].split("\t")
+        assert header[3:6] == ["mass_0.1234567", "mass_0.1234568", "mass_2.0"]
+        assert len(set(header)) == len(header)
+        masses = report["results"]["main"]["rows"][0]["mass"]
+        assert lines[1].split("\t")[3:6] == [repr(m) for m in masses]
+        assert masses[0] != masses[1]
 
     def test_table_format_flat_fallback(self):
         report = run_scenario(Scenario.from_dict(PREDICT_DOC))

@@ -243,6 +243,10 @@ CHANNEL = BinaryChannel(0.1, 0.1)
             lambda: fixed_strength_concentrating_sequence(SimplexPoint([1.0, 0.0]), 0.0),
             "s must be positive",
         ),
+        (
+            lambda: fixed_strength_concentrating_sequence(SimplexPoint([1.0, 0.0]), math.inf),
+            "s must be positive and finite",
+        ),
     ],
 )
 def test_library_argument_checks_name_the_bad_argument(call, message):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latentidm import idm, runner, vacuity
+from latentidm import runner, vacuity
 from latentidm.cli import EXIT_OK, main
 from latentidm.manifest import BinaryChannel
 from latentidm.observation import EmissionMatrix, ManifestDataset
@@ -46,6 +46,7 @@ from oracles import (
     moment_ratio,
     monomial_interval,
     polynomial_posterior_ratio,
+    prior_at,
     ratio_tolerance,
 )
 
@@ -62,7 +63,7 @@ CHANNEL_POLY = [0.01, 0.16, 0.64]  # ascending coefficients of (0.1 + 0.8 x)^2
 
 
 def beta_params(seq, n):
-    params = seq.generator(n)
+    params = prior_at(seq, n)
     return params.s * params.t.coords[0], params.s * params.t.coords[1]
 
 
@@ -103,14 +104,14 @@ class TestFunctionTypes:
 class TestConcentratingSequences:
     def test_canonical_strength_and_path(self):
         seq = canonical_concentrating_sequence(VERTEX_10)
-        p = seq.generator(10)
+        p = prior_at(seq, 10)
         assert p.s == 10.0
         assert p.t.coords == pytest.approx([0.9, 0.1])
 
     def test_mean_converges_to_target(self):
         seq = canonical_concentrating_sequence(VERTEX_10)
         gaps = [
-            float(np.abs(seq.generator(n).t.coords - VERTEX_10.coords).max())
+            float(np.abs(prior_at(seq, n).t.coords - VERTEX_10.coords).max())
             for n in (10, 100, 1000)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -119,18 +120,58 @@ class TestConcentratingSequences:
     def test_canonical_exponents_stay_nonnegative(self):
         seq = canonical_concentrating_sequence(SimplexPoint([0.5, 0.5]))
         for n in (10, 100, 1000):
-            assert (seq.generator(n).alpha - 1.0).min() >= -1e-12
+            assert (prior_at(seq, n).alpha - 1.0).min() >= -1e-12
 
     def test_fixed_strength_keeps_s(self):
         seq = fixed_strength_concentrating_sequence(VERTEX_10, 2.0)
-        assert seq.generator(50).s == 2.0
-        assert seq.generator(50).t.coords[0] == pytest.approx(1.0 - 1.0 / 50)
+        assert prior_at(seq, 50).s == 2.0
+        assert prior_at(seq, 50).t.coords[0] == pytest.approx(1.0 - 1.0 / 50)
 
     def test_k3_target_path_valid(self):
         seq = canonical_concentrating_sequence(SimplexPoint([1.0, 0.0, 0.0]))
-        p = seq.generator(10)
+        p = prior_at(seq, 10)
         assert p.t.coords == pytest.approx([0.8, 0.1, 0.1])
         assert p.t.is_interior
+
+    def test_path_refuses_indices_below_k_minus_1(self):
+        seq = canonical_concentrating_sequence(SimplexPoint([1.0, 0.0, 0.0, 0.0]))
+        assert seq.priors([3])[1].min() > 0.0
+        with pytest.raises(ValueError, match="below index 3"):
+            seq.priors([10, 2])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_table_rows_are_the_per_index_priors(self, data):
+        # each row of a schedule's table is the prior built for its index alone, bit for
+        # bit, in the open simplex; n = k - 1 at a vertex takes the interior fix
+        k = data.draw(st.integers(2, 6))
+        shape = data.draw(st.sampled_from(["vertex", "face", "interior"]))
+        weights = np.zeros(k)
+        if shape == "vertex":
+            weights[data.draw(st.integers(0, k - 1))] = 1.0
+        else:
+            size = k if shape == "interior" else data.draw(st.integers(1, k - 1))
+            support = data.draw(st.permutations(range(k)))[:size]
+            weights[support] = data.draw(
+                st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size)
+            )
+        target = SimplexPoint(weights / weights.sum())
+        if data.draw(st.booleans()):
+            seq = canonical_concentrating_sequence(target)
+        else:
+            strength = data.draw(st.floats(1e-3, 1e8))
+            seq = fixed_strength_concentrating_sequence(target, strength)
+        first = max(2, k - 1)
+        indices = st.one_of(st.integers(first, first + 3), st.integers(first, 10**8))
+        schedule = data.draw(st.lists(indices, min_size=1, max_size=12))
+        strengths, alphas = seq.priors(schedule)
+        assert alphas.shape == (len(schedule), k)
+        for n, s, alpha in zip(schedule, strengths, alphas, strict=True):
+            prior = prior_at(seq, n)
+            assert s == prior.s
+            assert alpha.tobytes() == prior.alpha.tobytes()
+            assert alpha.min() > 0.0
+            assert abs(alpha.sum() / s - 1.0) <= 1e-12
 
 
 class TestDeltaSetMass:
@@ -145,7 +186,7 @@ class TestDeltaSetMass:
         assert mass == pytest.approx(0.1, abs=1e-3)
 
     def test_concentrated_density_fills_slab(self):
-        params = canonical_concentrating_sequence(VERTEX_10).generator(200)
+        params = prior_at(canonical_concentrating_sequence(VERTEX_10), 200)
         mass = delta_set_mass(params, DeltaSet(F_COORD, 0.1), GRID)
         assert mass >= 0.99
         # exact value is 1 - 0.9^199
@@ -160,7 +201,7 @@ class TestDeltaSetMass:
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
 
     def test_mass_bounded_by_one(self):
-        params = canonical_concentrating_sequence(VERTEX_10).generator(1000)
+        params = prior_at(canonical_concentrating_sequence(VERTEX_10), 1000)
         grid = SimplexGrid(k=2, resolution=20000)
         mass = delta_set_mass(params, DeltaSet(F_COORD, 0.1), grid)
         assert 0.0 <= mass <= 1.0 + 1e-3
@@ -176,7 +217,7 @@ class TestDeltaSetMass:
         seq = canonical_concentrating_sequence(VERTEX_10)
         for delta in (0.2, 0.1, 0.05):
             masses = [
-                delta_set_mass(seq.generator(n), DeltaSet(F_COORD, delta), GRID)
+                delta_set_mass(prior_at(seq, n), DeltaSet(F_COORD, delta), GRID)
                 for n in (10, 100, 1000)
             ]
             assert masses[0] <= masses[1] + 1e-12 <= masses[2] + 2e-12
@@ -202,7 +243,7 @@ class TestPosteriorRatio:
         ratios = []
         for n in (10, 100, 1000):
             grid = SimplexGrid(k=2, resolution=max(2000, 20 * n))
-            ratios.append(posterior_ratio(seq.generator(n), CHANNEL_LIKELIHOOD, F_COORD, grid))
+            ratios.append(posterior_ratio(prior_at(seq, n), CHANNEL_LIKELIHOOD, F_COORD, grid))
             # independent oracle: Beta-moment arithmetic on the polynomial likelihood
             a, b = beta_params(seq, n)
             expected = polynomial_posterior_ratio(a, b, [0.0, 1.0], CHANNEL_POLY)
@@ -218,7 +259,7 @@ class TestPosteriorRatio:
         seq = canonical_concentrating_sequence(VERTEX_10)
         for n in (10, 100, 1000):
             grid = SimplexGrid(k=2, resolution=max(2000, 20 * n))
-            ratio = posterior_ratio(seq.generator(n), coordinate_function(1, 2), F_COORD, grid)
+            ratio = posterior_ratio(prior_at(seq, n), coordinate_function(1, 2), F_COORD, grid)
             assert ratio == pytest.approx((n - 1) / (n + 1), abs=2e-4)
             assert ratio < 1.0
 
@@ -230,7 +271,7 @@ class TestPosteriorRatio:
         mixed = monomial_likelihood([1, 1])
         for n in (10, 100, 1000):
             grid = SimplexGrid(k=2, resolution=max(2000, 20 * n))
-            ratio = posterior_ratio(seq.generator(n), mixed, F_COORD, grid)
+            ratio = posterior_ratio(prior_at(seq, n), mixed, F_COORD, grid)
             expected = (2.0 * (1.0 - 1.0 / n) + 1.0) / 4.0
             assert ratio == pytest.approx(expected, abs=5e-4)
         assert abs(ratio - 1.0) > 0.05
@@ -368,7 +409,7 @@ class TestSharedDensity:
             assert report.methods["mass"] == method
             terms = CHANNEL_TERMS if likelihood is CHANNEL_LIKELIHOOD else _terms(likelihood)
             for row in report.rows:
-                params = seq.generator(row.n)
+                params = prior_at(seq, row.n)
                 s, t = params.s, params.t.coords
                 assert abs(row.expectation - float(dirichlet_moment(s, t, f_row))) <= 1e-12
                 assert abs(row.posterior_ratio - float(moment_ratio(s, t, f_row, terms))) <= 1e-12
@@ -485,7 +526,7 @@ def per_index_rows(f, likelihoods, seq, schedule, deltas, side):
     ends = [vacuity._level_interval(f_row[i], f_row[rest].sum(), v, peak) for v in levels]
     rows = [[] for _ in likelihoods]
     for n in schedule:
-        params = seq.generator(n)
+        params = prior_at(seq, n)
         a, b = params.alpha[i], params.alpha[rest].sum()
         inside = [vacuity._beta_cdf(hi, a, b) - vacuity._beta_cdf(lo, a, b) for lo, hi in ends]
         masses = tuple(m if side == MAX_SIDE else 1.0 - m for m in inside)
@@ -546,7 +587,7 @@ class TestPerDocumentWork:
     @pytest.mark.parametrize("name", TREND_NAMES)
     def test_document_work_is_done_once_per_call(self, name, monkeypatch):
         counts = {"_crossing": 0, "log_moments": 0}
-        for module, attr in ((vacuity, "_crossing"), (idm, "log_moments")):
+        for module, attr in ((vacuity, "_crossing"), (vacuity, "log_moments")):
             original = getattr(module, attr)
 
             def counting(*args, _attr=attr, _original=original):
@@ -610,8 +651,8 @@ class TestPerDocumentWork:
         schedule = data.draw(st.lists(st.sampled_from(indices), min_size=1, max_size=8))
         deltas = data.draw(st.lists(st.sampled_from([0.2, 0.1, 0.01]), max_size=2))
         # a budget of one cell puts every index in a block of its own
-        budget = data.draw(st.sampled_from([idm._BLOCK_CELLS, 1, 200]))
-        with unittest.mock.patch.object(idm, "_BLOCK_CELLS", budget):
+        budget = data.draw(st.sampled_from([vacuity._BLOCK_CELLS, 1, 200]))
+        with unittest.mock.patch.object(vacuity, "_BLOCK_CELLS", budget):
             whole = verify_theorem1(f, likelihoods, seq, schedule, deltas)
         for j, n in enumerate(schedule):
             alone = verify_theorem1(f, likelihoods, seq, [n], deltas)
@@ -622,9 +663,9 @@ class TestPerDocumentWork:
             assert report.rows == row
 
     def test_ladder_memory_does_not_grow_with_k_times_the_schedule(self):
-        # one index's ladders and Dirichlet parameters are a few 10^5 bytes each at
+        # one index's ladders and row of the priors table are a few 10^5 bytes each at
         # k = 20,000, so every index takes a block of its own; holding the whole
-        # schedule's parameters at once would add ~160 KB per index and copy
+        # schedule's table at once would add ~160 KB per index and copy
         k = 20_000
         doc = {
             "name": "wide-coordinate",
@@ -649,13 +690,13 @@ class TestPerDocumentWork:
         # one index's ladders hold ~2 x 10^6 cells each, past the block budget, so every
         # index takes a block of its own and the peak stays that of one index
         block_sizes = []
-        original = idm.log_moments
+        original = vacuity.log_moments
 
         def counting(alphas, strengths, counts):
             block_sizes.append(len(strengths))
             return original(alphas, strengths, counts)
 
-        monkeypatch.setattr(idm, "log_moments", counting)
+        monkeypatch.setattr(vacuity, "log_moments", counting)
         doc = {
             "name": "long-ladders",
             "kind": "verify-theorem1",
@@ -682,7 +723,7 @@ class TestPerDocumentWork:
     )
     def test_tiny_normalizers_give_exact_ratios(self, main):
         seq = canonical_concentrating_sequence(VERTEX_10)
-        params = seq.generator(10)
+        params = prior_at(seq, 10)
         rows = [main, [500, 500]]
         reports = verify_theorem1(F_COORD, [monomial_likelihood(r) for r in rows], seq, [10])
         for report, row in zip(reports, rows):
@@ -747,7 +788,7 @@ class TestExactTrend:
         poly = _x_polynomial(expanded_likelihood(data))
         seq = canonical_concentrating_sequence(VERTEX_10)
         for row in report["results"]["main"]["rows"]:
-            params = seq.generator(row["n"])
+            params = prior_at(seq, row["n"])
             a, b = (Fraction(float(x)) for x in params.alpha)
             expected = polynomial_posterior_ratio(a, b, [Fraction(0), Fraction(1)], poly)
             assert abs(row["ratio"] - float(expected)) <= 1e-12
@@ -767,7 +808,7 @@ class TestExactTrend:
         entries = BinaryChannel(0.1, 0.1).emission().entries[1]
         seq = canonical_concentrating_sequence(VERTEX_10)
         for row in rows:
-            a, b = seq.generator(row["n"]).alpha
+            a, b = prior_at(seq, row["n"]).alpha
             assert abs(row["ratio"] - float(equal_rows_ratio(a, b, entries, 360))) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -825,7 +866,7 @@ class TestExactTrend:
             seq = fixed_strength_concentrating_sequence(target, strength)
         likelihood = monomial_likelihood(exponents)
         (report,) = verify_theorem1(coordinate_function(i, k), [likelihood], seq, [n], deltas=())
-        params = seq.generator(n)
+        params = prior_at(seq, n)
         s = Fraction(params.s)
         exact = (s * Fraction(float(params.t.coords[i])) + exponents[i]) / (s + degree)
         error = abs(Fraction(report.rows[0].posterior_ratio) / exact - 1)
@@ -883,9 +924,15 @@ class TestExactTrend:
         positive = f_row.index(max(f_row))
         peak_point = np.array(f_row) / sum(f_row)
         target = peak_point if side == MAX_SIDE else np.arange(k) == (positive + 1) % k
-        seq = ConcentratingSequence(priors.__getitem__, SimplexPoint(target))
+        seq = canonical_concentrating_sequence(SimplexPoint(target))
+
+        def table(self, schedule):  # these priors in place of the family's path
+            listed = [priors[n] for n in schedule]
+            return np.array([p.s for p in listed]), np.array([p.alpha for p in listed])
+
         resolution = 20000 if k == 2 else 400
-        (report,) = verify_theorem1(f, [likelihood], seq, list(priors), deltas, resolution)
+        with unittest.mock.patch.object(ConcentratingSequence, "priors", table):
+            (report,) = verify_theorem1(f, [likelihood], seq, list(priors), deltas, resolution)
         assert report.side == side
         # every s t_i >= 1, so the density is bounded and the fine grid is an oracle;
         # over 400 random draws it stayed within a third of these tolerances

@@ -131,7 +131,10 @@ def log_rising(alpha: Sequence[float], counts: np.ndarray) -> np.ndarray:
     a (B, k) stack of alphas gives a (B, R) array, one row per alpha.
 
     ladder[..., h, c] = log (alpha_h)^{(c)} is one cumulative sum of log(alpha_h + j),
-    read by every row; it holds alpha.size x (largest count + 1) numbers.
+    read by every row; it holds alpha.size x (largest count + 1) numbers.  Each
+    coordinate's rungs are gathered with one `take` along the ladder, not by
+    numpy's slower mixed (ellipsis and array) indexing, and summed in place into
+    the first coordinate's, in coordinate order.
     """
     alpha = np.asarray(alpha, dtype=float)
     ladder = np.zeros((*alpha.shape, int(counts.max()) + 1))
@@ -139,7 +142,10 @@ def log_rising(alpha: Sequence[float], counts: np.ndarray) -> np.ndarray:
     np.add(alpha[..., None], np.arange(rungs.shape[-1]), out=rungs)
     np.log(rungs, out=rungs)
     np.cumsum(rungs, axis=-1, out=rungs)
-    return sum(ladder[..., h, counts[:, h]] for h in range(alpha.shape[-1]))
+    total = ladder[..., 0, :].take(counts[:, 0], axis=-1)
+    for h in range(1, alpha.shape[-1]):
+        total += ladder[..., h, :].take(counts[:, h], axis=-1)
+    return total
 
 
 def standard_idm_predictive_bounds(

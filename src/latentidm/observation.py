@@ -133,26 +133,26 @@ class ManifestDataset:
     def __init__(self, observations: Iterable[tuple[EmissionMatrix, int]], k: int) -> None:
         if k < 2:
             raise ValueError("k must be >= 2")
-        rows, labels, mismatch = [], [], None
+        # each distinct matrix is checked once, with which of its rows are possible, and its
+        # rows are gathered with one `take`; the first observation that fails is the one named
+        matrices = {}  # id -> (matrix, its possible rows, the positions and rows it serves)
         for i, (emission, row) in enumerate(observations):
-            if emission.k != k:
-                mismatch = f"observation {i}: emission has k={emission.k}, expected {k}"
-                break
+            if id(emission) not in matrices:  # each matrix is held here, so no id is reused
+                if emission.k != k:
+                    raise ValueError(f"observation {i}: emission has k={emission.k}, expected {k}")
+                matrices[id(emission)] = emission, emission.entries.any(axis=1).tolist(), [], []
+            _, possible, positions, rows = matrices[id(emission)]
             if not 0 <= row < emission.manifest_count:
-                mismatch = f"observation {i}: row {row} out of range"
-                break
-            rows.append(emission.entries[row])
-            labels.append(row)
-        entries = np.array(rows).reshape(len(rows), k)
-        # a zero row before the first mismatch is the first failing observation
-        impossible = np.flatnonzero(~entries.any(axis=1))
-        if len(impossible):
-            i = int(impossible[0])
-            raise ValueError(
-                f"observation {i}: row {labels[i]} has probability zero under every hidden outcome"
-            )
-        if mismatch:
-            raise ValueError(mismatch)
+                raise ValueError(f"observation {i}: row {row} out of range")
+            if not possible[row]:
+                raise ValueError(
+                    f"observation {i}: row {row} has probability zero under every hidden outcome"
+                )
+            positions.append(i)
+            rows.append(row)
+        entries = np.empty((sum(len(served[2]) for served in matrices.values()), k))
+        for emission, _, positions, rows in matrices.values():
+            entries[positions] = emission.entries.take(rows, axis=0)
         entries.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "row_entries", entries)
@@ -237,8 +237,11 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
     leaves the state as is.  rank[i] is the graded position of the i-th
     state in lexicographic order, and counts holds the full count vectors
     (the k-th at step n) in that order, as int16 (the work cap keeps every
-    count below 2^15).  Positions are ranks in the combinatorial number
-    system (Knuth, TAOCP Vol. 4A, 7.2.1.3), on binomial[p, x] = C(x + p, p).
+    count below 2^15).  prefixes[i - 1][j] is predecessors[j] cut to
+    ends[i - 1], the slice observation i gathers at, cut once here rather
+    than at every pass; prefixes[-1] holds them whole.  Positions are ranks
+    in the combinatorial number system (Knuth, TAOCP Vol. 4A, 7.2.1.3), on
+    binomial[p, x] = C(x + p, p).
     The arrays are read-only: the cache hands the same ones to every
     dataset of this (k, n).  The work is checked from (k, n) first.
     """
@@ -270,7 +273,9 @@ def _state_index(k: int, n: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple[i
         predecessor[np.flatnonzero(graded[:, j])] = np.arange(size - binomial[k - 2, n])
     for array in (counts, rank, *predecessors):
         array.setflags(write=False)
-    return counts, predecessors, rank, tuple(binomial[k - 1, 1:].tolist())
+    ends = tuple(binomial[k - 1, 1:].tolist())
+    prefixes = tuple(tuple(predecessor[:m] for predecessor in predecessors) for m in ends)
+    return counts, prefixes, rank, ends
 
 
 _LOWEST = np.finfo(float).min  # the max shift's floor: -inf - -inf would be NaN
@@ -327,43 +332,53 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     rounds far less than logs do.  Otherwise a weight could underflow or
     overflow, and it runs on log W: it adds log entries and combines the
     rows by `_log_sum_exp`, one or two by `np.logaddexp`, three or more by
-    their max-shifted sum.  Unreached states stay 0 or -inf; after the last
-    step the index's permutation puts W back in lexicographic order, and
-    the reached entries are the support.  This is the library's one weight
-    pass, capped by its work in the index; `ManifestDataset.weight_pass`
-    caches it per dataset, and a trend `channel` likelihood calls it
-    directly.
+    their max-shifted sum.  Each step reads its predecessor slices off the
+    index, cut once per (k, n), and each distinct emission row is scanned
+    once.  Unreached states stay 0 or -inf; after the last step the index's
+    permutation puts W back in lexicographic order, and the reached entries
+    are the support, gathered with `compress` (a boolean index of the
+    int16 counts takes numpy's slower general path) and returned as int64.
+    This is the library's one weight pass, capped by its work in the index;
+    `ManifestDataset.weight_pass` caches it per dataset, and a trend
+    `channel` likelihood calls it directly.
     """
     k, n = data.k, data.n
-    counts, predecessors, rank, ends = _state_index(k, n)
+    counts, prefixes, rank, ends = _state_index(k, n)
     size = len(rank)
     # the product of the rows' smallest nonzero entries bounds every reached weight from below,
-    # that of their sums floored at 1 from above; a product that underflows or overflows is out
-    steps, low, high = [], 1.0, 1.0
-    for lam in data.row_entries.tolist():
-        allowed = [(j, x) for j, x in enumerate(lam) if x != 0.0]
-        steps.append(allowed)
-        low *= min(x for _, x in allowed)
-        high *= max(1.0, sum(lam))
+    # that of their sums floored at 1 from above; a product that underflows or overflows is out.
+    # Each distinct row is scanned once: its allowed (outcome, entry) pairs, least entry and sum
+    scans, rows, low, high = {}, [], 1.0, 1.0
+    for lam in map(tuple, data.row_entries.tolist()):
+        scan = scans.get(lam)
+        if scan is None:
+            allowed = [(j, x) for j, x in enumerate(lam) if x != 0.0]
+            scan = scans[lam] = allowed, min(x for _, x in allowed), max(1.0, sum(lam))
+        rows.append(scan[0])
+        low *= scan[1]
+        high *= scan[2]
     linear = low > _LINEAR_LOW and high < _LINEAR_HIGH
     if linear:
         unreached, scale, combine = 0.0, np.multiply, _linear_sum
     else:
-        steps = [[(j, math.log(x)) for j, x in allowed] for allowed in steps]
+        logs = {id(scan[0]): [(j, math.log(x)) for j, x in scan[0]] for scan in scans.values()}
+        rows = [logs[id(allowed)] for allowed in rows]
         unreached, scale, combine = -np.inf, np.add, _log_sum_exp
     w = np.full(size + 1, unreached)  # an extra slot, unreached, stands for a count of -1
     w[0] = 1.0 if linear else 0.0  # the zero vector
     terms = np.empty((k + 1, size))  # a gathered row per allowed outcome, and a spare
+    head, block = w, terms  # each step's prefixes of the two, cut once per step
     with np.errstate(divide="ignore"):  # log(0) is how an unreached state stays -inf
-        for m, allowed in zip(ends, steps):
+        for m, before, allowed in zip(ends, prefixes, rows):
+            head, block = w[:m], terms[:, :m]
             for r, (j, x) in enumerate(allowed):  # unnamed, each gathered row is freed before the next
-                scale(w[:m] if j == k - 1 else w[predecessors[j][:m]], x, out=terms[r, :m])
-            combine(terms[: len(allowed), :m], terms[k, :m], out=w[:m])
-    del terms  # and the working rows before the support is gathered
+                scale(head if j == k - 1 else w[before[j]], x, out=block[r])
+            combine(block[: len(allowed)], block[k], out=head)
+    del terms, head, block  # the working rows, freed before the support is gathered
     w = w[rank]
     reached = w > unreached
     w = w[reached]
-    return counts[reached].astype(np.int64), np.log(w) if linear else w
+    return counts.compress(reached, axis=0).astype(np.int64), np.log(w) if linear else w
 
 
 def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:
@@ -386,10 +401,12 @@ def posterior_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> 
     terms = log_rising(alpha, counts) + log_w
     weights = np.exp(terms - terms.max())
     total = weights.sum()
-    return tuple(
-        float((weights * ((counts[:, j] + alpha[j]) / (n + s))).sum() / total)
-        for j in range(data.k)
-    )
+    # one table of weighted fractions, a row per outcome; each row is summed on its own, as
+    # the 1-D sum it always was (a sum along the table's axis adds in another order)
+    table = np.add(counts.T, alpha[:, None], order="C")
+    table /= n + s
+    table *= weights
+    return tuple(float(row.sum() / total) for row in table)
 
 
 # Unused here; perfbench/spans.py imports it and reads `refinement_passes` from

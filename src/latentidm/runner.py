@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from .simplex import GRID_MAX_K, DirichletParams, SimplexPoint, lattice_size
 # Unused here; perfbench/spans.py wraps `runner.SimplexGrid` by name.
 from .simplex import SimplexGrid  # noqa: F401
 from .vacuity import (
+    _BLOCK_CELLS,
     GRID,
     ConcentratingSequence,
     Polynomial,
@@ -179,6 +181,18 @@ def _numbers(value, name: str):
         elif isinstance(entry, (str, bool)):
             raise ScenarioError(f"field '{name}': entries must be numbers, got {entry!r}")
     return value
+
+
+def _normal_prior(alpha, name: str) -> None:
+    """Refuse a Dirichlet prior with an s t_h below the smallest normal float: its ladders
+    and Beta prefactors take the log or lgamma of that rung, which is -inf or a domain error
+    once it has underflowed to 0, and a subnormal one has lost its digits."""
+    smallest = float(alpha.min())
+    if smallest < sys.float_info.min:
+        raise ScenarioError(
+            f"field '{name}': every s x t_h must be at least {sys.float_info.min!r}, the "
+            f"smallest normal float; got {smallest!r}"
+        )
 
 
 def _emission(spec, k: int, name: str) -> EmissionMatrix:
@@ -383,6 +397,7 @@ def _parse_predict(doc: dict):
             prior = DirichletParams(s=s, t=SimplexPoint(_numbers(hyper["t"], "hyper.t")))
         if prior.k != data.k:
             raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
+        _normal_prior(prior.alpha, "hyper.t")
 
     def run() -> tuple[dict, dict]:
         try:
@@ -449,6 +464,10 @@ def _parse_trend(doc: dict):
         raise SizeCapError(
             f"field 'schedule': indices capped at <= {_MAX_STRENGTH}; got {max(schedule)}"
         )
+    if sequence.strength is not None:  # the canonical family's strength n keeps s t_h far above
+        step = max(1, _BLOCK_CELLS // k)  # the priors table a block at a time, as the run reads it
+        for j in range(0, len(schedule), step):
+            _normal_prior(sequence.priors(schedule[j : j + step])[1], "sequence.s")
     deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
     # type-checked for every document, sized only for the ones whose slab masses are grid sums
     resolution = _integer(
@@ -483,6 +502,7 @@ def _parse_scaled_beta(doc: dict):
     if t1 is not None:
         if not _positive(t1, "fixed_t1") < 1.0:
             raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
+        _normal_prior(DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1])).alpha, "fixed_t1")
         # the fixed-prior value takes one weight pass over `total` observations
         try:
             check_weight_pass_size(total, 2)
@@ -571,23 +591,37 @@ def report_to_doc(report: dict) -> str:
 
 
 def _write_doc(value, newline: str, parts: list[str]) -> None:
-    """Append `value` to `parts` as the indenting encoder writes it after `newline`."""
+    """Append `value` to `parts` as the indenting encoder writes it after `newline`.
+
+    A member of a non-empty dict or list whose exact type is a key of `_LEAVES` is written
+    inline after one dict lookup.  Containers, empty or not, and subclasses such as numpy
+    scalars take a recursive call and the `isinstance` tests below.
+    """
     if isinstance(value, dict) and value:
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
             # json writes a non-string key as the quoted text of its value
             name = key if isinstance(key, str) else json.dumps(key)
-            parts.append(separator + encode_basestring_ascii(name) + ": ")
-            _write_doc(value[key], inner, parts)
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                parts.append(separator + encode_basestring_ascii(name) + ": ")
+                _write_doc(item, inner, parts)
+            else:
+                parts.append(separator + encode_basestring_ascii(name) + ": " + leaf(item))
             separator = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
-            parts.append(separator)
-            _write_doc(item, inner, parts)
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                parts.append(separator)
+                _write_doc(item, inner, parts)
+            else:
+                parts.append(separator + leaf(item))
             separator = "," + inner
         parts.append(newline + "]")
     elif isinstance(value, str):
@@ -604,6 +638,17 @@ def _write_doc(value, newline: str, parts: list[str]) -> None:
         parts.append(int.__repr__(value))
     else:
         parts.append(json.dumps(value))
+
+
+# the text of each leaf type, looked up by exact type: json writes NaN and the infinities as
+# NaN, Infinity and -Infinity, and a bool is no int here
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:

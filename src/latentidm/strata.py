@@ -113,7 +113,10 @@ def _stratum_predictive(counts, log_w, s, free, members, outcome, theta, derivat
     log_factorials = np.array([math.lgamma(c) if c else 0.0 for c in range(n + 1)])
     vanishing = log_factorials + theta[:, :, None] * occupied
     ladder = np.where(free[:, :, None], ladder, vanishing)
-    terms = log_w + sum(ladder[:, h, counts[:, h]] for h in range(k))
+    rungs = ladder[:, 0].take(counts[:, 0], axis=1)  # one `take` per coordinate, as `log_rising`
+    for h in range(1, k):
+        rungs += ladder[:, h].take(counts[:, h], axis=1)
+    terms = log_w + rungs
     terms = np.where(members, terms, -np.inf)
     pi = np.exp(terms - terms.max(axis=1, keepdims=True))
     pi /= pi.sum(axis=1, keepdims=True)
@@ -132,8 +135,8 @@ def _stratum_predictive(counts, log_w, s, free, members, outcome, theta, derivat
     q = np.zeros((rows, k, n + 1))
     q[:, :, 2:] = np.cumsum(ratios * (1.0 - ratios), axis=2)
     q *= free[:, :, None]
-    slopes = np.stack([e[:, h, counts[:, h]] for h in range(k)], axis=2)
-    bends = np.stack([q[:, h, counts[:, h]] for h in range(k)], axis=2)
+    slopes = np.stack([e[:, h].take(counts[:, h], axis=1) for h in range(k)], axis=2)
+    bends = np.stack([q[:, h].take(counts[:, h], axis=1) for h in range(k)], axis=2)
     total = (slopes * free[:, None, :]).sum(axis=2)
     dl = slopes - t[:, None, :] * total[:, :, None]
     centred = pi * (a_j - mean_j[:, None]) / (n + s)

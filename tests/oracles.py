@@ -5,7 +5,9 @@ the library code under test: a normalised density at one point at a time
 instead of the package's unnormalised lattice density, explicit
 enumeration, a plain-Python dict pass or an exact-rational one instead of
 the vectorised weight pass, the lexicographic pass over every state
-instead of the graded one (whose results must match it bit for bit), Beta
+instead of the graded one (whose results must match it bit for bit), an
+ellipsis-indexed ladder read and one weighted column per outcome instead of
+the gathers and the one-table sum of the fixed-prior value (bit for bit too), Beta
 moments instead of the frequency-weight
 pass, a plain-Python sum over the enumerated weights, or exact rational
 arithmetic, instead of the log-space fixed-prior value, a multistart over
@@ -396,6 +398,34 @@ def diagnosis_witnesses(data: ManifestDataset) -> list[tuple[tuple[int, ...], tu
         )
         witnesses.append((upper, lower))
     return witnesses
+
+
+def indexed_log_rising(alpha, counts: np.ndarray) -> np.ndarray:
+    """`idm.log_rising` with each coordinate's rungs read by a mixed ellipsis and array
+    index and summed from 0 by `sum`, as it was first written; the library's `take`
+    gathers, summed in place in the same coordinate order, must agree bit for bit."""
+    alpha = np.asarray(alpha, dtype=float)
+    ladder = np.zeros((*alpha.shape, int(counts.max()) + 1))
+    rungs = ladder[..., 1:]
+    np.add(alpha[..., None], np.arange(rungs.shape[-1]), out=rungs)
+    np.log(rungs, out=rungs)
+    np.cumsum(rungs, axis=-1, out=rungs)
+    return sum(ladder[..., h, counts[:, h]] for h in range(alpha.shape[-1]))
+
+
+def columnwise_predictive_at_t(data: ManifestDataset, prior: DirichletParams) -> tuple[float, ...]:
+    """`observation.posterior_predictive_at_t` with one weighted column per outcome, each
+    built and summed as its own 1-D array, on `indexed_log_rising`; the library's one table
+    of weighted fractions, summed row by row, must agree bit for bit."""
+    counts, log_w = data.weight_pass
+    s, alpha, n = prior.s, prior.alpha, data.n
+    terms = indexed_log_rising(alpha, counts) + log_w
+    weights = np.exp(terms - terms.max())
+    total = weights.sum()
+    return tuple(
+        float((weights * ((counts[:, j] + alpha[j]) / (n + s))).sum() / total)
+        for j in range(data.k)
+    )
 
 
 def log_ascending_factorial(x: float, a: int) -> float:

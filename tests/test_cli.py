@@ -666,6 +666,35 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"field '{field}':" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field,doc",
+        [
+            # NaN at_t values and two RuntimeWarnings
+            (
+                "hyper.t",
+                dict(PREDICT_DOC, observations=[0, 0], hyper={"s": 1e-10, "t": [1e-320, 1.0]}),
+            ),
+            # a silent posterior_mean of 0.1, where the vertex-mixture limit is ~0.5
+            ("fixed_t1", dict(SCALED_BETA_DOC, hyper={"s": 1e-323}, fixed_t1=0.1)),
+            # a math.lgamma domain error in the Beta prefactor
+            ("sequence.s", dict(TREND_DOC, sequence={"family": "fixed-strength", "s": 1e-323})),
+        ],
+    )
+    def test_underflowing_prior_is_exit_1_naming_field(self, tmp_path, capsys, field, doc):
+        # some s x t_h below the smallest normal float is refused while parsing
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert f"field '{field}': every s x t_h must be at least 2.2250738585072014e-308" in err
+        assert out == "" and "Traceback" not in err
+
+    def test_smallest_normal_prior_is_accepted(self, tmp_path, capsys):
+        doc = dict(PREDICT_DOC, hyper={"s": 1.0, "t": [2.2250738585072014e-308, 1.0]})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path]) == EXIT_OK
+        values = json.loads(capsys.readouterr().out)["results"]["at_t"]["values"]
+        assert all(math.isfinite(v) for v in values) and sum(values) == pytest.approx(1.0)
+
     @staticmethod
     def _assert_ratios_of_theta1_power(block, e):
         # f = theta_0 and L = theta_1^e along the canonical family to (1, 0):

@@ -167,6 +167,15 @@ class TestManifestDataset:
         assert not data.row_entries.flags.writeable
         assert ManifestDataset((), k=3).row_entries.shape == (0, 3)
 
+    def test_matrices_made_on_the_fly_keep_their_own_rows(self):
+        # a generator that makes each matrix and drops it leaves its address free for the
+        # next one: every observation still reads its own matrix's row
+        columns = [[0.1 * (i + 1), 1.0 - 0.1 * (i + 1)] for i in range(8)]
+        data = ManifestDataset(
+            ((EmissionMatrix(np.array([c, c[::-1]]).T), 0) for c in columns), k=2
+        )
+        assert data.row_entries.tolist() == [[c[0], c[1]] for c in columns]
+
 
 class TestManifestGivenLatent:
     def test_identity_exact_match(self):

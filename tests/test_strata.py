@@ -28,6 +28,7 @@ from latentidm.idm import (
     BoundaryLimit,
     BoundaryStratum,
     FrequencyVector,
+    log_rising,
     standard_idm_predictive_bounds,
 )
 from latentidm.manifest import BinaryChannel
@@ -44,11 +45,13 @@ from latentidm.runner import Scenario, run_scenario
 from latentidm.simplex import DirichletParams, SimplexPoint
 from oracles import (
     brute_frequency_weights,
+    columnwise_predictive_at_t,
     dict_log_weights,
     elimination_faces,
     envelope_limit,
     exact_frequency_predictive,
     exact_log_weights,
+    indexed_log_rising,
     lexicographic_likelihood_terms,
     positive_solution,
     predictive_at_log_t,
@@ -315,9 +318,13 @@ class TestVectorisedWeightPass:
         workload_shaped(zeros=True).weight_pass
         info = observation._state_index.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        index_counts, predecessors, rank, ends = observation._state_index(4, 20)
-        assert len(ends) == 20 and ends[-1] == len(rank) == 1771
-        for array in (index_counts, rank, *predecessors):
+        index_counts, prefixes, rank, ends = observation._state_index(4, 20)
+        assert len(ends) == len(prefixes) == 20 and ends[-1] == len(rank) == 1771
+        # each step's predecessor slices are cut once, views of the whole read-only ones
+        for m, before in zip(ends, prefixes):
+            assert [len(prefix) for prefix in before] == [m] * 3
+            assert all(p.base is whole.base for p, whole in zip(before, prefixes[-1]))
+        for array in (index_counts, rank, *prefixes[-1]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         # the pass hands out its own copy of the support, not the cached rows
@@ -389,6 +396,49 @@ class TestVectorisedWeightPass:
         oracle_counts, oracle_log_w = lexicographic_likelihood_terms(data)
         assert np.array_equal(counts, oracle_counts)
         assert np.array_equal(log_w, oracle_log_w)
+
+
+class TestGathersBitForBit:
+    """The weight pass's `compress`, the ladders' `take`s and the fixed-prior value's one
+    table against the forms they replaced, kept in `tests/oracles.py`: equal bit for bit."""
+
+    ALPHAS = np.array([[1e-300, 0.5, 2.0, 3.5], [0.25, 1e-3, 1e8, 7.0], [1.0, 1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_ladders_of_one_alpha_and_of_a_stack(self, zeros):
+        counts, _ = workload_shaped(zeros).weight_pass
+        for alpha in self.ALPHAS:  # a 1-D alpha gives one value per row
+            assert np.array_equal(log_rising(alpha, counts), indexed_log_rising(alpha, counts))
+        stacked = log_rising(self.ALPHAS, counts)  # a (B, k) stack gives a (B, R) array
+        assert stacked.shape == (3, len(counts))
+        assert np.array_equal(stacked, indexed_log_rising(self.ALPHAS, counts))
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_latent_shaped_datasets(self, zeros, seed):
+        # the latent-* documents of seeds 1-12: their support, its int64 counts and W, and
+        # their at_t values at their own prior mean
+        data = workload_shaped(zeros, seed)
+        counts, log_w = likelihood_terms(data)
+        oracle_counts, oracle_log_w = lexicographic_likelihood_terms(data)
+        assert counts.dtype == oracle_counts.dtype == np.int64
+        assert np.array_equal(counts, oracle_counts) and np.array_equal(log_w, oracle_log_w)
+        prior = DirichletParams(2.0, SimplexPoint(workload_prior_mean(seed)))
+        values = posterior_predictive_at_t(data, prior)
+        assert values == columnwise_predictive_at_t(data, prior)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=tiny_channels(),
+        raw_t=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+        s=st.sampled_from([1e-3, 2.0, 1e3]),
+    )
+    def test_random_datasets_with_zeros(self, data, raw_t, s):
+        t = np.array(raw_t[: data.k])
+        prior = DirichletParams(s, SimplexPoint(t / t.sum()))
+        counts, alpha = data.weight_pass[0], prior.alpha
+        assert np.array_equal(log_rising(alpha, counts), indexed_log_rising(alpha, counts))
+        assert posterior_predictive_at_t(data, prior) == columnwise_predictive_at_t(data, prior)
 
 
 def brute_faces(patterns: np.ndarray) -> set[frozenset]:

@@ -686,6 +686,28 @@ class TestPerDocumentWork:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
 
+    def test_parse_memory_does_not_grow_with_k_times_the_schedule(self):
+        # the fixed-strength family's s x t_h check reads the priors table a few rows at a
+        # time: the whole table of 64 indices at k = 20,000 is 10 MiB, and its temporaries more
+        k = 20_000
+        doc = {
+            "name": "wide-fixed-strength",
+            "kind": "verify-theorem1",
+            "target": [1.0] + [0.0] * (k - 1),
+            "function": {"kind": "coordinate", "index": 0},
+            "likelihood": {"kind": "coordinate", "index": 1},
+            "sequence": {"family": "fixed-strength", "s": 2.0},
+            "schedule": list(range(k, k + 64)),
+            "deltas": [0.1],
+        }
+        tracemalloc.start()
+        try:
+            Scenario.from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_ladder_memory_does_not_grow_with_the_schedule(self, monkeypatch):
         # one index's ladders hold ~2 x 10^6 cells each, past the block budget, so every
         # index takes a block of its own and the peak stays that of one index

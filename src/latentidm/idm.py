@@ -23,7 +23,7 @@ import numpy as np
 from .simplex import DirichletParams, SimplexPoint
 
 
-# Slotted: the weight pass keeps one per support vector, up to 1,771 at k=4, n=20.
+# Slotted: `frequency_weights` builds one per support vector, up to 1,771 at k=4, n=20.
 @dataclass(frozen=True, slots=True)
 class FrequencyVector:
     """Outcome counts (a_1, ..., a_k) of a categorical dataset."""

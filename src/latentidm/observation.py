@@ -16,7 +16,10 @@ straight path to a vertex, and for an upper then on the faces with unequal
 rates.  Only a side whose envelope is not attained there is searched, over
 the interior of the prior-mean simplex and over each of its boundary
 strata.  An observation whose row is zero under every hidden outcome is
-impossible and is rejected when the dataset is built.
+impossible and is rejected when the dataset is built.  A dataset scans its
+rows once, on first use, into a table of its distinct rows and the
+observations that carry each (`ManifestDataset.observed_rows`): the zero
+patterns, the weight pass and the diagnosis all read it.
 
 The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
@@ -24,13 +27,8 @@ probability of an assignment depends only on its frequencies.  The dynamic
 program therefore aggregates ordered assignments into frequency weights
 W(a), after which no further multiplicity factor is needed.  It runs over
 each observation's emission row, all a dataset keeps (`likelihood_terms`),
-in one of two spaces that the rows pick before it starts.  When the
-product of the rows' smallest nonzero entries exceeds 2^-1000 and the
-product of their sums, each floored at 1, stays below 2^1000, no weight can
-underflow or overflow, and it runs on W itself: a product per allowed
-outcome and their sum.  Otherwise it runs on log W and combines the rows an
-observation allows by `np.logaddexp` when there are one or two and by one
-max-shifted log-sum-exp when there are more.  A dataset runs it at most
+on W itself when the rows' least entries and sums keep every weight a
+normal float, and on log W otherwise.  A dataset runs it at most
 once, as its cached `weight_pass`, and only when something reads it: the
 search of a side the zero patterns do not settle, a fixed-prior value
 (`hyper.t`) or `frequency_weights`.  Its states are
@@ -49,6 +47,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,7 +123,7 @@ class ManifestDataset:
 
     An observation enters the likelihood only through its emission row, so
     that is all a dataset keeps: row_entries[i, j] = P(observation i | hidden
-    outcome j), read-only.  The weight pass and `vacuity_diagnosis` read it.
+    outcome j), read-only.  Its readers share one scan of it, `observed_rows`.
     """
 
     k: int
@@ -162,6 +161,15 @@ class ManifestDataset:
         return len(self.row_entries)
 
     @cached_property
+    def observed_rows(self) -> dict[tuple[float, ...], list[int]]:
+        """Each distinct observed row, as a tuple, with the observations that carry it in
+        ascending order, in order of first appearance: the rows scanned once, on first use."""
+        table = {}
+        for i, row in enumerate(map(tuple, self.row_entries.tolist())):
+            table.setdefault(row, []).append(i)
+        return table
+
+    @cached_property
     def weight_pass(self) -> tuple[np.ndarray, np.ndarray]:
         """`likelihood_terms`, run on first use and shared by every consumer."""
         return likelihood_terms(self)
@@ -194,19 +202,6 @@ class OutcomeDiagnosis:
     def vacuous(self) -> bool:
         """True when neither bound can move off its analytic limit, 0 or 1."""
         return not (self.upper_witnesses or self.lower_witnesses)
-
-
-@dataclass(frozen=True)
-class VacuityDiagnosis:
-    per_outcome: tuple[OutcomeDiagnosis, ...]
-
-    @property
-    def fully_vacuous(self) -> bool:
-        """True when no outcome's bounds can move off (0, 1)."""
-        return all(d.vacuous for d in self.per_outcome)
-
-    def __getitem__(self, j: int) -> OutcomeDiagnosis:
-        return self.per_outcome[j]
 
 
 def frequency_weights(data: ManifestDataset) -> dict[FrequencyVector, float]:
@@ -333,10 +328,10 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     overflow, and it runs on log W: it adds log entries and combines the
     rows by `_log_sum_exp`, one or two by `np.logaddexp`, three or more by
     their max-shifted sum.  Each step reads its predecessor slices off the
-    index, cut once per (k, n), and each distinct emission row is scanned
-    once.  Unreached states stay 0 or -inf; after the last step the index's
-    permutation puts W back in lexicographic order, and the reached entries
-    are the support, gathered with `compress` (a boolean index of the
+    index, cut once per (k, n), and each distinct row of `observed_rows` is
+    scanned once.  Unreached states stay 0 or -inf; after the last step the
+    index's permutation puts W back in lexicographic order, and the reached
+    entries are the support, gathered with `compress` (a boolean index of the
     int16 counts takes numpy's slower general path) and returned as int64.
     This is the library's one weight pass, capped by its work in the index;
     `ManifestDataset.weight_pass` caches it per dataset, and a trend
@@ -345,23 +340,23 @@ def likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, np.ndarray]:
     k, n = data.k, data.n
     counts, prefixes, rank, ends = _state_index(k, n)
     size = len(rank)
+    scans = [None] * n  # each observation's row: allowed (outcome, entry) pairs, least entry, sum
+    for lam, positions in data.observed_rows.items():
+        allowed = [(j, x) for j, x in enumerate(lam) if x != 0.0]
+        scan = allowed, min(x for _, x in allowed), max(1.0, sum(lam))
+        for i in positions:
+            scans[i] = scan
     # the product of the rows' smallest nonzero entries bounds every reached weight from below,
     # that of their sums floored at 1 from above; a product that underflows or overflows is out.
-    # Each distinct row is scanned once: its allowed (outcome, entry) pairs, least entry and sum
-    scans, rows, low, high = {}, [], 1.0, 1.0
-    for lam in map(tuple, data.row_entries.tolist()):
-        scan = scans.get(lam)
-        if scan is None:
-            allowed = [(j, x) for j, x in enumerate(lam) if x != 0.0]
-            scan = scans[lam] = allowed, min(x for _, x in allowed), max(1.0, sum(lam))
-        rows.append(scan[0])
-        low *= scan[1]
-        high *= scan[2]
+    # Both run in observation order: a power per distinct row would round otherwise
+    low, high = math.prod(map(itemgetter(1), scans)), math.prod(map(itemgetter(2), scans))
     linear = low > _LINEAR_LOW and high < _LINEAR_HIGH
+    rows = [scan[0] for scan in scans]
     if linear:
         unreached, scale, combine = 0.0, np.multiply, _linear_sum
     else:
-        logs = {id(scan[0]): [(j, math.log(x)) for j, x in scan[0]] for scan in scans.values()}
+        distinct = {id(allowed): allowed for allowed in rows}
+        logs = {key: [(j, math.log(x)) for j, x in allowed] for key, allowed in distinct.items()}
         rows = [logs[id(allowed)] for allowed in rows]
         unreached, scale, combine = -np.inf, np.add, _log_sum_exp
     w = np.full(size + 1, unreached)  # an extra slot, unreached, stands for a count of -1
@@ -418,7 +413,10 @@ class SearchSpec:
 
 def _zero_patterns(data: ManifestDataset) -> Counter:
     """The observed rows' distinct zero patterns, {bit mask of the outcomes a row allows: rows}."""
-    return Counter(((data.row_entries != 0.0) @ (1 << np.arange(data.k))).tolist())
+    patterns = Counter()
+    for lam, positions in data.observed_rows.items():
+        patterns[sum(1 << j for j, x in enumerate(lam) if x != 0.0)] += len(positions)
+    return patterns
 
 
 # the sets of at most DP_MAX_K outcomes as bit masks (bit h for outcome h), grouped by size
@@ -568,30 +566,33 @@ def predictive_bounds(data: ManifestDataset, s: float, j: int) -> PredictiveBoun
     return outcome_bounds(data, s, (j,))[0]
 
 
-def vacuity_diagnosis(data: ManifestDataset) -> VacuityDiagnosis:
-    """Combinatorial learnability check from the observed emission entries.
+def vacuity_diagnosis(data: ManifestDataset) -> tuple[OutcomeDiagnosis, ...]:
+    """Combinatorial learnability check from the observed emission entries, one per outcome.
 
     For each hidden outcome j: the upper predictive moves strictly below 1
     iff some observed (emission, row h) has lambda_{hj} = 0, and the lower
     moves strictly above 0 iff some observed row certifies x_j, i.e. has
-    lambda_{hj} != 0 while lambda_{hr} = 0 for every r != j.  If every
-    entry of every observed matrix is nonzero, both flags are false for all
-    outcomes and the posterior predictive stays vacuous.  Zero tests are
-    exact comparisons on the user-supplied entries.
+    lambda_{hj} != 0 while lambda_{hr} = 0 for every r != j.  The witnesses
+    of j, in ascending order, are the observations of the distinct rows
+    (`observed_rows`) that exclude j (upper: every observation but those of
+    the rows that allow j) or allow only j (lower).  If every observed entry
+    is nonzero, no outcome has one and the posterior predictive stays
+    vacuous.  Zero tests are exact comparisons on the user-supplied entries,
+    and form no bit mask, so any k is read.
 
     The diagnosis is stated for the fixed-strength Dirichlet near-ignorance
     set; other near-ignorance sets are only covered by the trend checks of
     the vacuity lab.
     """
-    zero = (data.row_entries == 0.0).tolist()
-    certifying = [row.count(True) == data.k - 1 for row in zero]
-    per_outcome = []
-    for j in range(data.k):
-        upper_witnesses = tuple(i for i, row in enumerate(zero) if row[j])
-        lower_witnesses = tuple(
-            i
-            for i, (row, certifies) in enumerate(zip(zero, certifying))
-            if certifies and not row[j]
-        )
-        per_outcome.append(OutcomeDiagnosis(j, upper_witnesses, lower_witnesses))
-    return VacuityDiagnosis(per_outcome=tuple(per_outcome))
+    allowing, certifying = [[] for _ in range(data.k)], [[] for _ in range(data.k)]
+    for lam, positions in data.observed_rows.items():
+        allowed = [j for j, x in enumerate(lam) if x != 0.0]
+        for j in allowed:
+            allowing[j] += positions
+        if len(allowed) == 1:
+            certifying[allowed[0]] += positions
+    observations = set(range(data.n))  # each carries one row: those of no row allowing j exclude it
+    return tuple(
+        OutcomeDiagnosis(j, tuple(sorted(observations.difference(allows))), tuple(sorted(certifies)))
+        for j, (allows, certifies) in enumerate(zip(allowing, certifying))
+    )

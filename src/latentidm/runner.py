@@ -16,7 +16,6 @@ import json
 import math
 import os
 import re
-import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -181,18 +180,6 @@ def _numbers(value, name: str):
         elif isinstance(entry, (str, bool)):
             raise ScenarioError(f"field '{name}': entries must be numbers, got {entry!r}")
     return value
-
-
-def _normal_prior(alpha, name: str) -> None:
-    """Refuse a Dirichlet prior with an s t_h below the smallest normal float: its ladders
-    and Beta prefactors take the log or lgamma of that rung, which is -inf or a domain error
-    once it has underflowed to 0, and a subnormal one has lost its digits."""
-    smallest = float(alpha.min())
-    if smallest < sys.float_info.min:
-        raise ScenarioError(
-            f"field '{name}': every s x t_h must be at least {sys.float_info.min!r}, the "
-            f"smallest normal float; got {smallest!r}"
-        )
 
 
 def _emission(spec, k: int, name: str) -> EmissionMatrix:
@@ -394,10 +381,10 @@ def _parse_predict(doc: dict):
     prior = None
     if hyper.get("t") is not None:
         with _field("hyper.t"):
-            prior = DirichletParams(s=s, t=SimplexPoint(_numbers(hyper["t"], "hyper.t")))
-        if prior.k != data.k:
-            raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {prior.k}")
-        _normal_prior(prior.alpha, "hyper.t")
+            t = SimplexPoint(_numbers(hyper["t"], "hyper.t"))
+            if t.k != data.k:
+                raise ScenarioError(f"field 'hyper.t': needs k={data.k} coordinates, got {t.k}")
+            prior = DirichletParams(s=s, t=t)
 
     def run() -> tuple[dict, dict]:
         try:
@@ -433,9 +420,9 @@ def _parse_diagnose(doc: dict):
                     "lower_strictly_above_zero": d.lower_strictly_above_zero,
                     "lower_witnesses": list(d.lower_witnesses),
                 }
-                for d in diagnosis.per_outcome
+                for d in diagnosis
             ],
-            "fully_vacuous": diagnosis.fully_vacuous,
+            "fully_vacuous": all(d.vacuous for d in diagnosis),
         }, {}
 
     return run
@@ -466,8 +453,9 @@ def _parse_trend(doc: dict):
         )
     if sequence.strength is not None:  # the canonical family's strength n keeps s t_h far above
         step = max(1, _BLOCK_CELLS // k)  # the priors table a block at a time, as the run reads it
-        for j in range(0, len(schedule), step):
-            _normal_prior(sequence.priors(schedule[j : j + step])[1], "sequence.s")
+        with _field("sequence.s"):
+            for j in range(0, len(schedule), step):
+                sequence.priors(schedule[j : j + step])
     deltas = [_positive(d, "deltas") for d in _list(doc.get("deltas", [0.1, 0.01]), "deltas")]
     # type-checked for every document, sized only for the ones whose slab masses are grid sums
     resolution = _integer(
@@ -502,7 +490,8 @@ def _parse_scaled_beta(doc: dict):
     if t1 is not None:
         if not _positive(t1, "fixed_t1") < 1.0:
             raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
-        _normal_prior(DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1])).alpha, "fixed_t1")
+        with _field("fixed_t1"):  # the prior refuses an s t_h that is not a normal float
+            DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))
         # the fixed-prior value takes one weight pass over `total` observations
         try:
             check_weight_pass_size(total, 2)

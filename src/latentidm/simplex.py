@@ -9,6 +9,7 @@ or normalising constant enters them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -59,7 +60,8 @@ class DirichletParams:
     """Parameters (s, t) of a Dirichlet density with strength s and mean t.
 
     t must lie in the open simplex: boundary values of t are treated as
-    limits everywhere in this package, never as members.
+    limits everywhere in this package, never as members, and every s t_h
+    must be a normal float (`normal_alpha`).
     """
 
     s: float
@@ -70,6 +72,7 @@ class DirichletParams:
             raise ValueError(f"prior strength s must be positive, got {self.s}")
         if not self.t.is_interior:
             raise ValueError("t must lie in the open simplex (all coordinates > 0)")
+        normal_alpha(self.alpha)
 
     @property
     def k(self) -> int:
@@ -79,6 +82,17 @@ class DirichletParams:
     def alpha(self) -> np.ndarray:
         """Conventional Dirichlet parameter vector s*t."""
         return self.s * self.t.coords
+
+
+def normal_alpha(alpha: np.ndarray) -> np.ndarray:
+    """`alpha` itself, once every s t_h in it is a normal float: a prior's ladders and Beta
+    prefactors take the log or lgamma of each, which an underflow or lost digits spoil."""
+    if alpha.min() < sys.float_info.min:
+        raise ValueError(
+            f"every s x t_h must be at least {sys.float_info.min!r}, the smallest normal "
+            f"float; got {float(alpha.min())!r}"
+        )
+    return alpha
 
 
 def lattice_size(k: int, resolution: int) -> int:

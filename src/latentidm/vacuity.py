@@ -35,7 +35,7 @@ import numpy as np
 
 from .idm import FrequencyVector, log_moments, vacuous_prior_upper_predictive
 from .observation import ManifestDataset, likelihood_terms
-from .simplex import DirichletParams, SimplexGrid, SimplexPoint
+from .simplex import DirichletParams, SimplexGrid, SimplexPoint, normal_alpha
 
 MAX_SIDE = "max-side"
 MIN_SIDE = "min-side"
@@ -111,7 +111,8 @@ class ConcentratingSequence:
         The path stays on the simplex for n >= k - 1, and smaller indices are
         refused; a row that reaches its boundary (n = k - 1 at a vertex) is
         mixed back into the interior with weight 1e-6 / k.  Every row is then
-        scaled to sum to 1, so each lies in the open simplex.
+        scaled to sum to 1, so each lies in the open simplex, and an s t_h
+        below the smallest normal float is refused (`normal_alpha`).
         """
         k = self.target.k
         n = np.array(schedule, dtype=float)[:, None]
@@ -123,7 +124,7 @@ class ConcentratingSequence:
         t[low] = t[low] * (1.0 - k * eps) + eps
         t /= t.sum(axis=1, keepdims=True)
         s = n[:, 0] if self.strength is None else np.full(len(t), self.strength)
-        return s, s[:, None] * t
+        return s, normal_alpha(s[:, None] * t)
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,27 @@ CHANNEL = BinaryChannel(0.1, 0.1)
             lambda: fixed_strength_concentrating_sequence(SimplexPoint([1.0, 0.0]), math.inf),
             "s must be positive and finite",
         ),
+        # an s x t_h that underflows: NaN values, a silent wrong mean, a lgamma domain error
+        (
+            lambda: posterior_predictive_at_t(
+                ManifestDataset.from_rows(EmissionMatrix.identity(2), [0, 0]),
+                DirichletParams(1e-10, SimplexPoint([1e-320, 1.0])),
+            ),
+            "every s x t_h must be at least 2.2250738585072014e-308, the smallest normal float; "
+            "got 0.0",
+        ),
+        (
+            lambda: scaled_beta_posterior_mean(CHANNEL, 2, 3, 1e-323, 0.1),
+            "every s x t_h must be at least 2.2250738585072014e-308, the smallest normal float; "
+            "got 0.0",
+        ),
+        (
+            lambda: fixed_strength_concentrating_sequence(SimplexPoint([1.0, 0.0]), 1e-310).priors(
+                [2]
+            ),
+            "every s x t_h must be at least 2.2250738585072014e-308, the smallest normal float; "
+            "got 5e-311",
+        ),
     ],
 )
 def test_library_argument_checks_name_the_bad_argument(call, message):

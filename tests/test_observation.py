@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latentidm import manifest, observation, strata
 from latentidm.errors import SizeCapError
@@ -425,7 +428,7 @@ class TestPredictiveBounds:
     def test_k_cap_holds_when_both_limits_settle(self):
         emission = EmissionMatrix(np.full((5, 5), 0.2))
         data = ManifestDataset.from_rows(emission, [0, 1])
-        assert vacuity_diagnosis(data).fully_vacuous
+        assert all(d.vacuous for d in vacuity_diagnosis(data))
         with pytest.raises(SizeCapError, match="k <= 4"):
             predictive_bounds(data, 2.0, 0)
 
@@ -605,6 +608,23 @@ class TestSharedOutcomes:
         manifest.scaled_beta_posterior_mean(CHANNEL, 2, 3, 2.0, 0.3)
         assert counts == {"frequency_weights": 0, "likelihood_terms": 1}
 
+    def test_bounds_weights_and_diagnosis_read_one_row_table(self, monkeypatch):
+        # the zero patterns, the weight pass and the witnesses all read the table the dataset
+        # builds on first use, so its rows are scanned once
+        table = ManifestDataset.__dict__["observed_rows"]
+        builds = []
+
+        def build(data, _build=table.func):
+            builds.append(data)
+            return _build(data)
+
+        monkeypatch.setattr(table, "func", build)
+        data = structural_zero_dataset(np.random.default_rng(3), 3, 6)
+        outcome_bounds(data, 2.0, range(3))
+        posterior_predictive_at_t(data, DirichletParams(2.0, SimplexPoint([0.2, 0.3, 0.5])))
+        vacuity_diagnosis(data)
+        assert len(builds) == 1 and builds[0] is data
+
 
 class TestPredictiveKernel:
     """The fixed-prior value against an exact oracle, up to the clamped boundary."""
@@ -622,12 +642,56 @@ class TestPredictiveKernel:
                 assert at_t == pytest.approx(predictive_oracle(data, s, t), rel=1e-12, abs=0.0)
 
 
+ENTRIES = st.sampled_from([0.0, 0.0, 1e-300, 1e-200, 1e-150, 0.05, 0.3, 1.0])
+
+
+@st.composite
+def shared_and_own_matrices(draw) -> ManifestDataset:
+    """k in 2..6, n <= 12 observations, each of one of 1-3 matrices of 1-4 rows of zeros and
+    entries down to 1e-300: rows repeat, and observations differ in their matrices."""
+    k = draw(st.integers(2, 6))
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(1, 4))
+        raw = np.array(draw(st.lists(ENTRIES, min_size=rows * k, max_size=rows * k)))
+        raw = raw.reshape(rows, k)
+        raw[0, raw.sum(axis=0) == 0.0] = 1.0
+        matrices.append((EmissionMatrix(raw / raw.sum(axis=0)), np.flatnonzero(raw.sum(axis=1))))
+    observations = []
+    for _ in range(draw(st.integers(0, 12))):
+        emission, observable = draw(st.sampled_from(matrices))
+        observations.append((emission, int(draw(st.sampled_from(observable.tolist())))))
+    return ManifestDataset(observations, k=k)
+
+
 class TestVacuityDiagnosis:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=shared_and_own_matrices())
+    # two distinct rows certify outcome 0, observed in turn: its lower witnesses interleave
+    @example(data=ManifestDataset.from_rows(EmissionMatrix([[0.3, 0], [0.7, 0], [0, 1]]), [0, 1, 0]))
+    def test_row_table_matches_the_per_row_oracles(self, data):
+        diagnosis = vacuity_diagnosis(data)
+        assert [d.outcome for d in diagnosis] == list(range(data.k))
+        found = [(d.upper_witnesses, d.lower_witnesses) for d in diagnosis]
+        assert found == diagnosis_witnesses(data)
+        assert all(type(i) is int for pair in found for witnesses in pair for i in witnesses)
+        per_row = Counter(
+            sum(1 << j for j in range(data.k) if row[j] != 0.0) for row in data.row_entries.tolist()
+        )
+        assert observation._zero_patterns(data) == per_row
+
+    def test_row_table_matches_the_per_row_oracle_at_k_1000(self):
+        # diagnose's cap: 300 identity observations, some rows repeated and most unobserved
+        observed = np.random.default_rng(5).integers(0, 1000, size=300).tolist()
+        data = ManifestDataset.from_rows(EmissionMatrix.identity(1000), observed)
+        found = [(d.upper_witnesses, d.lower_witnesses) for d in vacuity_diagnosis(data)]
+        assert found == diagnosis_witnesses(data)
+
     def test_channel_fully_vacuous(self):
         data = ManifestDataset.from_rows(CHANNEL.emission(), [0, 1, 0])
         diagnosis = vacuity_diagnosis(data)
-        assert diagnosis.fully_vacuous
-        for d in diagnosis.per_outcome:
+        assert all(d.vacuous for d in diagnosis)
+        for d in diagnosis:
             assert not d.upper_witnesses and not d.lower_witnesses
 
     def test_identity_observation_flags(self):
@@ -661,7 +725,7 @@ class TestVacuityDiagnosis:
             k = 2 + trial % 3
             data = tiny_entry_dataset(rng, k, int(rng.integers(0, 9)))
             diagnosis = vacuity_diagnosis(data)
-            found = [(d.upper_witnesses, d.lower_witnesses) for d in diagnosis.per_outcome]
+            found = [(d.upper_witnesses, d.lower_witnesses) for d in diagnosis]
             assert found == diagnosis_witnesses(data)
             assert all(type(i) is int for pair in found for witnesses in pair for i in witnesses)
 

@@ -528,7 +528,7 @@ def all_sides(k: int) -> list[tuple[int, bool]]:
 
 def open_sides(data: ManifestDataset) -> list[tuple[int, bool]]:
     """The sides `vacuity_diagnosis` witnesses: uppers a row rules out, lowers a row certifies."""
-    outcomes = vacuity_diagnosis(data).per_outcome
+    outcomes = vacuity_diagnosis(data)
     flags = [(d.lower_strictly_above_zero, d.upper_strictly_below_one) for d in outcomes]
     return [(j, upper) for j, upper in all_sides(data.k) if flags[j][upper]]
 

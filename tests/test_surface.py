@@ -4,9 +4,7 @@ Reports come from the command line: `cli.main` parses a scenario document,
 runs it and writes its report.  This runs a fixed set of documents through
 `cli.main` under `sys.settrace` and checks that every function defined in
 `src/latentidm` was called, apart from the names that `perfbench/spans.py`
-wraps or reads (it looks them up by string), `VacuityDiagnosis.__getitem__`,
-which `perfbench/workloads.py` uses to check each latent report's bounds
-against the diagnosis, and `SimplexPoint.__eq__`,
+wraps or reads (it looks them up by string) and `SimplexPoint.__eq__`,
 which the generated equality of extremizer descriptors and of
 `PredictiveBounds` calls.  A function that only direct library tests reach
 fails it: such code belongs in the tests, or nowhere.
@@ -35,7 +33,6 @@ UNREACHED = {
     ("vacuity", "delta_set_mass"),
     ("vacuity", "posterior_ratio"),
     ("simplex", "SimplexGrid.point_count"),
-    ("observation", "VacuityDiagnosis.__getitem__"),
     ("simplex", "SimplexPoint.__eq__"),
 }
 

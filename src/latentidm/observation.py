@@ -11,15 +11,16 @@ Whether a predictive bound can move off 0/1 at all is decided exactly, from
 the distinct zero patterns of the observed rows: a bound with no witness
 (`vacuity_diagnosis` lists them for `diagnose` documents) is its analytic
 limit, 0 or 1.  A side the zero patterns leave open is first checked
-against its conjugate envelope, also exactly from those patterns: on the
-straight path to a vertex, and for an upper then on the faces with unequal
-rates.  Only a side whose envelope is not attained there is searched, over
-the interior of the prior-mean simplex and over each of its boundary
-strata.  An observation whose row is zero under every hidden outcome is
-impossible and is rejected when the dataset is built.  A dataset scans its
-rows once, on first use, into a table of its distinct rows and the
-observations that carry each (`ManifestDataset.observed_rows`): the zero
-patterns, the weight pass and the diagnosis all read it.
+against its conjugate envelope, also exactly from those patterns, by one
+rule per side: a lower where t_j alone vanishes, an upper on the straight
+path to its vertex and then on the faces with unequal rates.  Only a side
+whose envelope is not attained there is searched, over the interior of the
+prior-mean simplex and over each of its boundary strata.  An observation
+whose row is zero under every hidden outcome is impossible and is rejected
+when the dataset is built.  A dataset scans its rows once, on first use,
+into a table of its distinct rows and the observations that carry each
+(`ManifestDataset.observed_rows`): the zero patterns, the weight pass and
+the diagnosis all read it.
 
 The key bookkeeping split: the probability of the observed sequence given a
 hidden assignment depends on the full ordered assignment, while the prior
@@ -43,6 +44,7 @@ are test oracles.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -419,81 +421,50 @@ def _zero_patterns(data: ManifestDataset) -> Counter:
     return patterns
 
 
-# the sets of at most DP_MAX_K outcomes as bit masks (bit h for outcome h), grouped by size
-_SUBSETS = [[t for t in range(1 << DP_MAX_K) if t.bit_count() == c] for c in range(DP_MAX_K + 1)]
-
-
-def _envelope_limits(patterns: dict[int, int], sides: Sequence[tuple[int, bool]], s: float) -> list:
-    """(value, descriptor) of each open side (j, upper) that an equal-rate path settles, else None.
+def _pattern_limit(patterns: dict[int, int], k: int, j: int, upper: bool, s: float):
+    """(value, descriptor) where side (j, upper) reaches its conjugate envelope, else None.
 
     `patterns` maps each distinct zero pattern of the observed rows, the bit
     mask of the outcomes a row allows, to its number of rows.  With A_j the
     rows that allow j and B_j those that allow only j, every conjugate
     fraction (a_j + s t_j)/(n + s) of the support lies below (A_j + s)/(n + s)
     and above B_j/(n + s).  With t_j alone vanishing every vector survives,
-    so the lower reaches its envelope iff a_j is constant: B_j = A_j.  On the
-    straight path to the vertex the vectors with the fewest outcomes but j
-    survive: those whose other outcomes form a minimum-size hitting set T of
-    the rows that exclude j (T empty when no row does).  So the upper
-    reaches its envelope iff no such T meets a row that allows j, for then
-    every such row can still pick j.  Sets of patterns are bit masks too
-    (bit m for pattern m), so each of the at most 2^(DP_MAX_K - 1) = 8 sets
-    T takes one mask test.  An upper that fails its check goes on to the
-    faces with unequal rates (`_face_limit`), a lower to the search.
+    so the lower reaches its envelope iff B_j = A_j.  With every other
+    outcome vanishing, a vector's pattern {h != j: a_h > 0} hits each row
+    that excludes j.  Positive rates r minimise <r, P> over the hitting sets
+    P only on minimal ones, each the pattern of a vector whose rows that
+    allow j all pick j, so the hitting sets expose the faces of the support,
+    in its order and with its rates.  A face whose sets meet no row that
+    allows j settles the upper at (A_j + s)/(n + s): first the smallest
+    sets, which equal rates expose on the straight path to the vertex (a
+    `BoundaryLimit`), then each face of `strata.faces` (a `BoundaryStratum`).
+    A side that fails is left to the search.
     """
-    n = sum(patterns.values())
-    # the patterns that allow each outcome, and those that meet each set t of outcomes,
-    # built up from t without its lowest outcome
-    allowing = [sum(1 << m for m in patterns if m >> h & 1) for h in range(DP_MAX_K)]
-    meeting = [0] * (1 << DP_MAX_K)
-    for t in range(1, 1 << DP_MAX_K):
-        meeting[t] = meeting[t & (t - 1)] | allowing[(t & -t).bit_length() - 1]
-    limits = []
-    for j, upper in sides:
-        if upper:
-            excluding = meeting[-1] & ~allowing[j]
-            for group in _SUBSETS:  # a smallest hitting set holds no outcome past k - 1
-                met = 0  # the outcomes of the smallest hitting sets
-                for t in group:
-                    if not t >> j & 1 and meeting[t] & excluding == excluding:
-                        met |= t
-                if met or not excluding:
-                    break
-            if not meeting[met] & allowing[j]:
-                rows = sum(c for m, c in patterns.items() if m >> j & 1)
-                limits.append(((rows + s) / (n + s), BoundaryLimit(j, 1.0)))
-                continue
-        elif not allowing[j] & ~(1 << (1 << j)):  # no pattern but {j} allows j
-            limits.append((patterns.get(1 << j, 0) / (n + s), BoundaryLimit(j, 0.0)))
-            continue
-        limits.append(None)
-    return limits
-
-
-def _face_limit(patterns: dict[int, int], k: int, j: int, s: float):
-    """(value, stratum) where the upper of j reaches its envelope at unequal rates, else None.
-
-    With every outcome but j vanishing, a vector's pattern {h != j: a_h > 0}
-    hits each row that excludes j, and each minimal hitting set is the
-    pattern of a vector whose rows that allow j all pick j.  Positive rates
-    r minimise <r, P> over the hitting sets P only on minimal ones, so the
-    hitting sets expose the faces of the support, in its order and with its
-    rates (`strata.faces`).  The first face whose sets meet no row that
-    allows j holds only vectors with a_j = A_j, for such a row could pick an
-    outcome of the face instead, and settles the upper at (A_j + s)/(n + s).
-    """
-    from . import strata  # on first use: the equal-rate check settles most uppers
+    n, rows, reach, excluding = sum(patterns.values()), 0, 0, []
+    for m, c in patterns.items():  # rows = A_j; `reach`, the outcomes of the rows that allow j
+        if m >> j & 1:
+            rows, reach = rows + c, reach | m
+        else:
+            excluding.append(m)
+    if not upper:
+        return (rows / (n + s), BoundaryLimit(j, 0.0)) if not reach & ~(1 << j) else None
+    value = (rows + s) / (n + s)
+    bits = [1 << h for h in range(k) if h != j]
+    for size in range(bool(excluding), k):  # the smallest hitting sets; {} hits iff none exclude j
+        smallest = map(sum, itertools.combinations(bits, size))
+        smallest = [t for t in smallest if all(map(t.__and__, excluding))]
+        if smallest:
+            break
+    if not any(map(reach.__and__, smallest)):
+        return value, BoundaryLimit(j, 1.0)
+    from . import strata  # on first use: equal rates settle most uppers
 
     z = tuple(h for h in range(k) if h != j)
-    excluding = [m for m in patterns if not m >> j & 1]
-    hitting = [t for t in range(1 << k) if not t >> j & 1 and all(t & m for m in excluding)]
+    hitting = [t for t in range(1 << k) if not t >> j & 1 and all(map(t.__and__, excluding))]
     sets = np.array([[t >> h & 1 for h in z] for t in hitting], dtype=bool)
     for rates, members in strata.faces(sets):
-        face = [t for t, member in zip(hitting, members.tolist()) if member]
-        if not any(t & m for t in face for m in patterns if m >> j & 1):
-            rows = sum(c for m, c in patterns.items() if m >> j & 1)
-            where = BoundaryStratum(z, rates, (1.0,) * len(z), SimplexPoint(np.eye(k)[j]))
-            return (rows + s) / (sum(patterns.values()) + s), where
+        if not any(t & reach for t, member in zip(hitting, members.tolist()) if member):
+            return value, BoundaryStratum(z, rates, (1.0,) * len(z), SimplexPoint(np.eye(k)[j]))
     return None
 
 
@@ -512,15 +483,16 @@ def outcome_bounds(
     collapses onto such assignments as t_j -> 0, and the lower bound is
     exactly 0.  These limits are recorded as `BoundaryLimit`s.
 
-    A side left open is next checked against its conjugate envelope on the
-    equal-rate paths, again from the rows' distinct zero patterns alone
-    (`_envelope_limits`), and an upper that fails there on the faces with
-    unequal rates, from the same patterns (`_face_limit`).  Only the sides
-    that fail both read the dataset's weight pass, for the search
-    (`strata.search`).  So the pass runs here only for a searched side, and
-    a fixed-prior value (`posterior_predictive_at_t`) runs it otherwise.
-    The pass's work cap is checked whenever a side is open, so a refusal
-    does not depend on which check settles it; k is capped for every side.
+    A side left open is next checked against its conjugate envelope, again
+    from the rows' distinct zero patterns alone, by one rule per side
+    (`_pattern_limit`): a lower on the path where t_j alone vanishes, an
+    upper on the straight path to its vertex and then on the faces with
+    unequal rates.  Only the sides that fail it read the dataset's weight
+    pass, for the search (`strata.search`).  So the pass runs here only for
+    a searched side, and a fixed-prior value (`posterior_predictive_at_t`)
+    runs it otherwise.  The pass's work cap is checked whenever a side is
+    open, so a refusal does not depend on which check settles it; k is
+    capped for every side.
     Returns one entry per listed outcome, in order.
     """
     if not s > 0.0:
@@ -543,13 +515,10 @@ def outcome_bounds(
     settled = {}
     if sides:
         check_weight_pass_size(data.n, data.k)
-        settled = dict(zip(sides, _envelope_limits(patterns, sides, s)))
-        for j, upper in sides:
-            if upper and settled[j, upper] is None:
-                settled[j, upper] = _face_limit(patterns, data.k, j, s)
+        settled = {side: _pattern_limit(patterns, data.k, *side, s) for side in sides}
         searched = [side for side, limit in settled.items() if limit is None]
         if searched:
-            from . import strata  # on first use: the zero-pattern checks settle most sides
+            from . import strata  # on first use: the zero-pattern rule settles most sides
 
             counts, log_w = data.weight_pass
             settled.update(zip(searched, strata.search(counts, log_w, s, searched)))

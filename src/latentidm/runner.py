@@ -11,6 +11,7 @@ report byte-for-byte apart from the timing block.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -210,7 +211,11 @@ def _dataset(doc: dict, k: int) -> ManifestDataset:
         specs = _list(model["emissions"], "model.emissions")
         if len(specs) != len(observations):
             raise ScenarioError("field 'model.emissions': one matrix per observation required")
-        emissions = [_emission(spec, k, "model.emissions") for spec in specs]
+        preset = functools.cache(_emission)  # each preset string once: an `identity` is k x k
+        emissions = [
+            (preset if isinstance(spec, str) else _emission)(spec, k, "model.emissions")
+            for spec in specs
+        ]
     elif "emission" in model:
         emissions = [_emission(model["emission"], k, "model.emission")] * len(observations)
     else:

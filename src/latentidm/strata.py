@@ -13,11 +13,11 @@ exposed face.  The supremum or infimum over the open simplex is the best
 value over the interior and the strata, and every stratum value is a limit
 of attained values.
 
-`observation` imports this module on first use: its check of an upper on
-the faces with unequal rates reads `faces` of the rows' minimal hitting
-sets, with no weight pass, and a side that no zero-pattern check settles
-is searched here, on the support and log weights of the dataset's one
-weight pass, which runs only for such a side or for a `hyper.t` value.  A
+`observation` imports this module on first use: its zero-pattern rule
+reads `faces` of the rows' hitting sets for an upper that equal rates do
+not settle, with no weight pass, and a side that the rule leaves open is
+searched here, on the support and log weights of the dataset's one weight
+pass, which runs only for such a side or for a `hyper.t` value.  A
 search call builds its table of strata once (`_strata`): the interior,
 then the exposed faces of each vanishing set, found once.  The multistart
 (`_multistart`) reads that table, within the work cap.
@@ -194,8 +194,8 @@ def search(counts: np.ndarray, log_w: np.ndarray, s: float, sides: list[tuple[in
     """(value, extremizer) of each (outcome, upper) side: its best value over the interior and
     every stratum.
 
-    `observation` passes only the sides its zero-pattern checks leave open,
-    the faces with unequal rates included.  The table of strata (`_strata`)
+    `observation` passes only the sides its zero-pattern rule leaves open,
+    on the faces with unequal rates too.  The table of strata (`_strata`)
     is built once per call and held to the work cap before the multistart
     reads it.
     """

@@ -249,13 +249,13 @@ def lexicographic_likelihood_terms(data: ManifestDataset) -> tuple[np.ndarray, n
 def support_envelope_limits(counts: np.ndarray, sides, s: float) -> list:
     """(value, descriptor) of each side (j, upper) that an equal-rate path settles, else None.
 
-    The rule `observation._envelope_limits` applied before it read the zero
-    patterns: one array pass over the support `counts` (one row per vector),
-    with A and B the largest and smallest a_j.  On the straight path to the
-    vertex the vectors with the fewest nonzeros off column j survive, so the
-    upper reaches (A + s)/(n + s) if all of them have a_j = A; with t_j alone
-    vanishing all vectors survive, so the lower reaches B/(n + s) if a_j is
-    constant.
+    The equal-rate part of `observation._pattern_limit`, as the library
+    applied it before it read the zero patterns: one array pass over the
+    support `counts` (one row per vector), with A and B the largest and
+    smallest a_j.  On the straight path to the vertex the vectors with the
+    fewest nonzeros off column j survive, so the upper reaches (A + s)/(n + s)
+    if all of them have a_j = A; with t_j alone vanishing all vectors
+    survive, so the lower reaches B/(n + s) if a_j is constant.
     """
     n = sum(counts[0].tolist())
     highest, lowest = counts.max(axis=0), counts.min(axis=0)

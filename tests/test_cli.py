@@ -605,6 +605,18 @@ class TestCliExitCodes:
         assert code == EXIT_OK
         assert peak < 9 * 2**20
 
+    def test_per_observation_identity_presets_are_built_once(self, tmp_path, capsys):
+        # 40 per-observation `identity` entries at k = 1000 name one 8 MB matrix, not 40
+        observations = [(7 * i) % 1000 for i in range(40)]
+        shared = dict(PREDICT_DOC, kind="diagnose", k=1000, observations=observations)
+        per_observation = dict(shared, model={"emissions": ["identity"] * 40})
+        assert main(["run", write_scenario(tmp_path, shared)]) == EXIT_OK
+        expected = json.loads(capsys.readouterr().out)["results"]
+        code, peak = run_traced(["run", write_scenario(tmp_path, per_observation)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"] == expected
+        assert peak < 40 * 2**20
+
     @pytest.mark.parametrize("k", [3000, 100_000_000])
     def test_diagnose_k_cap_comes_before_the_emission_is_built(self, tmp_path, capsys, k):
         # the identity preset is a k x k matrix: 72 MB at k = 3000

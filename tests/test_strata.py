@@ -505,20 +505,19 @@ def patterned(rows, k: int = 3) -> ManifestDataset:
 
 
 def envelope(rows, j: int, upper: bool, s: float = 2.0):
-    """`observation._envelope_limits` of the single side (j, upper) of the `patterned` rows."""
-    patterns = observation._zero_patterns(patterned(rows))
-    return observation._envelope_limits(patterns, [(j, upper)], s)[0]
+    """`observation._pattern_limit` of the single side (j, upper) of the `patterned` rows."""
+    data = patterned(rows)
+    return observation._pattern_limit(observation._zero_patterns(data), data.k, j, upper, s)
 
 
 def face_envelope(rows, j: int, s: float = 2.0):
-    """`observation._face_limit` of the upper of j, which failed its equal-rate check.
+    """`observation._pattern_limit` of the upper of j, which equal rates left open.
 
     Held to the support oracle: the same value, descriptor and rates, or None.
     """
-    assert envelope(rows, j, True, s) is None
-    data = patterned(rows)
-    limit = observation._face_limit(observation._zero_patterns(data), data.k, j, s)
-    assert limit == envelope_limit(support_of(data), j, True, s)
+    limit = envelope(rows, j, True, s)
+    assert limit is None or not isinstance(limit[1], BoundaryLimit)
+    assert limit == envelope_limit(support_of(patterned(rows)), j, True, s)
     return limit
 
 
@@ -534,17 +533,10 @@ def open_sides(data: ManifestDataset) -> list[tuple[int, bool]]:
 
 
 def pattern_limits(data: ManifestDataset, sides, s: float) -> list:
-    """The zero-pattern rules of `outcome_bounds` on each side, with no weight pass.
-
-    The equal-rate envelope (`_envelope_limits`), then, for an upper it
-    leaves open, the faces with unequal rates (`_face_limit`).
-    """
+    """The zero-pattern rule of `outcome_bounds` (`_pattern_limit`) on each side, with no
+    weight pass: the equal-rate envelope, then, for an upper, the faces with unequal rates."""
     patterns = observation._zero_patterns(data)
-    limits = observation._envelope_limits(patterns, sides, s)
-    return [
-        observation._face_limit(patterns, data.k, j, s) if upper and limit is None else limit
-        for (j, upper), limit in zip(sides, limits, strict=True)
-    ]
+    return [observation._pattern_limit(patterns, data.k, j, upper, s) for j, upper in sides]
 
 
 def assert_pattern_rule_matches_the_support(data: ManifestDataset, s: float) -> Counter:
@@ -613,9 +605,9 @@ class TestEnvelope:
                     if [j] not in rows:
                         continue
                     expected = envelope_limit(support, j, False, 2.0)
-                    limit = observation._envelope_limits(
-                        observation._zero_patterns(data), [(j, False)], 2.0
-                    )[0]
+                    limit = observation._pattern_limit(
+                        observation._zero_patterns(data), k, j, False, 2.0
+                    )
                     assert limit == expected
                     assert (limit is None) == any(j in row and len(row) > 1 for row in rows)
 
@@ -685,14 +677,24 @@ class TestEnvelope:
         s=st.sampled_from([0.5, 2.0]),
     )
     def test_zero_pattern_rule_equals_the_support_rule(self, k, masks, s):
-        # random zero patterns: every side, open or not, gets the same value and descriptor,
-        # or None, from the rows' distinct patterns as from the support of their weight pass
+        # random zero patterns: every side, open or not, gets the same value and equal-rate
+        # descriptor, or None, from the rows' distinct patterns as from the support of their
+        # weight pass; a side settled on a face with unequal rates is an upper that equal rates
+        # leave open, settled as the support oracle settles it
         rows = [[j for j in range(k) if m >> j & 1] or [m % k] for m in masks]
         data = patterned(rows, k)
         counts, _ = data.weight_pass
         sides = all_sides(k)
-        limits = observation._envelope_limits(observation._zero_patterns(data), sides, s)
-        assert limits == support_envelope_limits(counts, sides, s)
+        limits = pattern_limits(data, sides, s)
+        equal_rate = [
+            limit if limit is None or isinstance(limit[1], BoundaryLimit) else None
+            for limit in limits
+        ]
+        assert equal_rate == support_envelope_limits(counts, sides, s)
+        support = [tuple(a) for a in counts.tolist()]
+        for (j, upper), limit in zip(sides, limits):
+            if limit is not None and not isinstance(limit[1], BoundaryLimit):
+                assert upper and limit == envelope_limit(support, j, True, s)
 
 
 def test_bundled_and_cyclic_zero_documents_never_import_strata():

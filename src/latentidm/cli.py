@@ -60,10 +60,10 @@ def _load_scenario(identifier: str) -> Scenario:
 
 def _cmd_run(args) -> int:
     report = run_scenario(_load_scenario(args.scenario))
+    text = report_to_doc(report) if args.format == "doc" else report_to_table(report)
     if args.out:
-        write_report(report, args.out, format=args.format)
+        write_report(text, args.out)
     else:
-        text = report_to_doc(report) if args.format == "doc" else report_to_table(report)
         sys.stdout.write(text)
     return EXIT_OK
 

@@ -64,8 +64,9 @@ from .idm import log_marginal_probability  # noqa: F401
 from .simplex import SimplexGrid  # noqa: F401
 
 DP_MAX_K = 4  # the search's k cap
-# one work cap: a weight pass's state updates and cells (`check_weight_pass_size`) and a
-# search's cells (`strata.search`); every dataset of k <= 4 and up to 20 observations meets both
+# one work cap: a weight pass's state updates and cells (`check_weight_pass_size`), a search's
+# cells (`strata.search`) and a `diagnose` document's k x n rows (runner); every dataset of
+# k <= 4 and up to 20 observations meets them all
 MAX_WORK = 1 << 22
 
 _COLUMN_SUM_TOL = 1e-12

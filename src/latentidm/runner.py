@@ -35,6 +35,7 @@ from .manifest import (
 )
 from .observation import (
     DP_MAX_K,
+    MAX_WORK,
     EmissionMatrix,
     ManifestDataset,
     check_weight_pass_size,
@@ -123,15 +124,17 @@ def _name_and_kind(doc: dict) -> tuple[str, str]:
 
 @contextmanager
 def _field(name: str):
-    """Name `name` in any ValueError or TypeError raised while building it.
+    """Name `name` in any ValueError or TypeError raised while building or running it.
 
-    ScenarioError already names its field, and SizeCapError keeps its own
-    exit code, so both pass through unchanged.
+    ScenarioError already names its field and passes through.  A library SizeCapError is
+    named too and keeps its class, so its exit code; the runner's own caps sit outside.
     """
     try:
         yield
-    except (ScenarioError, SizeCapError):
+    except ScenarioError:
         raise
+    except SizeCapError as exc:
+        raise SizeCapError(f"field '{name}': {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"field '{name}': {exc}") from exc
 
@@ -266,12 +269,8 @@ def _likelihood(spec, k: int, name: str) -> Polynomial:
         rows = _integers(spec.get("observations", []), f"{name}.observations")
         with _field(name):
             emission = BinaryChannel(eps1, eps2).emission()
-        with _field(f"{name}.observations"):
-            data = ManifestDataset.from_rows(emission, rows)
-        try:
-            return dataset_likelihood(data)
-        except SizeCapError as exc:  # the weight pass's work cap
-            raise SizeCapError(f"field '{name}.observations': {exc}") from exc
+        with _field(f"{name}.observations"):  # the rows, and the weight pass's work cap
+            return dataset_likelihood(ManifestDataset.from_rows(emission, rows))
     raise ScenarioError(f"field '{name}.kind': unknown kind {kind!r}")
 
 
@@ -322,10 +321,10 @@ def _describe_extremizer(value: BoundaryLimit | BoundaryStratum | SimplexPoint) 
                 "vanishing": list(value.vanishing),
                 "rates": list(value.rates),
                 "multipliers": list(value.multipliers),
-                "limit": list(value.limit.coords),
+                "limit": value.limit.coords.tolist(),
             }
         }
-    return {"point": list(value.coords)}
+    return {"point": value.coords.tolist()}
 
 
 def _bounds_payload(bounds: PredictiveBounds, **extra) -> dict:
@@ -392,17 +391,16 @@ def _parse_predict(doc: dict):
             prior = DirichletParams(s=s, t=t)
 
     def run() -> tuple[dict, dict]:
-        try:
+        with _field("observations"):  # the weight pass's and the search's work cap
             bounds = outcome_bounds(data, s, outcomes)
             values = None if prior is None else posterior_predictive_at_t(data, prior)
-        except SizeCapError as exc:  # the weight pass's and the search's work cap
-            raise SizeCapError(f"field 'observations': {exc}") from exc
         results: dict[str, Any] = {
             "level": "latent",
             "bounds": [_bounds_payload(b, outcome=j) for j, b in zip(outcomes, bounds)],
         }
         if prior is not None:
-            results["at_t"] = {"t": list(prior.t.coords), "values": [values[j] for j in outcomes]}
+            t = prior.t.coords.tolist()
+            results["at_t"] = {"t": t, "values": [values[j] for j in outcomes]}
         return results, {}
 
     return run
@@ -412,6 +410,11 @@ def _parse_diagnose(doc: dict):
     k = _integer(doc.get("k", 2), "k", minimum=2)
     if k > _DIAGNOSE_MAX_K:
         raise SizeCapError(f"field 'k': diagnose capped at k <= {_DIAGNOSE_MAX_K}; got k={k}")
+    rows = doc.get("observations")  # the (n x k) row array, and up to k x n witnesses
+    if isinstance(rows, list) and k * len(rows) > MAX_WORK:
+        raise SizeCapError(
+            f"field 'observations': diagnose capped at k x n <= {MAX_WORK:,}; got {k} x {len(rows)}"
+        )
     data = _dataset(doc, k)
 
     def run() -> tuple[dict, dict]:
@@ -497,11 +500,8 @@ def _parse_scaled_beta(doc: dict):
             raise ScenarioError("field 'fixed_t1': must lie strictly in (0, 1)")
         with _field("fixed_t1"):  # the prior refuses an s t_h that is not a normal float
             DirichletParams(s=s, t=SimplexPoint([t1, 1.0 - t1]))
-        # the fixed-prior value takes one weight pass over `total` observations
-        try:
+        with _field("dataset.total"):  # the fixed-prior value's weight pass over `total` rows
             check_weight_pass_size(total, 2)
-        except SizeCapError as exc:
-            raise SizeCapError(f"field 'dataset.total': {exc}") from exc
 
     def run() -> tuple[dict, dict]:
         bounds = scaled_beta_posterior_bounds(channel, positives, total, s)
@@ -576,7 +576,8 @@ def report_to_doc(report: dict) -> str:
     The text of `json.dumps(report, indent=2, sort_keys=True)`, written by
     one recursive function: json's indenting encoder is a set of nested
     closures that leaves a reference cycle per call, which lingers until the
-    next garbage collection.
+    next garbage collection.  The payload builders hand it only exact JSON
+    types (numpy vectors by `.tolist()`), so every leaf is written inline.
     """
     parts: list[str] = []
     _write_doc(report, "\n", parts)
@@ -588,8 +589,8 @@ def _write_doc(value, newline: str, parts: list[str]) -> None:
     """Append `value` to `parts` as the indenting encoder writes it after `newline`.
 
     A member of a non-empty dict or list whose exact type is a key of `_LEAVES` is written
-    inline after one dict lookup.  Containers, empty or not, and subclasses such as numpy
-    scalars take a recursive call and the `isinstance` tests below.
+    inline after one dict lookup; any other takes one recursive call (one frame per level),
+    which writes an empty container or a subclass such as a numpy scalar by `json.dumps`.
     """
     if isinstance(value, dict) and value:
         inner = newline + "  "
@@ -618,18 +619,6 @@ def _write_doc(value, newline: str, parts: list[str]) -> None:
                 parts.append(separator + leaf(item))
             separator = "," + inner
         parts.append(newline + "]")
-    elif isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif isinstance(value, float) and math.isfinite(value):
-        parts.append(float.__repr__(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
     else:
         parts.append(json.dumps(value))
 
@@ -679,9 +668,8 @@ def report_to_table(report: dict) -> str:
     return "\n".join(f"{path}\t{value}" for path, value in rows) + "\n"
 
 
-def write_report(report: dict, path: str, format: str = "doc") -> None:
-    """Atomic write: serialize fully, then rename into place."""
-    text = report_to_doc(report) if format == "doc" else report_to_table(report)
+def write_report(text: str, path: str) -> None:
+    """Atomic write of a serialized report: write it fully, then rename into place."""
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp_path, "w", encoding="utf-8") as handle:
@@ -715,6 +703,8 @@ def read_scenario_file(path: str) -> Any:
         ) from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: parse error: nested too deeply") from exc
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot read the scenario: {exc.strerror}") from exc
 

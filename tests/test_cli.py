@@ -1,11 +1,14 @@
 import errno
 import gc
+import importlib
 import json
 import math
 import os
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +539,11 @@ class TestCliExitCodes:
                 "dataset.total",
                 dict(SCALED_BETA_DOC, dataset={"positives": 2, "total": OVER_CAP_N}, fixed_t1=0.5),
             ),
+            # k x n = 4,195,000 witness slots and row entries, past the one work cap
+            (
+                "observations",
+                dict(PREDICT_DOC, kind="diagnose", k=1000, observations=[0] * 4195),
+            ),
         ],
     )
     def test_size_cap_names_its_field(self, tmp_path, capsys, field, doc):
@@ -862,6 +870,40 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"broken.json: {message}" in err
 
+    def test_deep_nesting_is_exit_1_naming_the_file_or_written_whole(self, tmp_path, monkeypatch, capsys):
+        # json's decoder recurses once per level and gives up at the recursion limit: 100,000
+        # levels, and an unknown field 990 deep, the first depth it refuses from the console
+        # script's stack; what it reads the writer echoes, one frame per level, so 985 levels,
+        # the deepest it reads on this thread, are written in both formats, to stdout or a file
+        def nested(depth: int) -> str:
+            return json.dumps(dict(PREDICT_DOC, extra=[])).replace("[]", "[" * depth + "]" * depth)
+
+        def main_on_a_fresh_stack(argv) -> int:
+            # a new thread's recursion depth starts at 0, as the console script's does
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                return pool.submit(main, argv).result()
+
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        (tmp_path / "deep.json").write_text(nested(990), encoding="utf-8")
+        for argv, path in [
+            (["run", str(scenarios / "deep.json")], scenarios / "deep.json"),
+            (["run", str(tmp_path / "deep.json")], tmp_path / "deep.json"),
+        ]:
+            assert main_on_a_fresh_stack(argv) == EXIT_INVALID
+            assert capsys.readouterr().err == f"error: {path}: parse error: nested too deeply\n"
+        monkeypatch.setenv("LATENTIDM_SCENARIO_DIR", str(scenarios))
+        assert main_on_a_fresh_stack(["list"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"error: {scenarios / 'deep.json'}: parse error: nested too deeply\n"
+        (tmp_path / "deep.json").write_text(nested(985), encoding="utf-8")
+        for fmt in ("doc", "table"):
+            for out in ([], ["--out", str(tmp_path / "report")]):
+                argv = ["run", str(tmp_path / "deep.json"), "--format", fmt, *out]
+                assert main_on_a_fresh_stack(argv) == EXIT_OK
+                assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -1007,11 +1049,32 @@ class TestFormats:
         assert json.loads(out.read_text())["results"]["level"] == "manifest"
         assert not [p for p in os.listdir(tmp_path) if "tmp" in p]
 
-    def test_doc_format_is_the_indenting_json_encoder(self):
-        # every bundled report, timing included, as json.dumps writes it
-        for doc in bundled_scenarios().values():
+    def test_doc_format_is_the_indenting_json_encoder(self, monkeypatch):
+        # every bundled report, the benchmark's `latent-*` reports of two seeds and the surface
+        # test's documents (faces, searched points, trends), timing included, as json.dumps
+        # writes them; every value in them has an exact JSON type, so each leaf is written inline
+        from test_surface import CUSTOM
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        latent = [
+            json.loads(op.text)
+            for name in ("latent-vacuous", "latent-zeros")
+            for seed in (3, 5)
+            for op in workloads.build(name, seed).ops
+        ]
+        for doc in [*bundled_scenarios().values(), *latent, *CUSTOM.values()]:
             report = run_scenario(Scenario.from_dict(doc))
             assert report_to_doc(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            stack = [report]
+            while stack:
+                value = stack.pop()
+                if type(value) is dict:
+                    stack += value.values()
+                elif type(value) is list:
+                    stack += value
+                else:
+                    assert type(value) in (str, int, float, bool, type(None)), (doc["name"], value)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
